@@ -18,13 +18,6 @@
 //	experiments -spec-timeout 60s # abandon an experiment stuck past its budget
 //	experiments -retries 1        # re-run a failed experiment once
 //	experiments -faultinject      # dev/CI: append specs that panic, hang, error
-//	experiments -queue calendar   # pin every kernel's event-queue backend
-//
-// -queue selects the event-queue backend (auto, heap, calendar) for every
-// kernel the run creates. The kernel's ordering contract is a total order
-// on (at, seq) independent of backend, so stdout is byte-identical for
-// all three — CI runs the suite pinned to calendar and diffs it against
-// the golden corpus to prove it.
 //
 // Tables always print in suite order (E1 … X7) regardless of -par; every
 // number in them is virtual time, so the bytes are identical for any
@@ -67,7 +60,6 @@ import (
 	"northstar/internal/experiments"
 	"northstar/internal/mc"
 	"northstar/internal/obs"
-	"northstar/internal/sim"
 )
 
 func main() {
@@ -100,16 +92,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	specTimeout := fs.Duration("spec-timeout", 0, "per-experiment wall-clock budget; 0 disables the watchdog")
 	retries := fs.Int("retries", 0, "re-run a failed experiment up to this many extra times")
 	faultinject := fs.Bool("faultinject", false, "dev/CI: append synthetic misbehaving specs (implies -spec-timeout 10s if unset)")
-	queue := fs.String("queue", "auto", "event-queue backend for every kernel: auto, heap, or calendar (output is byte-identical on all three)")
 	if err := fs.Parse(args); err != nil {
 		return 2 // flag package already printed the diagnostic and usage
 	}
-	qkind, err := sim.ParseQueueKind(*queue)
-	if err != nil {
-		fmt.Fprintf(stderr, "experiments: -queue %s: %v\n", *queue, err)
-		return 2
-	}
-	sim.SetDefaultQueue(qkind)
 	// The -par default of 0 means "one worker per CPU", but that is a
 	// default, not a request: an explicit -par below 1 is a typo'd worker
 	// count, and silently running it at full parallelism would hide it.

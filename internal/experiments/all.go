@@ -11,10 +11,11 @@ type Spec struct {
 	ID    string
 	Title string
 	Run   func(quick bool) (*Table, error)
-	// Cost is a scheduling hint: measured full-mode wall seconds on the
-	// reference host (see BENCH_runner.json spec_seconds). RunSpecs
-	// dispatches longest-processing-time-first so the long poles start
-	// before the sub-millisecond specs; a zero Cost just sorts last.
+	// Cost is a scheduling hint: measured full-mode wall seconds on a
+	// 1-CPU container (a traced benchmark run reports them as
+	// span.spec.<ID>). RunSpecs dispatches longest-processing-time-first
+	// so the long poles start before the sub-millisecond specs; a zero
+	// Cost just sorts last.
 	// Output order is unaffected — tables always print in suite order.
 	Cost float64
 }

@@ -52,7 +52,12 @@ func TestDefaultPool(t *testing.T) {
 			t.Fatalf("concurrent Default() returned distinct pools")
 		}
 	}
-	pools[0].Close()
+}
+
+func TestCloseTwiceIsNoop(t *testing.T) {
+	p := NewPool(2)
+	p.Close()
+	p.Close() // must not panic
 }
 
 func TestDoBusyHelperRunsInline(t *testing.T) {

@@ -28,8 +28,9 @@ import (
 // helpers degrades to plain sequential execution with no goroutines and
 // no channel traffic.
 type Pool struct {
-	jobs    chan func()
-	helpers int
+	jobs      chan func()
+	helpers   int
+	closeOnce sync.Once
 }
 
 // NewPool starts a pool with the given number of helper goroutines
@@ -59,11 +60,11 @@ func (p *Pool) Workers() int {
 	return p.helpers + 1
 }
 
-// Close stops the helper goroutines. The pool must not be used after
-// Close; Do on a closed pool panics.
+// Close stops the helper goroutines. Closing twice is a no-op. The pool
+// must not be used after Close; Do on a closed pool panics.
 func (p *Pool) Close() {
 	if p != nil && p.helpers > 0 {
-		close(p.jobs)
+		p.closeOnce.Do(func() { close(p.jobs) })
 	}
 }
 

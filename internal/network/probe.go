@@ -42,8 +42,8 @@ func (k FabricKind) String() string {
 // occupancy, and fast-path use. It is the model-level analog of
 // sim.Probe — every fabric holds a nil probe by default and each hook
 // site is guarded by a single nil-check, so an unobserved fabric pays
-// nothing on its hot path (cmd/bench pins the attached-probe overhead in
-// the fabric_probed section, mirroring kernel_probed).
+// nothing on its hot path (cmd/bench fails if an attached probe adds
+// more than 10% per send).
 //
 // All methods are called synchronously from the goroutine driving the
 // fabric's kernel, so implementations need no locking as long as one

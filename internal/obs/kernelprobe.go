@@ -21,8 +21,8 @@ import (
 //
 // Methods never allocate, so the overhead of an attached probe is a
 // handful of increments plus a bits.Len bucket index per scheduled event
-// (measured by cmd/bench as kernel_probed). The depth counts convert to
-// a stats.Histogram only at PublishTo time.
+// (timed by the benchmark as rung.kernel_event_probed). The depth counts
+// convert to a stats.Histogram only at PublishTo time.
 type KernelProbe struct {
 	scheduled   uint64
 	fired       uint64

@@ -7,9 +7,9 @@
 //
 // The layer costs nothing when disabled: an unobserved sim.Kernel holds a
 // nil probe behind a single nil-check per hook site, and the runner skips
-// every observer call when no observer is configured. cmd/bench records
-// both the nil-probe and attached-probe kernel throughput in
-// BENCH_runner.json to keep that claim honest.
+// every observer call when no observer is configured. The benchmark's
+// rung.kernel_event and rung.kernel_event_probed time both the nil-probe
+// and attached-probe kernel to keep that claim honest.
 //
 // Attribution works by goroutine: each suite worker binds its experiment's
 // KernelProbe to its own goroutine id before calling the spec's Run

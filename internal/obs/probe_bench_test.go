@@ -10,7 +10,7 @@ import (
 // BenchmarkKernelEventThroughputProbed is BenchmarkKernelEventThroughput
 // (internal/sim) with a counting probe attached: the enabled-observability
 // cost per event. Compare against the nil-probe number from the sim
-// package; cmd/bench records both in BENCH_runner.json.
+// package; the benchmark's rung.kernel_event{,_probed} time both.
 func BenchmarkKernelEventThroughputProbed(b *testing.B) {
 	k := sim.New(1)
 	k.SetProbe(NewKernelProbe())

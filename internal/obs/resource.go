@@ -11,8 +11,8 @@ import "runtime"
 // forced GC), so the numbers are cheap but approximate: AllocBytes is
 // exact (TotalAlloc is monotonic and GC-independent), while the
 // high-water gauges are lower bounds — a peak between the two samples
-// goes unseen. cmd/bench's memory section, which needs settled heap
-// numbers, forces a GC around its reads instead.
+// goes unseen. A measurement that needs settled heap numbers must force
+// a GC around its reads instead.
 type ResourceScope struct {
 	startTotalAlloc uint64
 	startHeap       uint64

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 )
 
 // Time is a point in virtual time, in seconds. Virtual time is unrelated
@@ -154,7 +153,7 @@ const (
 	QueueCalendar
 )
 
-// String names the kind as accepted by ParseQueueKind.
+// String names the kind: "auto", "heap", or "calendar".
 func (q QueueKind) String() string {
 	switch q {
 	case QueueHeap:
@@ -166,35 +165,11 @@ func (q QueueKind) String() string {
 	}
 }
 
-// ParseQueueKind parses "auto", "heap", or "calendar".
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "auto":
-		return QueueAuto, nil
-	case "heap":
-		return QueueHeap, nil
-	case "calendar":
-		return QueueCalendar, nil
-	}
-	return QueueAuto, fmt.Errorf("sim: unknown queue kind %q (want auto, heap, or calendar)", s)
-}
-
 // autoCalendarThreshold is the pending-event count at which a QueueAuto
 // kernel migrates from the heap to the calendar queue. At this depth heap
 // sift chains span several cache-missing levels while the calendar's runs
 // stay short; below it the heap's simplicity wins.
 const autoCalendarThreshold = 1024
-
-// defaultQueue is the process-global QueueKind used by New. CI uses it
-// (via the -queue flag on cmd/experiments) to run the whole suite pinned
-// to one backend and prove the outputs byte-identical.
-var defaultQueue atomic.Uint32
-
-// SetDefaultQueue sets the backend New gives future kernels.
-func SetDefaultQueue(kind QueueKind) { defaultQueue.Store(uint32(kind)) }
-
-// DefaultQueue reports the backend New currently gives kernels.
-func DefaultQueue() QueueKind { return QueueKind(defaultQueue.Load()) }
 
 // Kernel is a discrete-event simulation engine. A Kernel is not safe for
 // concurrent use; all interaction must happen from the goroutine driving
@@ -236,10 +211,9 @@ type Kernel struct {
 }
 
 // New returns a Kernel with its clock at zero and randomness seeded from
-// seed, on the process-default queue backend (QueueAuto unless
-// SetDefaultQueue changed it). The same seed yields an identical
+// seed, on the QueueAuto backend. The same seed yields an identical
 // simulation on any backend.
-func New(seed int64) *Kernel { return NewOnQueue(seed, DefaultQueue()) }
+func New(seed int64) *Kernel { return NewOnQueue(seed, QueueAuto) }
 
 // NewOnQueue is New with an explicit queue backend.
 func NewOnQueue(seed int64, kind QueueKind) *Kernel {
@@ -257,19 +231,6 @@ func NewOnQueue(seed int64, kind QueueKind) *Kernel {
 		(*h)(k)
 	}
 	return k
-}
-
-// QueueConfigured reports the backend this kernel was constructed with.
-func (k *Kernel) QueueConfigured() QueueKind { return k.kindCfg }
-
-// QueueActive reports the backend currently holding future events: for a
-// QueueAuto kernel this starts as QueueHeap and becomes QueueCalendar
-// after the density switch.
-func (k *Kernel) QueueActive() QueueKind {
-	if k.onCal {
-		return QueueCalendar
-	}
-	return QueueHeap
 }
 
 // Reset returns the kernel to the state New(seed) produced: clock at

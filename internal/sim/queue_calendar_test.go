@@ -103,25 +103,26 @@ func TestCalendarAllSameTime(t *testing.T) {
 	assertSameOrder(t, offsets)
 }
 
-// TestAutoSwitchMigratesToCalendar checks the QueueAuto density switch:
-// below the threshold the kernel stays on the heap, above it the pending
-// set migrates wholesale, and the simulation output is unaffected.
+// TestAutoSwitchMigratesToCalendar checks the QueueAuto density switch
+// that New gives every kernel: below the threshold the kernel stays on
+// the heap, above it the pending set migrates wholesale, and the
+// simulation output is unaffected.
 func TestAutoSwitchMigratesToCalendar(t *testing.T) {
-	k := NewOnQueue(1, QueueAuto)
-	if k.QueueActive() != QueueHeap {
-		t.Fatalf("fresh QueueAuto kernel on %v, want heap", k.QueueActive())
+	k := New(1)
+	if k.onCal {
+		t.Fatal("fresh QueueAuto kernel on the calendar, want heap")
 	}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < autoCalendarThreshold-1; i++ {
 		k.After(Time(rng.Float64())*Second, func() {})
 	}
-	if k.QueueActive() != QueueHeap {
+	if k.onCal {
 		t.Fatalf("kernel switched below threshold: %d pending", k.Pending())
 	}
 	k.After(Second, func() {})
-	if k.QueueActive() != QueueCalendar {
-		t.Fatalf("kernel still on %v with %d pending (threshold %d)",
-			k.QueueActive(), k.Pending(), autoCalendarThreshold)
+	if !k.onCal {
+		t.Fatalf("kernel still on the heap with %d pending (threshold %d)",
+			k.Pending(), autoCalendarThreshold)
 	}
 	if k.Pending() != autoCalendarThreshold {
 		t.Fatalf("switch lost events: Pending=%d, want %d", k.Pending(), autoCalendarThreshold)
@@ -143,7 +144,7 @@ func TestAutoSwitchMigratesToCalendar(t *testing.T) {
 	for i := 0; i < 2*autoCalendarThreshold; i++ {
 		kh.After(Time(i)*Microsecond+Microsecond, func() {})
 	}
-	if kh.QueueActive() != QueueHeap {
+	if kh.onCal {
 		t.Fatalf("pinned heap kernel switched backends")
 	}
 	for kh.Step() {
@@ -167,8 +168,8 @@ func TestCalendarResetReplays(t *testing.T) {
 		}
 		first := run()
 		k.Reset()
-		if kind == QueueAuto && k.QueueActive() != QueueHeap {
-			t.Fatalf("auto kernel still on %v after Reset", k.QueueActive())
+		if kind == QueueAuto && k.onCal {
+			t.Fatal("auto kernel still on the calendar after Reset")
 		}
 		second := run()
 		if len(first) != len(second) {

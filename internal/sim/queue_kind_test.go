@@ -1,11 +1,8 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-func TestQueueKindStringAndParse(t *testing.T) {
+func TestQueueKindString(t *testing.T) {
 	cases := []struct {
 		kind QueueKind
 		name string
@@ -18,39 +15,6 @@ func TestQueueKindStringAndParse(t *testing.T) {
 		if got := c.kind.String(); got != c.name {
 			t.Errorf("QueueKind(%d).String() = %q, want %q", c.kind, got, c.name)
 		}
-		parsed, err := ParseQueueKind(c.name)
-		if err != nil || parsed != c.kind {
-			t.Errorf("ParseQueueKind(%q) = %v, %v, want %v, nil", c.name, parsed, err, c.kind)
-		}
-	}
-	if _, err := ParseQueueKind("splay"); err == nil || !strings.Contains(err.Error(), "splay") {
-		t.Errorf("ParseQueueKind(splay) error = %v, want mention of the bad name", err)
-	}
-}
-
-func TestSetDefaultQueue(t *testing.T) {
-	old := DefaultQueue()
-	defer SetDefaultQueue(old)
-
-	SetDefaultQueue(QueueCalendar)
-	if got := DefaultQueue(); got != QueueCalendar {
-		t.Fatalf("DefaultQueue() = %v after SetDefaultQueue(calendar)", got)
-	}
-	k := New(1)
-	if got := k.QueueConfigured(); got != QueueCalendar {
-		t.Errorf("QueueConfigured() = %v, want calendar", got)
-	}
-	if got := k.QueueActive(); got != QueueCalendar {
-		t.Errorf("QueueActive() = %v, want calendar", got)
-	}
-
-	SetDefaultQueue(QueueHeap)
-	k = New(1)
-	if got, want := k.QueueConfigured(), QueueHeap; got != want {
-		t.Errorf("QueueConfigured() = %v, want %v", got, want)
-	}
-	if got := k.QueueActive(); got != QueueHeap {
-		t.Errorf("QueueActive() = %v, want heap", got)
 	}
 }
 
