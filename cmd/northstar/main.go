@@ -33,7 +33,6 @@ import (
 	"northstar/internal/sim"
 	"northstar/internal/stats"
 	"northstar/internal/tech"
-	"northstar/internal/topology"
 	"northstar/internal/workload"
 )
 
@@ -351,54 +350,11 @@ func cmdTopo(args []string) error {
 	failures := fs.Int("failures", 0, "core links to fail before reporting")
 	fs.Parse(args)
 
-	var g *topology.Graph
-	switch *kind {
-	case "crossbar":
-		g = topology.Crossbar(*nodes)
-	case "fattree":
-		levels := 1
-		for pw := 4; pw < *nodes; pw *= 4 {
-			levels++
-		}
-		g = topology.FatTree(4, levels)
-	case "torus2d":
-		side := 1
-		for side*side < *nodes {
-			side++
-		}
-		g = topology.Torus2D(side, side)
-	case "torus3d":
-		side := 1
-		for side*side*side < *nodes {
-			side++
-		}
-		g = topology.Torus3D(side, side, side)
-	case "hypercube":
-		dim := 0
-		for 1<<uint(dim) < *nodes {
-			dim++
-		}
-		g = topology.Hypercube(dim)
-	default:
-		return fmt.Errorf("unknown topology %q", *kind)
+	g, err := machine.Topology(*kind).Build(*nodes)
+	if err != nil {
+		return err
 	}
-	failed := 0
-	for e := 0; e < g.Edges() && failed < *failures; e++ {
-		ed := g.Edge(e)
-		if g.Vertex(ed.A).Endpoint || g.Vertex(ed.B).Endpoint {
-			continue
-		}
-		if err := g.DisableEdge(e); err != nil {
-			return err
-		}
-		if !g.AllEndpointsConnected() {
-			if err := g.EnableEdge(e); err != nil {
-				return err
-			}
-			continue
-		}
-		failed++
-	}
+	g.FailCoreLinks(*failures)
 	fmt.Printf("topology        %s\n", g.Name)
 	fmt.Printf("endpoints       %d\n", g.NumEndpoints())
 	fmt.Printf("switch vertices %d\n", g.Vertices()-g.NumEndpoints())

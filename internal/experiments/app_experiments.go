@@ -18,23 +18,6 @@ func mach(nodes int, arch node.Arch, preset network.Preset, year float64) (*mach
 	})
 }
 
-// E4ArchApps reproduces claim C3 at the application level: runtimes of
-// four skeleton codes on 64 nodes, per node architecture, normalized to
-// conventional. EP is the compute control; stencil and CG are
-// memory-bound (PIM's niche); HPL is dense compute. Spec-driven (E4,
-// arch-apps model): the app sweep shards across the mc pool through the
-// scenario interpreter.
-func E4ArchApps(quick bool) (*Table, error) {
-	return runScenarioByID("E4", quick)
-}
-
-// E5PingPong reproduces claim C4's microbenchmark: ping-pong latency
-// and bandwidth per fabric, with the half-bandwidth message size.
-// Spec-driven (E5, pingpong model).
-func E5PingPong(quick bool) (*Table, error) {
-	return runScenarioByID("E5", quick)
-}
-
 // E6Collectives reproduces claim C4 at the collective level: barrier and
 // 8-byte allreduce latency versus rank count, per fabric, plus the
 // allreduce algorithm ablation.
@@ -97,30 +80,4 @@ func E6Collectives(quick bool) (*Table, error) {
 		t.AddRow(rows[i]...)
 	}
 	return t, nil
-}
-
-// E6bAllreduceAlgos is the collective-algorithm ablation: recursive
-// doubling vs ring vs reduce+bcast across vector sizes at fixed P.
-// Spec-driven (E6b, allreduce-algos model).
-func E6bAllreduceAlgos(quick bool) (*Table, error) {
-	return runScenarioByID("E6b", quick)
-}
-
-// E7Optical reproduces claim C4's optical-switching crossover: alltoall
-// (the FFT transpose pattern) on a packet-switched InfiniBand fat tree
-// versus the optical circuit switch, across per-pair payload sizes.
-// Spec-driven (E7, optical-alltoall model): both machines are built once
-// in the model's setup and reset between payload sizes.
-func E7Optical(quick bool) (*Table, error) {
-	return runScenarioByID("E7", quick)
-}
-
-// E5bEagerRendezvous is the messaging-protocol ablation: one-way message
-// time across sizes under different eager limits. Below the limit a
-// message costs one traversal; above it the rendezvous handshake adds a
-// control round trip — visible exactly at each limit boundary.
-// Spec-driven (E5b, eager-rendezvous model): the eager limits are a
-// column axis, the sizes a row axis.
-func E5bEagerRendezvous(quick bool) (*Table, error) {
-	return runScenarioByID("E5b", quick)
 }

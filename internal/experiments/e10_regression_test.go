@@ -12,10 +12,7 @@ import (
 // consumption that makes the sweep bit-identical at any shard count.
 // Any further drift is a regression.
 func TestE10QuickOutputPinned(t *testing.T) {
-	tab, err := E10Checkpoint(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E10", true)
 	sum := sha256.Sum256([]byte(tab.String()))
 	const want = "a6ae0c2f3e22b74a526b80487ae2ef424b59d90d443c901f2a43c844ce9f0590"
 	if got := hex.EncodeToString(sum[:]); got != want {

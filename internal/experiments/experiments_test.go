@@ -20,6 +20,21 @@ func cellFloat(t *testing.T, tab *Table, row int, col string) float64 {
 	return v
 }
 
+// runScenario runs the registered scenario spec with the given ID,
+// failing the test on a lookup or run error.
+func runScenario(t *testing.T, id string, quick bool) *Table {
+	t.Helper()
+	sc, err := ScenarioByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := sc.Run(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 func TestTableBasics(t *testing.T) {
 	tab := &Table{ID: "T", Title: "test", Columns: []string{"a", "b"}}
 	tab.AddRow("x", 1.5)
@@ -79,10 +94,7 @@ func TestByID(t *testing.T) {
 }
 
 func TestE1Shapes(t *testing.T) {
-	tab, err := E1TechCurves()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E1", false)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(tab.Rows))
 	}
@@ -98,10 +110,7 @@ func TestE1Shapes(t *testing.T) {
 }
 
 func TestE2Shapes(t *testing.T) {
-	tab, err := E2FixedBudget()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E2", false)
 	if len(tab.Rows) != 11 {
 		t.Fatalf("rows = %d, want 11", len(tab.Rows))
 	}
@@ -122,10 +131,7 @@ func TestE2Shapes(t *testing.T) {
 }
 
 func TestE3Shapes(t *testing.T) {
-	tab, err := E3NodeArch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E3", false)
 	arches := 5
 	if len(tab.Rows) != 3*arches {
 		t.Fatalf("rows = %d, want %d (3 years x %d arches)", len(tab.Rows), 3*arches, arches)
@@ -154,10 +160,7 @@ func TestE3Shapes(t *testing.T) {
 }
 
 func TestE4Shapes(t *testing.T) {
-	tab, err := E4ArchApps(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E4", true)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -171,10 +174,7 @@ func TestE4Shapes(t *testing.T) {
 }
 
 func TestE5Shapes(t *testing.T) {
-	tab, err := E5PingPong(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E5", true)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d, want one per fabric", len(tab.Rows))
 	}
@@ -213,10 +213,7 @@ func TestE6Shapes(t *testing.T) {
 }
 
 func TestE6bShapes(t *testing.T) {
-	tab, err := E6bAllreduceAlgos(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E6b", true)
 	nrows := len(tab.Rows)
 	// Short vectors: RD <= ring. Long vectors: ring < RD.
 	if cellFloat(t, tab, 0, "recursive-doubling") >= cellFloat(t, tab, 0, "ring") {
@@ -228,10 +225,7 @@ func TestE6bShapes(t *testing.T) {
 }
 
 func TestE7CrossoverExists(t *testing.T) {
-	tab, err := E7Optical(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E7", true)
 	first, _ := tab.Cell(0, "winner")
 	last, _ := tab.Cell(len(tab.Rows)-1, "winner")
 	if first != "packet" {
@@ -267,10 +261,7 @@ func TestE8Shapes(t *testing.T) {
 }
 
 func TestE9Shapes(t *testing.T) {
-	tab, err := E9MTBF()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E9", false)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -281,10 +272,7 @@ func TestE9Shapes(t *testing.T) {
 }
 
 func TestE10Shapes(t *testing.T) {
-	tab, err := E10Checkpoint(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E10", true)
 	// Useful fraction at the optimum decreases with scale.
 	first := cellFloat(t, tab, 0, "useful-frac@opt")
 	last := cellFloat(t, tab, len(tab.Rows)-1, "useful-frac@opt")
@@ -473,10 +461,7 @@ func TestX6Shapes(t *testing.T) {
 }
 
 func TestE5bShapes(t *testing.T) {
-	tab, err := E5bEagerRendezvous(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runScenario(t, "E5b", true)
 	// 256-byte message: rendezvous-everything (limit=1B) pays a control
 	// round trip over eager.
 	rdv := cellFloat(t, tab, 0, "limit=1B")

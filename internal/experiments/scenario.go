@@ -484,13 +484,3 @@ func (s *ScenarioSpec) RunOn(p *mc.Pool, quick bool) (*Table, error) {
 	}
 	return t, nil
 }
-
-// runScenarioByID runs the registered scenario spec with the given ID —
-// the body behind the migrated experiments' legacy entry points.
-func runScenarioByID(id string, quick bool) (*Table, error) {
-	sc, err := ScenarioByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return sc.Run(quick)
-}

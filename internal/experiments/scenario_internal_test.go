@@ -60,9 +60,9 @@ func TestMustScenarioUnknownPanics(t *testing.T) {
 	}
 }
 
-func TestRunScenarioByIDUnknown(t *testing.T) {
-	if _, err := runScenarioByID("E99", true); err == nil {
-		t.Error("runScenarioByID accepted an unregistered ID")
+func TestScenarioByIDUnknown(t *testing.T) {
+	if _, err := ScenarioByID("E99"); err == nil {
+		t.Error("ScenarioByID accepted an unregistered ID")
 	}
 }
 

@@ -72,21 +72,3 @@ func E8Scheduling(quick bool) (*Table, error) {
 	}
 	return t, nil
 }
-
-// E9MTBF reproduces claim C6's scale argument: system MTBF and all-up
-// availability as node count grows, for exponential and infant-mortality
-// (Weibull shape 0.7) node lifetimes with a 1000-day node MTBF and
-// 4-hour repairs. Spec-driven (E9, mtbf-scale model).
-func E9MTBF() (*Table, error) {
-	return runScenarioByID("E9", false)
-}
-
-// E10Checkpoint reproduces claim C6's recovery side: the optimal
-// checkpoint interval — Young and Daly analytic versus the simulated
-// optimum — and the useful-work fraction, as system scale shrinks MTBF.
-// The job is one week of work with 5-minute checkpoints and 10-minute
-// restarts on nodes with 1000-day MTBF. Spec-driven (E10,
-// checkpoint-opt model).
-func E10Checkpoint(quick bool) (*Table, error) {
-	return runScenarioByID("E10", quick)
-}

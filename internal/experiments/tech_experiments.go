@@ -7,28 +7,6 @@ import (
 	"northstar/internal/core"
 )
 
-// E1TechCurves reproduces claim C1/C2: the device-technology curves —
-// "performance, capacity, power, size, and cost" — projected 2002–2012
-// from the 2002 anchors. Spec-driven: the parameters live in the E1
-// ScenarioSpec (scenarios.go), the physics in the tech-curves model.
-func E1TechCurves() (*Table, error) {
-	return runScenarioByID("E1", false)
-}
-
-// E2FixedBudget reproduces claim C2 at the system level: what a fixed
-// $1M budget buys each year — the keynote's cost curve of future
-// commodity clusters. Spec-driven (E2, fixed-budget model).
-func E2FixedBudget() (*Table, error) {
-	return runScenarioByID("E2", false)
-}
-
-// E3NodeArch reproduces claim C3: the architecture comparison —
-// conventional vs blade vs SMP-on-chip vs PIM — on the efficiency
-// metrics each was invented for. Spec-driven (E3, node-arch model).
-func E3NodeArch() (*Table, error) {
-	return runScenarioByID("E3", false)
-}
-
 // E11Petaflops reproduces claim C7: the trans-Petaflops crossing — the
 // year each scenario's best $20M machine reaches 1 PF sustained
 // (Linpack), searched out to 2020.

@@ -120,27 +120,7 @@ func X2Degraded(quick bool) (*Table, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiments: expected packet fabric, got %T", m.Fabric())
 		}
-		g := pkt.Graph()
-		// Fail the first `failures` switch-to-switch links that keep the
-		// graph connected.
-		failed := 0
-		for e := 0; e < g.Edges() && failed < failures; e++ {
-			ed := g.Edge(e)
-			if g.Vertex(ed.A).Endpoint || g.Vertex(ed.B).Endpoint {
-				continue
-			}
-			if err := g.DisableEdge(e); err != nil {
-				return nil, err
-			}
-			if !g.AllEndpointsConnected() {
-				if err := g.EnableEdge(e); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			failed++
-		}
-		if failed < failures {
+		if failed := pkt.Graph().FailCoreLinks(failures); failed < failures {
 			return nil, fmt.Errorf("experiments: could only fail %d of %d links", failed, failures)
 		}
 		end, err := msg.Run(m, msg.Options{}, func(r *msg.Rank) { r.Alltoall(bytes) })

@@ -92,13 +92,13 @@ func New(cfg Config) (*Machine, error) {
 	case cfg.Fabric.CircuitSetup > 0:
 		fab = network.NewCircuit(k, cfg.Fabric, cfg.Nodes)
 	case cfg.Wormhole:
-		g, err := buildTopology(cfg.Topology, cfg.Nodes)
+		g, err := cfg.Topology.Build(cfg.Nodes)
 		if err != nil {
 			return nil, err
 		}
 		fab = network.NewWormholeNet(k, cfg.Fabric, g, cfg.BufferPackets)
 	case cfg.PacketLevel:
-		g, err := buildTopology(cfg.Topology, cfg.Nodes)
+		g, err := cfg.Topology.Build(cfg.Nodes)
 		if err != nil {
 			return nil, err
 		}
@@ -125,9 +125,13 @@ func New(cfg Config) (*Machine, error) {
 	}, nil
 }
 
-// buildTopology returns a graph with at least n endpoints; the machine
-// uses the first n.
-func buildTopology(t Topology, n int) (*topology.Graph, error) {
+// Build returns the smallest graph of this kind with at least n
+// endpoints; a machine uses the first n. The empty Topology builds the
+// default fat tree.
+func (t Topology) Build(n int) (*topology.Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("machine: need at least one endpoint, got %d", n)
+	}
 	switch t {
 	case TopoCrossbar:
 		return topology.Crossbar(n), nil

@@ -62,6 +62,33 @@ func TestNewPacketTopologies(t *testing.T) {
 	}
 }
 
+// TestTopologyBuild pins the sizing rule `northstar topo` relies on: the
+// smallest graph of each kind covering n endpoints, with the empty kind
+// meaning the fat tree.
+func TestTopologyBuild(t *testing.T) {
+	for _, c := range []struct {
+		topo   Topology
+		n, eps int
+	}{
+		{TopoCrossbar, 13, 13},
+		{TopoFatTree, 64, 64}, {TopoFatTree, 65, 256}, {"", 13, 16},
+		{TopoTorus2D, 100, 100}, {TopoTorus2D, 101, 121},
+		{TopoTorus3D, 64, 64}, {TopoTorus3D, 65, 125},
+		{TopoHypercube, 64, 64}, {TopoHypercube, 65, 128},
+	} {
+		g, err := c.topo.Build(c.n)
+		if err != nil {
+			t.Fatalf("%q.Build(%d): %v", c.topo, c.n, err)
+		}
+		if got := g.NumEndpoints(); got != c.eps {
+			t.Errorf("%q.Build(%d) has %d endpoints, want %d", c.topo, c.n, got, c.eps)
+		}
+	}
+	if _, err := TopoTorus2D.Build(0); err == nil {
+		t.Error("Build(0) accepted")
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 0, Node: model(), Fabric: network.GigabitEthernet()}); err == nil {
 		t.Error("zero nodes accepted")

@@ -1,7 +1,10 @@
 package mc
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,6 +81,60 @@ func TestDoBusyHelperRunsInline(t *testing.T) {
 	close(block)
 	if got := ran.Load(); got != int64(len(tasks)) {
 		t.Fatalf("ran %d tasks, want %d", got, len(tasks))
+	}
+}
+
+// TestDoRepanicsHelperPanicOnCaller: a task that panics on a helper
+// goroutine must not kill the process. Do recovers it there and re-panics
+// on its own caller, carrying the task's panic value and the helper's
+// stack, where a crash shield such as the suite runner's can catch it.
+func TestDoRepanicsHelperPanicOnCaller(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	const helperFrame = "mc.NewPool.func"
+	onHelper := func() bool {
+		buf := make([]byte, 8<<10)
+		return strings.Contains(string(buf[:runtime.Stack(buf, false)]), helperFrame)
+	}
+	for attempt := 0; attempt < 1000; attempt++ {
+		var r any
+		func() {
+			defer func() { r = recover() }()
+			ForEach(p, 8, func(int) {
+				runtime.Gosched() // on one CPU, let a helper claim a task too
+				if onHelper() {
+					panic("task bug")
+				}
+			})
+		}()
+		if r == nil {
+			runtime.Gosched() // no helper was idle at hand-off; let them park
+			continue
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "task bug") || !strings.Contains(msg, helperFrame) {
+			t.Fatalf("Do re-panicked with %q, want the task's value and the helper's stack", msg)
+		}
+		return
+	}
+	t.Fatal("no task ran on a helper in 1000 attempts")
+}
+
+// TestDoStopsHandingOutTasksAfterPanic: once a task panics, Do starts no
+// further task before re-panicking, and a panic re-raised by a nested Do
+// keeps the original task's value rather than being wrapped twice.
+func TestDoStopsHandingOutTasksAfterPanic(t *testing.T) {
+	ran := 0
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		inner := func() { NewPool(0).Do([]func(){func() { panic("first") }}) }
+		NewPool(0).Do([]func(){inner, func() { ran++ }})
+	}()
+	if tp, ok := r.(*taskPanic); !ok || tp.value != "first" {
+		t.Fatalf("Do re-panicked with %#v, want the inner task's panic", r)
+	}
+	if ran != 0 {
+		t.Fatalf("%d tasks ran after the panic", ran)
 	}
 }
 

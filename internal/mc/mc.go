@@ -15,8 +15,10 @@
 package mc
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -68,12 +70,28 @@ func (p *Pool) Close() {
 	}
 }
 
+// taskPanic is the value Do re-panics with when a task panicked: the
+// task's own panic value and the stack of the goroutine that ran it.
+type taskPanic struct {
+	value any
+	stack []byte
+}
+
+func (tp *taskPanic) String() string {
+	return fmt.Sprintf("%v [recovered from an mc task]\n%s", tp.value, tp.stack)
+}
+
 // Do executes every task and returns when all have finished. Tasks are
 // pulled from a shared index by the calling goroutine and by any helper
 // that is idle at submission time; hand-off is non-blocking, so a task
 // that itself calls Do (nested parallelism) runs its inner tasks inline
 // rather than deadlocking on a busy pool. A nil pool runs everything
 // inline.
+//
+// A panicking task never takes down a helper goroutine (and with it the
+// process): the first panic is recovered where it happened, no further
+// tasks are handed out, and once every running task has finished Do
+// re-panics on its caller with the task's value and stack.
 func (p *Pool) Do(tasks []func()) {
 	n := len(tasks)
 	if n == 0 {
@@ -86,7 +104,18 @@ func (p *Pool) Do(tasks []func()) {
 		}
 	}
 	var next atomic.Int64
+	var failed atomic.Pointer[taskPanic]
 	body := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				tp, nested := r.(*taskPanic) // a nested Do already wrapped it
+				if !nested {
+					tp = &taskPanic{value: r, stack: debug.Stack()}
+				}
+				failed.CompareAndSwap(nil, tp)
+				next.Store(int64(n)) // hand out no further tasks
+			}
+		}()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -115,6 +144,9 @@ func (p *Pool) Do(tasks []func()) {
 	}
 	body()
 	wg.Wait()
+	if tp := failed.Load(); tp != nil {
+		panic(tp)
+	}
 }
 
 var defaultPool atomic.Pointer[Pool]

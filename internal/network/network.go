@@ -212,16 +212,3 @@ func PresetByName(name string) (Preset, error) {
 	}
 	return Preset{}, fmt.Errorf("network: unknown preset %q", name)
 }
-
-// New constructs the appropriate fabric for a preset: a Circuit when
-// CircuitSetup is set, otherwise a LogGP fabric. Use NewPacketNet
-// explicitly when per-link contention must be modeled.
-func New(k *sim.Kernel, p Preset, endpoints int) (Fabric, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.CircuitSetup > 0 {
-		return NewCircuit(k, p, endpoints), nil
-	}
-	return NewLogGP(k, p, endpoints), nil
-}

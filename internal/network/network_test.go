@@ -15,6 +15,18 @@ func TestPresetsValid(t *testing.T) {
 			t.Errorf("preset %s invalid: %v", p.Name, err)
 		}
 	}
+	for _, breakIt := range []func(p *Preset){
+		func(p *Preset) { p.Name = "" },
+		func(p *Preset) { p.Latency = -1 },
+		func(p *Preset) { p.ByteTime = 0 },
+		func(p *Preset) { p.MTU = 0 },
+	} {
+		p := GigabitEthernet()
+		breakIt(&p)
+		if p.Validate() == nil {
+			t.Errorf("invalid preset %+v accepted", p)
+		}
+	}
 }
 
 func TestPresetOrdering(t *testing.T) {
@@ -38,27 +50,6 @@ func TestPresetByName(t *testing.T) {
 	}
 	if _, err := PresetByName("token-ring"); err == nil {
 		t.Fatal("unknown preset did not error")
-	}
-}
-
-func TestNewPicksFabricKind(t *testing.T) {
-	k := sim.New(1)
-	f, err := New(k, GigabitEthernet(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.(*LogGP); !ok {
-		t.Fatalf("New(GigE) = %T, want *LogGP", f)
-	}
-	f, err = New(k, OpticalCircuit(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.(*Circuit); !ok {
-		t.Fatalf("New(optical) = %T, want *Circuit", f)
-	}
-	if _, err := New(k, Preset{}, 4); err == nil {
-		t.Fatal("invalid preset accepted")
 	}
 }
 

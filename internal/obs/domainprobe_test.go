@@ -14,12 +14,12 @@ import (
 
 func TestLatencyHistBucketing(t *testing.T) {
 	var h latencyHist
-	h.add(1e-9)          // bottom of the range: bucket 0 spans [2^-30 s, 2^-29 s)
-	h.add(1.0)           // exponent 0 -> bucket 30
-	h.add(3600)          // an hour, near the top
-	h.add(0)             // clamps to bucket 0
-	h.add(-5)            // clamps to bucket 0
-	h.add(math.NaN())    // clamps to bucket 0
+	h.add(1e-9)            // bottom of the range: bucket 0 spans [2^-30 s, 2^-29 s)
+	h.add(1.0)             // exponent 0 -> bucket 30
+	h.add(3600)            // an hour, near the top
+	h.add(0)               // clamps to bucket 0
+	h.add(-5)              // clamps to bucket 0
+	h.add(math.NaN())      // clamps to bucket 0
 	h.add(math.Pow(2, 40)) // beyond the range: clamps to the last bucket
 
 	if h.n != 7 {
@@ -207,7 +207,7 @@ func TestObserverDomainPlumbing(t *testing.T) {
 	tr := NewTrace()
 	o := NewSuiteObserver(reg, tr, nil)
 	o.Begin(1, 1)
-	so := o.StartSpec("EX", "domain plumbing", 0)
+	so := o.StartAttempt("EX", "domain plumbing", 0, 0)
 
 	// Network: a fabric built through the constructor gets the probe.
 	k := sim.New(1)
@@ -283,7 +283,7 @@ func TestObserverAnalyticSpecHasNoDomainSections(t *testing.T) {
 	reg := NewRegistry()
 	o := NewSuiteObserver(reg, nil, nil)
 	o.Begin(1, 1)
-	so := o.StartSpec("AN", "analytic", 0)
+	so := o.StartAttempt("AN", "analytic", 0, 0)
 	so.Done(nil)
 	o.End()
 

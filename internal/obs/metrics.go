@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -261,43 +260,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc = append(enc, '\n')
 	_, err = w.Write(enc)
 	return err
-}
-
-// WriteText writes the snapshot as aligned "scope.metric value" lines in
-// sorted order, for eyeballing. Domain sections print as dotted paths
-// ("E7.network.packet.bytes_injected").
-func (r *Registry) WriteText(w io.Writer) error {
-	for _, sc := range r.Snapshot().Scopes {
-		if err := writeScopeText(w, sc.Name, sc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeScopeText(w io.Writer, path string, sc ScopeSnapshot) error {
-	for _, k := range sortedKeys(sc.Counters) {
-		if _, err := fmt.Fprintf(w, "%s.%s %d\n", path, k, sc.Counters[k]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(sc.Gauges) {
-		if _, err := fmt.Fprintf(w, "%s.%s %g\n", path, k, sc.Gauges[k]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(sc.Histograms) {
-		h := sc.Histograms[k]
-		if _, err := fmt.Fprintf(w, "%s.%s count=%d buckets=%d\n", path, k, h.Count, len(h.Buckets)); err != nil {
-			return err
-		}
-	}
-	for _, sub := range sc.Domains {
-		if err := writeScopeText(w, path+"."+sub.Name, sub); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -62,27 +62,6 @@ func TestSnapshotJSONCarriesDomains(t *testing.T) {
 	}
 }
 
-func TestWriteTextDottedDomainPaths(t *testing.T) {
-	reg := NewRegistry()
-	s := reg.Scope("E7")
-	s.Add("events_fired", 10)
-	s.Domain("network").Domain("packet").Add("bytes_injected", 4096)
-
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"E7.events_fired 10\n",
-		"E7.network.packet.bytes_injected 4096\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteText output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestSnapshotHistogramQuantiles(t *testing.T) {
 	reg := NewRegistry()
 	s := reg.Scope("E1")

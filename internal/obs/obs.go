@@ -207,19 +207,13 @@ func (o *SuiteObserver) forkProbe() func(task func()) {
 	}
 }
 
-// StartSpec begins observing one experiment (first attempt). It must be
-// called on the goroutine that will run the spec (the binding is
-// per-goroutine), with the worker index that goroutine represents. The
-// returned SpecObs must be closed with Done on the same goroutine, or
-// with Abandon from a watchdog.
-func (o *SuiteObserver) StartSpec(id, title string, worker int) *SpecObs {
-	return o.StartAttempt(id, title, worker, 0)
-}
-
-// StartAttempt is StartSpec for retry attempt n (0 is the first try).
-// Every attempt gets its own SpecObs, probe, and trace slice; attempts
-// n > 0 count into the scope's and suite's "retries" counters when they
-// finish.
+// StartAttempt begins observing attempt n of one experiment (0 is the
+// first try). It must be called on the goroutine that will run the spec
+// (the binding is per-goroutine), with the worker index that goroutine
+// represents. The returned SpecObs must be closed with Done on the same
+// goroutine, or with Abandon from a watchdog. Every attempt gets its own
+// SpecObs, probe, and trace slice; attempts n > 0 count into the scope's
+// and suite's "retries" counters when they finish.
 func (o *SuiteObserver) StartAttempt(id, title string, worker, attempt int) *SpecObs {
 	so := &SpecObs{
 		o:       o,

@@ -153,14 +153,6 @@ func TestRegistrySnapshotStable(t *testing.T) {
 	if err := json.Unmarshal(buf1.Bytes(), &doc); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
-
-	var text bytes.Buffer
-	if err := reg.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text.String(), "alpha.c1 1") {
-		t.Fatalf("text snapshot missing counter:\n%s", text.String())
-	}
 }
 
 func TestRegistryConcurrentScopes(t *testing.T) {
@@ -227,7 +219,7 @@ func TestSuiteObserverBindsPerGoroutine(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			so := o.StartSpec([]string{"A", "B"}[w], "spec", w)
+			so := o.StartAttempt([]string{"A", "B"}[w], "spec", w, 0)
 			k := sim.New(1) // hook must attach this goroutine's probe
 			if k.Probe() == nil {
 				t.Errorf("worker %d: kernel got no probe", w)
@@ -283,7 +275,7 @@ func TestProgressLinesSerializedAndOrdered(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			so := o.StartSpec(string(rune('A'+w)), "spec", w%4)
+			so := o.StartAttempt(string(rune('A'+w)), "spec", w%4, 0)
 			so.Done(nil)
 		}(w)
 	}
@@ -324,7 +316,7 @@ func TestSpecObsAbandonThenLateDone(t *testing.T) {
 	var progress bytes.Buffer
 	o := NewSuiteObserver(nil, NewTrace(), &progress)
 	o.Begin(1, 1)
-	so := o.StartSpec("A", "hangs", 0)
+	so := o.StartAttempt("A", "hangs", 0, 0)
 	if !so.Abandon(errors.New("deadline")) {
 		t.Fatal("Abandon on a live attempt returned false")
 	}
@@ -360,7 +352,7 @@ func TestSpecObsAbandonThenLateDone(t *testing.T) {
 func TestSpecObsDoneBeatsAbandon(t *testing.T) {
 	o := NewSuiteObserver(nil, nil, nil)
 	o.Begin(1, 1)
-	so := o.StartSpec("A", "fast", 0)
+	so := o.StartAttempt("A", "fast", 0, 0)
 	so.Done(nil)
 	if so.Abandon(errors.New("deadline")) {
 		t.Fatal("Abandon after Done returned true")
@@ -410,7 +402,7 @@ func TestProgressTruncatesMultilineErrors(t *testing.T) {
 	var progress bytes.Buffer
 	o := NewSuiteObserver(nil, nil, &progress)
 	o.Begin(1, 1)
-	so := o.StartSpec("A", "panics", 0)
+	so := o.StartAttempt("A", "panics", 0, 0)
 	so.Done(errors.New("boom\ngoroutine 7 [running]:\nmain.explode()"))
 	o.End()
 	if got := strings.Count(progress.String(), "\n"); got != 1 {

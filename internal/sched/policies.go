@@ -208,10 +208,6 @@ type profile struct {
 	free  []int      // free[i] applies on [times[i], times[i+1])
 }
 
-func newProfile(now sim.Time, free int) *profile {
-	return newProfileCap(now, free, 2)
-}
-
 func newProfileCap(now sim.Time, free int, capHint int) *profile {
 	times := make([]sim.Time, 2, capHint)
 	times[0], times[1] = now, sim.Forever

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 )
 
@@ -48,6 +49,14 @@ type resultCache struct {
 type cacheEntry struct {
 	key  string
 	body []byte
+}
+
+// computePanic is the error a computation that panicked leaves for its
+// caller and every joined waiter: a server fault, not the request's.
+type computePanic struct{ value any }
+
+func (p *computePanic) Error() string {
+	return fmt.Sprintf("serve: scenario computation panicked: %v", p.value)
 }
 
 // flight is one in-progress computation other requests can join.
@@ -96,12 +105,12 @@ func (c *resultCache) Stats() CacheStats {
 // this caller becomes the leader and runs compute. Successful bodies
 // are inserted into the LRU; errors are returned to every joined caller
 // and never cached, so a transient failure does not poison the key.
-func (c *resultCache) getOrCompute(key string, compute func() ([]byte, error)) ([]byte, source, error) {
+func (c *resultCache) getOrCompute(key string, compute func() ([]byte, error)) (body []byte, src source, err error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		c.stats.Hits++
-		body := el.Value.(*cacheEntry).body
+		body = el.Value.(*cacheEntry).body
 		c.mu.Unlock()
 		return body, srcHit, nil
 	}
@@ -116,16 +125,24 @@ func (c *resultCache) getOrCompute(key string, compute func() ([]byte, error)) (
 	c.stats.Misses++
 	c.mu.Unlock()
 
+	// Release the flight even if compute panics: the panic becomes the
+	// error of this call and of every joined waiter, nothing is cached,
+	// and the next request for the key computes afresh.
+	defer func() {
+		if r := recover(); r != nil {
+			f.body, f.err = nil, &computePanic{value: r}
+		}
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.err == nil {
+			c.insert(key, f.body)
+		}
+		c.mu.Unlock()
+		close(f.done)
+		body, src, err = f.body, srcMiss, f.err
+	}()
 	f.body, f.err = compute()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.insert(key, f.body)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.body, srcMiss, f.err
+	return
 }
 
 // insert stores body under key and evicts from the LRU tail until the

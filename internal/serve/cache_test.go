@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,6 +188,101 @@ func TestCacheErrorsNeverCached(t *testing.T) {
 	body, src, err := c.getOrCompute("k", func() ([]byte, error) { return fill('k', 8), nil })
 	if err != nil || src != srcMiss || len(body) != 8 {
 		t.Errorf("retry after failure: src=%v err=%v", src, err)
+	}
+}
+
+// TestCachePanicReleasesKey: a compute that panics (a model bug) must
+// not strand its key. getOrCompute returns an error to the leader and to
+// every joined waiter instead of letting the panic escape, caches
+// nothing, and the next request for the key computes afresh rather than
+// blocking on the dead flight.
+func TestCachePanicReleasesKey(t *testing.T) {
+	c := newResultCache(1 << 20)
+	gate := make(chan struct{})
+	errs := make(chan error, 2)
+	call := func(compute func() ([]byte, error)) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs <- fmt.Errorf("panic escaped getOrCompute: %v", r)
+			}
+		}()
+		_, _, err := c.getOrCompute("k", compute)
+		errs <- err
+	}
+	go call(func() ([]byte, error) { <-gate; panic("model bug") })
+	waitFor(t, func() bool { return c.Stats().Misses == 1 })
+	go call(func() ([]byte, error) { t.Error("joiner became a second leader"); return nil, nil })
+	waitFor(t, func() bool { return c.Stats().Collapsed == 1 })
+	close(gate)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "model bug") ||
+				strings.Contains(err.Error(), "escaped") {
+				t.Errorf("caller got err=%v, want an error carrying the panic", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a caller of the panicked computation never returned")
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("panicked computation was cached: %+v", st)
+	}
+
+	retry := make(chan error, 1)
+	go func() {
+		_, src, err := c.getOrCompute("k", func() ([]byte, error) { return fill('k', 8), nil })
+		if err == nil && src != srcMiss {
+			err = fmt.Errorf("retry source %v, want miss", src)
+		}
+		retry <- err
+	}()
+	select {
+	case err := <-retry:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the key is still held by the panicked computation")
+	}
+}
+
+// TestComputePanicIs500: a request whose computation panicked is
+// answered 500, a server fault, not the 422 of a model's refusal. The
+// request joins an in-flight computation of its own key that panics,
+// which is exactly what a panicking model leaves the handler.
+func TestComputePanicIs500(t *testing.T) {
+	s := New(Config{PoolWorkers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resolved, _, err := s.resolve(&Request{ID: "E1", Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := resolved.Fingerprint(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	go s.cache.getOrCompute(key, func() ([]byte, error) { <-gate; panic("model bug") })
+	waitFor(t, func() bool { return s.cache.Stats().Misses == 1 })
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/scenario", "application/json",
+			strings.NewReader(`{"id":"E1","quick":true}`))
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	waitFor(t, func() bool { return s.cache.Stats().Collapsed == 1 })
+	close(gate)
+	if got := <-status; got != http.StatusInternalServerError {
+		t.Fatalf("status %d for a panicked computation, want 500", got)
 	}
 }
 

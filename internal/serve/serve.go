@@ -279,8 +279,12 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The spec validated but the model refused it at run time (for
 		// example an infeasible cluster fit): the request is at fault,
-		// not the server, and the error is never cached.
+		// not the server, and the error is never cached. A panic in the
+		// model is the server's fault.
 		status = http.StatusUnprocessableEntity
+		if errors.As(err, new(*computePanic)) {
+			status = http.StatusInternalServerError
+		}
 		writeError(w, status, err)
 		return
 	}

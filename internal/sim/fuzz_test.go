@@ -31,7 +31,7 @@ type opsResult struct {
 //
 //	0, 1: schedule one payload arg microseconds out (near cluster)
 //	2:    schedule an 8-payload monotone burst at +arg..+arg+7 µs
-//	      (density — drives calendar bucket growth and the auto switch)
+//	      (density — drives calendar bucket growth)
 //	3:    schedule one payload arg*16 milliseconds out (far tail —
 //	      bimodal with 0-2, drives calendar overflow and promotion)
 //	4, 5: cancel the arg-th payload (lazy deletion, compaction)
@@ -154,10 +154,9 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 }
 
 // FuzzKernelOps is the differential backend fuzz target: every op stream
-// runs on the pinned heap backend, the pinned calendar backend, and a
-// QueueAuto kernel (which may migrate mid-run), each checked against the
-// reference model — and then the three observable outcomes are required
-// to be bit-identical. The ordering contract is a total order on
+// runs on the heap backend and on the calendar backend, each checked
+// against the reference model — and then the two observable outcomes are
+// required to be bit-identical. The ordering contract is a total order on
 // (at, seq), so nothing about the backend may leak into fire order,
 // Fired/Pending accounting, or the final clock.
 func FuzzKernelOps(f *testing.F) {
@@ -178,8 +177,7 @@ func FuzzKernelOps(f *testing.F) {
 	f.Add(far)
 	// Density stream: ~70 monotone bursts (≈560 resident events) with
 	// sparse cancels — exercises the calendar's density-driven bucket
-	// resize and the QueueAuto heap-to-calendar migration, then drains
-	// through a far advance.
+	// resize, then drains through a far advance.
 	dense := []byte{}
 	for j := 0; j < 70; j++ {
 		dense = append(dense, 2, byte(j*3))
@@ -198,25 +196,18 @@ func FuzzKernelOps(f *testing.F) {
 		}
 		heap := runKernelOps(t, data, QueueHeap)
 		cal := runKernelOps(t, data, QueueCalendar)
-		auto := runKernelOps(t, data, QueueAuto)
-		for _, other := range []struct {
-			kind QueueKind
-			res  opsResult
-		}{{QueueCalendar, cal}, {QueueAuto, auto}} {
-			if len(other.res.fired) != len(heap.fired) {
-				t.Fatalf("%v fired %d payloads, heap fired %d", other.kind, len(other.res.fired), len(heap.fired))
+		if len(cal.fired) != len(heap.fired) {
+			t.Fatalf("calendar fired %d payloads, heap fired %d", len(cal.fired), len(heap.fired))
+		}
+		for j := range heap.fired {
+			if cal.fired[j] != heap.fired[j] {
+				t.Fatalf("calendar diverged from heap at firing %d: payload %d vs %d",
+					j, cal.fired[j], heap.fired[j])
 			}
-			for j := range heap.fired {
-				if other.res.fired[j] != heap.fired[j] {
-					t.Fatalf("%v diverged from heap at firing %d: payload %d vs %d",
-						other.kind, j, other.res.fired[j], heap.fired[j])
-				}
-			}
-			if other.res.count != heap.count || other.res.pending != heap.pending || other.res.final != heap.final {
-				t.Fatalf("%v accounting diverged from heap: fired %d/%d, pending %d/%d, final %v/%v",
-					other.kind, other.res.count, heap.count, other.res.pending, heap.pending,
-					other.res.final, heap.final)
-			}
+		}
+		if cal.count != heap.count || cal.pending != heap.pending || cal.final != heap.final {
+			t.Fatalf("calendar accounting diverged from heap: fired %d/%d, pending %d/%d, final %v/%v",
+				cal.count, heap.count, cal.pending, heap.pending, cal.final, heap.final)
 		}
 	})
 }

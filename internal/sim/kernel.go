@@ -14,14 +14,14 @@
 // so the choice of backend never changes simulation output.
 //
 // Performance: the event queue is the hot path of every simulation, so it
-// avoids allocating on it. Scheduling pushes a value-type entry onto one of
-// two backends — a hand-rolled 4-ary min-heap for sparse schedules, or a
-// calendar queue (bucketed sliding time window, see queue_calendar.go) once
-// pending-event density makes heap sift chains the cost center — event
-// payloads are recycled through a free list, cancelled events are deleted
-// lazily with the queue compacted once dead entries outnumber live ones,
-// and events scheduled at the current virtual time — the dominant case for
-// process handoff — bypass the queue entirely via a FIFO.
+// avoids allocating on it. Scheduling pushes a value-type entry onto a
+// hand-rolled 4-ary min-heap, event payloads are recycled through a free
+// list, cancelled events are deleted lazily with the queue compacted once
+// dead entries outnumber live ones, and events scheduled at the current
+// virtual time — the dominant case for process handoff — bypass the queue
+// entirely via a FIFO. A calendar-queue backend (bucketed sliding time
+// window, see queue_calendar.go) is available through NewOnQueue for
+// benchmarking and differential testing; New always builds the heap.
 package sim
 
 import (
@@ -142,34 +142,20 @@ const compactMin = 64
 type QueueKind uint8
 
 const (
-	// QueueAuto starts on the 4-ary heap and switches to the calendar
-	// queue once pending-event density crosses autoCalendarThreshold.
-	// This is the default: shallow schedules stay on the heap (where a
-	// wheel would be overhead), dense ones get bucketed pops.
-	QueueAuto QueueKind = iota
-	// QueueHeap pins the kernel to the 4-ary min-heap.
-	QueueHeap
-	// QueueCalendar pins the kernel to the calendar queue.
+	// QueueHeap is the 4-ary min-heap that New builds.
+	QueueHeap QueueKind = iota
+	// QueueCalendar is the calendar queue, reachable only through
+	// NewOnQueue.
 	QueueCalendar
 )
 
-// String names the kind: "auto", "heap", or "calendar".
+// String names the kind: "heap" or "calendar".
 func (q QueueKind) String() string {
-	switch q {
-	case QueueHeap:
-		return "heap"
-	case QueueCalendar:
+	if q == QueueCalendar {
 		return "calendar"
-	default:
-		return "auto"
 	}
+	return "heap"
 }
-
-// autoCalendarThreshold is the pending-event count at which a QueueAuto
-// kernel migrates from the heap to the calendar queue. At this depth heap
-// sift chains span several cache-missing levels while the calendar's runs
-// stay short; below it the heap's simplicity wins.
-const autoCalendarThreshold = 1024
 
 // Kernel is a discrete-event simulation engine. A Kernel is not safe for
 // concurrent use; all interaction must happen from the goroutine driving
@@ -178,14 +164,13 @@ const autoCalendarThreshold = 1024
 type Kernel struct {
 	now Time
 
-	// Future-event queue: exactly one backend is active. onCal selects;
-	// qh is always non-nil, qc is built on first use. Dispatching on the
-	// concrete types keeps the dominant heap path inlineable.
-	qh      *heapQueue
-	qc      *calendarQueue
-	onCal   bool
-	kindCfg QueueKind
-	dead    int // cancelled future events still occupying queue slots
+	// Future-event queue: exactly one backend, fixed at construction.
+	// onCal selects between qh and qc (the other stays nil). Dispatching
+	// on the concrete types keeps the dominant heap path inlineable.
+	qh    *heapQueue
+	qc    *calendarQueue
+	onCal bool
+	dead  int // cancelled future events still occupying queue slots
 
 	// nowq is the fast path for events scheduled at the current virtual
 	// time: they cannot be preceded by anything except earlier-scheduled
@@ -211,21 +196,17 @@ type Kernel struct {
 }
 
 // New returns a Kernel with its clock at zero and randomness seeded from
-// seed, on the QueueAuto backend. The same seed yields an identical
-// simulation on any backend.
-func New(seed int64) *Kernel { return NewOnQueue(seed, QueueAuto) }
+// seed, on the heap backend. The same seed yields an identical
+// simulation on either backend.
+func New(seed int64) *Kernel { return NewOnQueue(seed, QueueHeap) }
 
 // NewOnQueue is New with an explicit queue backend.
 func NewOnQueue(seed int64, kind QueueKind) *Kernel {
-	k := &Kernel{
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed)),
-		qh:      &heapQueue{},
-		kindCfg: kind,
-	}
+	k := &Kernel{seed: seed, rng: rand.New(rand.NewSource(seed))}
 	if kind == QueueCalendar {
-		k.qc = &calendarQueue{}
-		k.onCal = true
+		k.qc, k.onCal = &calendarQueue{}, true
+	} else {
+		k.qh = &heapQueue{}
 	}
 	if h := kernelHook.Load(); h != nil {
 		(*h)(k)
@@ -241,19 +222,14 @@ func NewOnQueue(seed int64, kind QueueKind) *Kernel {
 // aborting one (a Proc parked in Suspend would likewise outlive the
 // reset — finish or interrupt procs first). The event free list and
 // queue storage survive, so the reused kernel also skips its warm-up
-// allocations. A QueueAuto kernel drops back to the heap backend, like a
-// fresh kernel.
+// allocations.
 func (k *Kernel) Reset() {
 	k.drainDead()
 	if k.Pending() > 0 {
 		panic(fmt.Sprintf("sim: Reset with %d events still pending", k.Pending()))
 	}
 	k.now = 0
-	k.qh.reset()
-	if k.qc != nil {
-		k.qc.reset()
-	}
-	k.onCal = k.kindCfg == QueueCalendar
+	k.activeQueue().reset()
 	k.nowq = k.nowq[:0]
 	k.qhead = 0
 	k.dead = 0
@@ -312,24 +288,6 @@ func (k *Kernel) qpush(e entry) {
 		return
 	}
 	k.qh.push(e)
-	if k.kindCfg == QueueAuto && k.qh.size() >= autoCalendarThreshold {
-		k.switchToCalendar()
-	}
-}
-
-// switchToCalendar migrates a QueueAuto kernel to the calendar backend.
-// The heap's backing array is already a valid 4-ary heap, so it moves
-// wholesale into the calendar's overflow; the calendar's first rebuild
-// shapes the window from the real distribution. Entry order is the same
-// (at, seq) total order on both sides, so the switch is invisible in the
-// event sequence.
-func (k *Kernel) switchToCalendar() {
-	if k.qc == nil {
-		k.qc = &calendarQueue{}
-	}
-	k.qc.over.h = append(k.qc.over.h[:0], k.qh.h...)
-	k.qh.reset()
-	k.onCal = true
 }
 
 // activeQueue returns the live backend behind the eventQueue interface,

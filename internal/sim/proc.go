@@ -145,40 +145,3 @@ func (p *Proc) block() procSignal {
 	}
 	return p.sig
 }
-
-// WaitGroup counts outstanding simulated activities and wakes a waiting
-// Proc when the count reaches zero. Unlike sync.WaitGroup it is not
-// thread-safe; it relies on the kernel's single-runnable discipline.
-type WaitGroup struct {
-	n      int
-	waiter *Proc
-}
-
-// Add increments the outstanding count by delta.
-func (w *WaitGroup) Add(delta int) {
-	w.n += delta
-	if w.n < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if w.n == 0 && w.waiter != nil {
-		p := w.waiter
-		w.waiter = nil
-		p.Resume(nil)
-	}
-}
-
-// Done decrements the outstanding count by one.
-func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Wait suspends p until the count reaches zero. Only one Proc may wait at
-// a time.
-func (w *WaitGroup) Wait(p *Proc) {
-	if w.n == 0 {
-		return
-	}
-	if w.waiter != nil {
-		panic("sim: WaitGroup already has a waiter")
-	}
-	w.waiter = p
-	p.Suspend()
-}

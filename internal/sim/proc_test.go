@@ -125,6 +125,31 @@ func TestProcDoubleResumePanics(t *testing.T) {
 	k.Run()
 }
 
+// TestMisusePanics pins the remaining protocol-bug panics: a nil event
+// function, a negative Wait, and a Resume of a finished proc.
+func TestMisusePanics(t *testing.T) {
+	k := New(1)
+	done := k.Go(func(p *Proc) {})
+	k.Run()
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"nil event", func() { k.At(k.Now(), nil) }},
+		{"resume finished", func() { done.Resume(nil) }},
+		{"negative wait", func() { k.Go(func(p *Proc) { p.Wait(-1) }); k.Run() }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.fn()
+		}()
+	}
+}
+
 func TestProcSpawnsProc(t *testing.T) {
 	k := New(1)
 	var childTime Time
@@ -138,43 +163,6 @@ func TestProcSpawnsProc(t *testing.T) {
 	k.Run()
 	if childTime != 5 {
 		t.Fatalf("child finished at %v, want 5", childTime)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	k := New(1)
-	var wg WaitGroup
-	var doneAt Time
-	for i := 1; i <= 3; i++ {
-		i := i
-		wg.Add(1)
-		k.Go(func(p *Proc) {
-			p.Wait(Time(i) * 10)
-			wg.Done()
-		})
-	}
-	k.Go(func(p *Proc) {
-		p.Wait(1) // let workers start
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	k.Run()
-	if doneAt != 30 {
-		t.Fatalf("waitgroup released at %v, want 30", doneAt)
-	}
-}
-
-func TestWaitGroupAlreadyZero(t *testing.T) {
-	k := New(1)
-	var wg WaitGroup
-	ran := false
-	k.Go(func(p *Proc) {
-		wg.Wait(p) // returns immediately
-		ran = true
-	})
-	k.Run()
-	if !ran {
-		t.Fatal("Wait on zero WaitGroup blocked")
 	}
 }
 

@@ -72,8 +72,6 @@ const (
 
 func (c *calendarQueue) size() int { return c.resident + c.over.size() }
 
-func (c *calendarQueue) kind() QueueKind { return QueueCalendar }
-
 // bucket maps a due time inside [start, end) to its bucket index.
 func (c *calendarQueue) bucket(at Time) int {
 	b := int((at - c.start) / c.width)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -18,20 +19,18 @@ func fireOrder(kind QueueKind, offsets []Time) []int {
 	return order
 }
 
-// assertSameOrder requires the calendar (and auto) backend to fire the
-// given schedule in exactly the heap backend's order.
+// assertSameOrder requires the calendar backend to fire the given
+// schedule in exactly the heap backend's order.
 func assertSameOrder(t *testing.T, offsets []Time) {
 	t.Helper()
 	want := fireOrder(QueueHeap, offsets)
-	for _, kind := range []QueueKind{QueueCalendar, QueueAuto} {
-		got := fireOrder(kind, offsets)
-		if len(got) != len(want) {
-			t.Fatalf("%v fired %d events, heap fired %d", kind, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("%v diverged from heap at position %d: event %d vs %d", kind, j, got[j], want[j])
-			}
+	got := fireOrder(QueueCalendar, offsets)
+	if len(got) != len(want) {
+		t.Fatalf("calendar fired %d events, heap fired %d", len(got), len(want))
+	}
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("calendar diverged from heap at position %d: event %d vs %d", j, got[j], want[j])
 		}
 	}
 }
@@ -103,59 +102,46 @@ func TestCalendarAllSameTime(t *testing.T) {
 	assertSameOrder(t, offsets)
 }
 
-// TestAutoSwitchMigratesToCalendar checks the QueueAuto density switch
-// that New gives every kernel: below the threshold the kernel stays on
-// the heap, above it the pending set migrates wholesale, and the
-// simulation output is unaffected.
-func TestAutoSwitchMigratesToCalendar(t *testing.T) {
+// TestNewStaysOnHeap pins the kernel decision: New builds a heap kernel,
+// and it stays on the heap at the depths the suite reaches (3×1024
+// pending events, the E6/E8/X5/X6 range) while firing in (at, seq)
+// order — time first, scheduling order among ties.
+func TestNewStaysOnHeap(t *testing.T) {
+	const n = 3 * 1024
 	k := New(1)
-	if k.onCal {
-		t.Fatal("fresh QueueAuto kernel on the calendar, want heap")
-	}
 	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < autoCalendarThreshold-1; i++ {
-		k.After(Time(rng.Float64())*Second, func() {})
+	ats := make([]Time, n)
+	var fired []int
+	for i := range ats {
+		ats[i] = Time(1+rng.Intn(n/4)) * Microsecond // ~4 ties per instant
+		i := i
+		k.At(ats[i], func() { fired = append(fired, i) })
 	}
-	if k.onCal {
-		t.Fatalf("kernel switched below threshold: %d pending", k.Pending())
+	if k.onCal || k.qc != nil || k.qh.size() != n {
+		t.Fatalf("New kernel with %d pending: onCal=%v calendar=%v heap size=%d, want heap only",
+			n, k.onCal, k.qc != nil, k.qh.size())
 	}
-	k.After(Second, func() {})
-	if !k.onCal {
-		t.Fatalf("kernel still on the heap with %d pending (threshold %d)",
-			k.Pending(), autoCalendarThreshold)
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i
 	}
-	if k.Pending() != autoCalendarThreshold {
-		t.Fatalf("switch lost events: Pending=%d, want %d", k.Pending(), autoCalendarThreshold)
+	sort.SliceStable(want, func(a, b int) bool { return ats[want[a]] < ats[want[b]] })
+	k.Run()
+	if len(fired) != n {
+		t.Fatalf("fired %d events, want %d", len(fired), n)
 	}
-	fired := 0
-	var last Time
-	for k.Step() {
-		fired++
-		if k.Now() < last {
-			t.Fatalf("clock ran backwards after switch")
+	for j := range want {
+		if fired[j] != want[j] {
+			t.Fatalf("fire position %d: event %d (at %v), want event %d (at %v)",
+				j, fired[j], ats[fired[j]], want[j], ats[want[j]])
 		}
-		last = k.Now()
-	}
-	if fired != autoCalendarThreshold {
-		t.Fatalf("fired %d events, want %d", fired, autoCalendarThreshold)
-	}
-	// A pinned-heap kernel never switches, whatever the depth.
-	kh := NewOnQueue(1, QueueHeap)
-	for i := 0; i < 2*autoCalendarThreshold; i++ {
-		kh.After(Time(i)*Microsecond+Microsecond, func() {})
-	}
-	if kh.onCal {
-		t.Fatalf("pinned heap kernel switched backends")
-	}
-	for kh.Step() {
 	}
 }
 
-// TestCalendarResetReplays checks Reset on both calendar-pinned and
-// migrated-auto kernels: the second run must replay the first exactly,
-// and an auto kernel must drop back to the heap like a fresh one.
+// TestCalendarResetReplays checks Reset on heap and calendar kernels:
+// the second run must replay the first exactly on each backend.
 func TestCalendarResetReplays(t *testing.T) {
-	for _, kind := range []QueueKind{QueueCalendar, QueueAuto} {
+	for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
 		k := NewOnQueue(42, kind)
 		run := func() []Time {
 			rng := rand.New(rand.NewSource(7))
@@ -168,9 +154,6 @@ func TestCalendarResetReplays(t *testing.T) {
 		}
 		first := run()
 		k.Reset()
-		if kind == QueueAuto && k.onCal {
-			t.Fatal("auto kernel still on the calendar after Reset")
-		}
 		second := run()
 		if len(first) != len(second) {
 			t.Fatalf("[%v] replay fired %d events, first run %d", kind, len(second), len(first))

@@ -1,11 +1,12 @@
 package sim
 
 // eventQueue is the kernel's store of future events, keyed by (at, seq).
-// Two backends implement it: heapQueue (a 4-ary min-heap, the default) and
-// calendarQueue (a bucketed calendar over a sliding time window, for dense
-// schedules). Both order entries by exactly the same (at, seq) comparator,
-// so a kernel produces bit-identical event sequences on either backend —
-// the differential fuzz harness in fuzz_test.go holds them to that.
+// Two backends implement it: heapQueue (a 4-ary min-heap, what New
+// builds) and calendarQueue (a bucketed calendar over a sliding time
+// window, built only by NewOnQueue). Both order entries by exactly the
+// same (at, seq) comparator, so a kernel produces bit-identical event
+// sequences on either backend — the differential fuzz harness in
+// fuzz_test.go holds them to that.
 //
 // The kernel dispatches on concrete types for the hot path (push/pop/min
 // stay inlineable); the interface exists for the cold paths (compaction,
@@ -28,8 +29,6 @@ type eventQueue interface {
 	compact(drop func(*event)) int
 	// reset empties the queue, retaining capacity for reuse.
 	reset()
-	// kind names the backend.
-	kind() QueueKind
 }
 
 // heapQueue is the classic backend: a hand-rolled 4-ary min-heap
@@ -40,8 +39,6 @@ type heapQueue struct {
 }
 
 func (q *heapQueue) size() int { return len(q.h) }
-
-func (q *heapQueue) kind() QueueKind { return QueueHeap }
 
 func (q *heapQueue) min() *entry {
 	if len(q.h) == 0 {

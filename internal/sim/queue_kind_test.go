@@ -7,7 +7,6 @@ func TestQueueKindString(t *testing.T) {
 		kind QueueKind
 		name string
 	}{
-		{QueueAuto, "auto"},
 		{QueueHeap, "heap"},
 		{QueueCalendar, "calendar"},
 	}
@@ -18,14 +17,14 @@ func TestQueueKindString(t *testing.T) {
 	}
 }
 
+// TestQueueBackendKind checks that NewOnQueue builds exactly the backend
+// it is asked for, and nothing else.
 func TestQueueBackendKind(t *testing.T) {
-	var h heapQueue
-	if got := h.kind(); got != QueueHeap {
-		t.Errorf("heapQueue.kind() = %v", got)
+	if k := NewOnQueue(1, QueueHeap); k.onCal || k.qh == nil || k.qc != nil {
+		t.Errorf("NewOnQueue(heap): onCal=%v heap=%v calendar=%v", k.onCal, k.qh != nil, k.qc != nil)
 	}
-	var c calendarQueue
-	if got := c.kind(); got != QueueCalendar {
-		t.Errorf("calendarQueue.kind() = %v", got)
+	if k := NewOnQueue(1, QueueCalendar); !k.onCal || k.qc == nil || k.qh != nil {
+		t.Errorf("NewOnQueue(calendar): onCal=%v heap=%v calendar=%v", k.onCal, k.qh != nil, k.qc != nil)
 	}
 }
 
@@ -110,26 +109,4 @@ func TestProcID(t *testing.T) {
 	if a == b {
 		t.Fatalf("two procs share ID %d", a)
 	}
-}
-
-func TestResourceAccessors(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, 3)
-	if got := r.Capacity(); got != 3 {
-		t.Errorf("Capacity() = %d, want 3", got)
-	}
-	q := NewQueue[int](k)
-	if got := q.Len(); got != 0 {
-		t.Errorf("empty Queue Len() = %d", got)
-	}
-	q.Put(42)
-	if got := q.Len(); got != 1 {
-		t.Errorf("Queue Len() = %d after Put, want 1", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewResource with capacity 0 did not panic")
-		}
-	}()
-	NewResource(k, 0)
 }

@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery used throughout the
-// repository: streaming summaries, quantile samples, time-weighted
-// averages (for utilization-style metrics), histograms, regression fits
-// for growth-curve analysis, and the random distributions that drive
-// workload and failure models.
+// repository: streaming summaries, quantile samples, histograms, and the
+// random distributions and substream seeding that drive workload and
+// failure models.
 package stats
 
 import (
@@ -166,54 +165,4 @@ func (s *Sample) Values() []float64 {
 		s.sorted = true
 	}
 	return s.xs
-}
-
-// TimeWeighted tracks the time-weighted average of a step function, such
-// as the number of busy nodes over a scheduling run. Set updates the
-// current level; the average weights each level by how long it was held.
-type TimeWeighted struct {
-	last     float64 // current level
-	lastAt   float64 // time of last change
-	weighted float64 // integral of level dt
-	started  bool
-	start    float64
-	maxLevel float64
-}
-
-// Set records that the level changed to v at time t. Times must be
-// nondecreasing.
-func (w *TimeWeighted) Set(v, t float64) {
-	if !w.started {
-		w.started = true
-		w.start = t
-	} else {
-		if t < w.lastAt {
-			panic("stats: TimeWeighted times must be nondecreasing")
-		}
-		w.weighted += w.last * (t - w.lastAt)
-	}
-	w.last = v
-	w.lastAt = t
-	if v > w.maxLevel {
-		w.maxLevel = v
-	}
-}
-
-// Add records a delta to the current level at time t.
-func (w *TimeWeighted) Add(delta, t float64) { w.Set(w.last+delta, t) }
-
-// Level returns the current level.
-func (w *TimeWeighted) Level() float64 { return w.last }
-
-// Max returns the highest level observed.
-func (w *TimeWeighted) Max() float64 { return w.maxLevel }
-
-// Mean returns the time-weighted average from the first Set through time
-// t, or NaN if nothing was recorded or no time elapsed.
-func (w *TimeWeighted) Mean(t float64) float64 {
-	if !w.started || t <= w.start {
-		return math.NaN()
-	}
-	total := w.weighted + w.last*(t-w.lastAt)
-	return total / (t - w.start)
 }

@@ -86,36 +86,6 @@ func TestSampleAddAfterQuantile(t *testing.T) {
 	approx(t, s.Median(), 2, 0, "median after re-add")
 }
 
-func TestTimeWeightedMean(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 0)
-	w.Set(10, 5)  // level 0 for [0,5)
-	w.Set(20, 10) // level 10 for [5,10)
-	// level 20 for [10, 20)
-	approx(t, w.Mean(20), (0*5+10*5+20*10)/20.0, 1e-12, "time-weighted mean")
-	approx(t, w.Max(), 20, 0, "max level")
-}
-
-func TestTimeWeightedAdd(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 0)
-	w.Add(4, 2)
-	w.Add(-4, 6)
-	approx(t, w.Mean(8), 4*4/8.0, 1e-12, "mean via Add")
-	approx(t, w.Level(), 0, 0, "final level")
-}
-
-func TestTimeWeightedBackwardsPanics(t *testing.T) {
-	var w TimeWeighted
-	w.Set(1, 5)
-	defer func() {
-		if recover() == nil {
-			t.Error("backwards time did not panic")
-		}
-	}()
-	w.Set(2, 4)
-}
-
 func TestHistogramLinear(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
@@ -206,39 +176,6 @@ func TestHistogramConservationProperty(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestLinearFitExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	f := LinearFit(xs, ys)
-	approx(t, f.Slope, 2, 1e-12, "slope")
-	approx(t, f.Intercept, 1, 1e-12, "intercept")
-	approx(t, f.R2, 1, 1e-12, "r2")
-	approx(t, f.Eval(10), 21, 1e-12, "eval")
-}
-
-func TestExpFitRecoversGrowth(t *testing.T) {
-	// y = 5 · 1.59^x  (Moore's-law-ish 59%/year growth).
-	xs := make([]float64, 10)
-	ys := make([]float64, 10)
-	for i := range xs {
-		xs[i] = float64(i)
-		ys[i] = 5 * math.Pow(1.59, float64(i))
-	}
-	g := ExpFit(xs, ys)
-	approx(t, g.A, 5, 1e-9, "A")
-	approx(t, g.Growth, 1.59, 1e-9, "growth")
-	approx(t, g.DoublingTime(), math.Ln2/math.Log(1.59), 1e-9, "doubling")
-}
-
-func TestCAGRAndProject(t *testing.T) {
-	r := CAGR(100, 200, 1)
-	approx(t, r, 1, 1e-12, "CAGR double in one year")
-	approx(t, Project(100, r, 3), 800, 1e-9, "project 3 doublings")
-	// Round trip: CAGR then Project recovers the endpoint.
-	r2 := CAGR(3.5, 97, 8)
-	approx(t, Project(3.5, r2, 8), 97, 1e-9, "round trip")
 }
 
 func TestDistMeans(t *testing.T) {
@@ -350,18 +287,6 @@ func TestSampleExtras(t *testing.T) {
 	approx(t, single.Quantile(0.3), 7, 0, "single quantile")
 }
 
-func TestGrowthFitExtras(t *testing.T) {
-	g := GrowthFit{A: 2, Growth: 2, R2: 1}
-	approx(t, g.Eval(3), 16, 1e-12, "growth eval")
-	if !strings.Contains(g.String(), "doubling") {
-		t.Errorf("String() = %q", g.String())
-	}
-	flat := GrowthFit{A: 1, Growth: 0.9}
-	if !math.IsInf(flat.DoublingTime(), 1) {
-		t.Error("shrinking fit should never double")
-	}
-}
-
 func TestHistogramString(t *testing.T) {
 	h := NewHistogram(0, 4, 2)
 	h.Add(-1)
@@ -390,28 +315,5 @@ func TestHistogramPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestFitPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { LinearFit([]float64{1}, []float64{1, 2}) },
-		func() { LinearFit([]float64{1}, []float64{1}) },
-		func() { ExpFit([]float64{0, 1}, []float64{1, -2}) },
-		func() { CAGR(0, 1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid fit input did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-	// Vertical data: slope NaN, not panic.
-	f := LinearFit([]float64{2, 2}, []float64{1, 5})
-	if !math.IsNaN(f.Slope) {
-		t.Errorf("vertical fit slope = %g, want NaN", f.Slope)
 	}
 }

@@ -102,15 +102,15 @@ func (g *Graph) attachAnalytic(router []int32, routerDist func(a, b int32) int) 
 	g.analytic = &analytic{router: router, leg: leg, routerDist: routerDist, nr: nr}
 }
 
-// ringDist is the hop count along one torus/mesh dimension of width w:
+// ringDist is the hop count along one torus dimension of width w:
 // wraparound (only wired when w > 2, matching the builders) halves the
 // worst case.
-func ringDist(a, b, w int, wrap bool) int {
+func ringDist(a, b, w int) int {
 	d := a - b
 	if d < 0 {
 		d = -d
 	}
-	if wrap && w > 2 && w-d < d {
+	if w > 2 && w-d < d {
 		d = w - d
 	}
 	return d
@@ -126,13 +126,12 @@ func crossbarDist(a, b int32) int {
 	return 0
 }
 
-// gridDist returns the routerDist for a w×h grid, with per-dimension
-// wraparound matching the builder's wiring.
-func gridDist(w, h int, wrap bool) func(a, b int32) int {
+// torus2dDist returns the routerDist for a w×h torus.
+func torus2dDist(w, h int) func(a, b int32) int {
 	return func(a, b int32) int {
 		ax, ay := int(a)%w, int(a)/w
 		bx, by := int(b)%w, int(b)/w
-		return ringDist(ax, bx, w, wrap) + ringDist(ay, by, h, wrap)
+		return ringDist(ax, bx, w) + ringDist(ay, by, h)
 	}
 }
 
@@ -141,7 +140,7 @@ func torus3dDist(x, y, z int) func(a, b int32) int {
 	return func(a, b int32) int {
 		ai, aj, ak := int(a)%x, (int(a)/x)%y, int(a)/(x*y)
 		bi, bj, bk := int(b)%x, (int(b)/x)%y, int(b)/(x*y)
-		return ringDist(ai, bi, x, true) + ringDist(aj, bj, y, true) + ringDist(ak, bk, z, true)
+		return ringDist(ai, bi, x) + ringDist(aj, bj, y) + ringDist(ak, bk, z)
 	}
 }
 

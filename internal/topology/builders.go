@@ -65,21 +65,13 @@ func FatTree(k, n int) *Graph {
 
 // Torus2D returns a w×h 2D torus direct network: each grid point is a
 // router with an attached endpoint, with wraparound links in both
-// dimensions.
-func Torus2D(w, h int) *Graph { return grid2d(w, h, true) }
-
-// Mesh2D returns a w×h 2D mesh (no wraparound).
-func Mesh2D(w, h int) *Graph { return grid2d(w, h, false) }
-
-func grid2d(w, h int, wrap bool) *Graph {
+// dimensions. A dimension of width 2 or less gets no wraparound link: it
+// would duplicate the existing neighbor link.
+func Torus2D(w, h int) *Graph {
 	if w < 1 || h < 1 {
 		panic("topology: grid dimensions must be positive")
 	}
-	kind := "mesh2d"
-	if wrap {
-		kind = "torus2d"
-	}
-	g := NewGraph(fmt.Sprintf("%s-%dx%d", kind, w, h))
+	g := NewGraph(fmt.Sprintf("torus2d-%dx%d", w, h))
 	routers := make([]int, w*h)
 	coord := make([]int32, 2*w*h)
 	for y := 0; y < h; y++ {
@@ -96,12 +88,12 @@ func grid2d(w, h int, wrap bool) *Graph {
 			i := y*w + x
 			if x+1 < w {
 				g.AddEdge(routers[i], routers[y*w+x+1])
-			} else if wrap && w > 2 {
+			} else if w > 2 {
 				g.AddEdge(routers[i], routers[y*w])
 			}
 			if y+1 < h {
 				g.AddEdge(routers[i], routers[(y+1)*w+x])
-			} else if wrap && h > 2 {
+			} else if h > 2 {
 				g.AddEdge(routers[i], routers[x])
 			}
 		}
@@ -112,10 +104,10 @@ func grid2d(w, h int, wrap bool) *Graph {
 		long, short = h, w
 	}
 	g.BisectionLinks = short
-	if wrap && long > 2 {
+	if long > 2 {
 		g.BisectionLinks = 2 * short
 	}
-	g.attachAnalytic(coord, gridDist(w, h, wrap))
+	g.attachAnalytic(coord, torus2dDist(w, h))
 	mustFinalize(g)
 	return g
 }

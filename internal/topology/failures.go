@@ -82,6 +82,28 @@ func (g *Graph) DisableVertex(v int) ([]int, error) {
 	return out, nil
 }
 
+// FailCoreLinks disables up to n switch-to-switch links, trying them in
+// edge order and skipping any that is already down or whose loss would
+// disconnect an endpoint. It reports how many links it disabled — fewer
+// than n when the remaining links are all needed for connectivity.
+func (g *Graph) FailCoreLinks(n int) int {
+	failed := 0
+	for e, ed := range g.edges {
+		if failed >= n {
+			break
+		}
+		if g.verts[ed.A].Endpoint || g.verts[ed.B].Endpoint || g.DisableEdge(e) != nil {
+			continue
+		}
+		if !g.AllEndpointsConnected() {
+			_ = g.EnableEdge(e) // cannot fail: e was disabled just above
+			continue
+		}
+		failed++
+	}
+	return failed
+}
+
 // DisabledEdges returns the number of currently disabled edges.
 func (g *Graph) DisabledEdges() int { return int(g.numDisabled.Load()) }
 

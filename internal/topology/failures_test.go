@@ -79,6 +79,34 @@ func TestDisableEdgeValidation(t *testing.T) {
 	}
 }
 
+// TestFailCoreLinks pins the degraded-fabric helper that X2 and
+// `northstar topo` share: it fails switch-to-switch links in edge order,
+// never disconnects an endpoint, and stops when every remaining core
+// link is needed.
+func TestFailCoreLinks(t *testing.T) {
+	g := FatTree(4, 2) // 16 endpoint links (edges 0-15), then 16 core links
+	if got := g.FailCoreLinks(3); got != 3 {
+		t.Fatalf("FailCoreLinks(3) = %d", got)
+	}
+	disabled := g.routing.Load().disabled
+	if len(disabled) != 3 || !disabled[16] || !disabled[17] || !disabled[18] {
+		t.Fatalf("disabled %v, want the first three core links 16, 17, 18", disabled)
+	}
+	if got := Crossbar(4).FailCoreLinks(2); got != 0 {
+		t.Fatalf("crossbar has no core links, FailCoreLinks(2) = %d", got)
+	}
+	h := FatTree(4, 2)
+	n := h.FailCoreLinks(1000)
+	if n == 0 || n >= 16 || h.DisabledEdges() != n || !h.AllEndpointsConnected() {
+		t.Fatalf("FailCoreLinks(1000) = %d, disabled %d, connected %v",
+			n, h.DisabledEdges(), h.AllEndpointsConnected())
+	}
+	if again := h.FailCoreLinks(1); again != 0 {
+		t.Fatalf("a maximally degraded tree lost %d more links", again)
+	}
+	allPairsValid(t, h)
+}
+
 func TestDisableVertexKillsSwitch(t *testing.T) {
 	g := FatTree(2, 2) // 4 endpoints, 2 leaf + 2 top switches
 	// Kill one top switch (id: 4 endpoints + 2 leaves => top at 4+2, 4+3).

@@ -41,7 +41,6 @@ func referenceDist(g *Graph, src int) []int {
 func TestAnalyticDistMatchesBFS(t *testing.T) {
 	graphs := []*Graph{
 		Crossbar(1), Crossbar(5),
-		Mesh2D(1, 1), Mesh2D(3, 4), Mesh2D(5, 1),
 		Torus2D(2, 2), Torus2D(2, 5), Torus2D(4, 3), Torus2D(5, 5),
 		Torus3D(2, 2, 2), Torus3D(2, 3, 4), Torus3D(3, 3, 3), Torus3D(4, 4, 4),
 		Hypercube(0), Hypercube(1), Hypercube(3), Hypercube(5),

@@ -26,7 +26,6 @@ func TestBuilderMetricsPinned(t *testing.T) {
 		{Hypercube(3), "hypercube-3", 8, 16, 20, 4, 5, 3.714286},
 		{Torus2D(4, 4), "torus2d-4x4", 16, 32, 48, 8, 6, 4.133333},
 		{Torus3D(2, 3, 2), "torus3d-2x3x2", 12, 24, 36, 8, 5, 3.818182},
-		{Mesh2D(3, 3), "mesh2d-3x3", 9, 18, 21, 3, 6, 4.0},
 		// Past the exact-enumeration thresholds: Diameter samples above
 		// 256 endpoints, AvgDistance above 128, both seeded, so these
 		// stay reproducible too.
@@ -100,7 +99,7 @@ func TestBuilderPanics(t *testing.T) {
 	mustPanic(t, "FatTree(1,3)", "arity", func() { FatTree(1, 3) })
 	mustPanic(t, "FatTree(2,0)", "arity", func() { FatTree(2, 0) })
 	mustPanic(t, "Torus2D(0,3)", "positive", func() { Torus2D(0, 3) })
-	mustPanic(t, "Mesh2D(3,0)", "positive", func() { Mesh2D(3, 0) })
+	mustPanic(t, "Torus2D(3,0)", "positive", func() { Torus2D(3, 0) })
 	mustPanic(t, "Torus3D(0,1,1)", "positive", func() { Torus3D(0, 1, 1) })
 	mustPanic(t, "Hypercube(-1)", "out of range", func() { Hypercube(-1) })
 	mustPanic(t, "Hypercube(21)", "out of range", func() { Hypercube(21) })

@@ -9,7 +9,7 @@
 // other read paths are safe for concurrent use from any number of
 // goroutines, and DisableEdge/EnableEdge may run concurrently with
 // them (readers see a consistent before-or-after snapshot of the
-// failure set). Regular topologies (Crossbar, Mesh2D/Torus2D, Torus3D,
+// failure set). Regular topologies (Crossbar, Torus2D, Torus3D,
 // Hypercube) answer Dist in O(1) from coordinate arithmetic while the
 // failure set is empty; everything else is served from lazily built,
 // once-initialized per-destination BFS trees.
@@ -267,7 +267,7 @@ func (g *Graph) RouteAppend(src, dst int, edges, verts []int) ([]int, []int) {
 }
 
 // Dist returns the hop count of the shortest path between two vertices,
-// or -1 if unreachable. On the regular topologies (crossbar, mesh/torus,
+// or -1 if unreachable. On the regular topologies (crossbar, torus,
 // hypercube) with no disabled edges it is O(1) coordinate arithmetic;
 // otherwise it walks the cached BFS tree for dst.
 func (g *Graph) Dist(src, dst int) int {

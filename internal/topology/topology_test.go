@@ -147,18 +147,6 @@ func TestTorus2DNoWrapForTwoWide(t *testing.T) {
 	allPairsValid(t, g)
 }
 
-func TestMesh2D(t *testing.T) {
-	g := Mesh2D(3, 3)
-	allPairsValid(t, g)
-	// Corner to corner: 4 router hops + 2 injection.
-	if d := g.Diameter(); d != 6 {
-		t.Fatalf("mesh diameter = %d, want 6", d)
-	}
-	if g.BisectionLinks != 3 {
-		t.Fatalf("bisection = %d, want 3", g.BisectionLinks)
-	}
-}
-
 func TestTorus3D(t *testing.T) {
 	g := Torus3D(3, 3, 3)
 	if g.NumEndpoints() != 27 {
