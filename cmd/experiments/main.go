@@ -16,7 +16,6 @@
 //	experiments -cpuprofile p.out # pprof CPU profile of the run
 //	experiments -memprofile m.out # pprof heap profile after the run
 //	experiments -spec-timeout 60s # abandon an experiment stuck past its budget
-//	experiments -retries 1        # re-run a failed experiment once
 //	experiments -faultinject      # dev/CI: append specs that panic, hang, error
 //
 // Tables always print in suite order (E1 … X7) regardless of -par; every
@@ -90,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 	specTimeout := fs.Duration("spec-timeout", 0, "per-experiment wall-clock budget; 0 disables the watchdog")
-	retries := fs.Int("retries", 0, "re-run a failed experiment up to this many extra times")
 	faultinject := fs.Bool("faultinject", false, "dev/CI: append synthetic misbehaving specs (implies -spec-timeout 10s if unset)")
 	if err := fs.Parse(args); err != nil {
 		return 2 // flag package already printed the diagnostic and usage
@@ -191,7 +189,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Workers:     *par,
 		Observer:    observer,
 		SpecTimeout: *specTimeout,
-		Retries:     *retries,
 	}
 	if observer != nil {
 		opts.Summary = stderr

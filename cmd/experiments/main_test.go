@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"northstar/internal/experiments"
+	"northstar/internal/obs"
 )
 
 // These tests exercise the command through run() exactly as a shell
@@ -81,6 +82,54 @@ func TestExplicitBadParRejected(t *testing.T) {
 	}
 	if status, _, stderr := runCmd(t, "-par", "2", "-quick", "-id", "E1"); status != 0 {
 		t.Errorf("-par 2: exit %d, stderr:\n%s", status, stderr)
+	}
+}
+
+// An observed run writes its telemetry beside an unchanged table stream:
+// valid trace JSON, a metrics snapshot with one scope for the spec plus
+// suite and neither a resources domain nor a retries counter, and a
+// summary table on stderr with the documented columns.
+func TestObservedRunWritesTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
+	_, plain, _ := runCmd(t, "-quick", "-id", "E5")
+	status, observed, stderr := runCmd(t, "-quick", "-id", "E5", "-progress",
+		"-trace", tracePath, "-metrics", metricsPath)
+	if status != 0 || observed != plain {
+		t.Fatalf("exit %d, stdout changed: %t, stderr:\n%s", status, observed != plain, stderr)
+	}
+	if b, err := os.ReadFile(tracePath); err != nil || !json.Valid(b) {
+		t.Errorf("trace is not valid JSON (err %v)", err)
+	}
+	var m obs.Snapshot
+	b, err := os.ReadFile(metricsPath)
+	if err == nil {
+		err = json.Unmarshal(b, &m)
+	}
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	var got []string
+	for _, sc := range m.Scopes {
+		got = append(got, sc.Name)
+		for _, d := range sc.Domains {
+			got = append(got, sc.Name+"/"+d.Name)
+		}
+		if _, ok := sc.Counters["retries"]; ok {
+			t.Errorf("scope %s has a retries counter", sc.Name)
+		}
+	}
+	if m.Schema != "northstar-metrics/v2" || strings.Join(got, " ") != "E5 E5/network suite" {
+		t.Errorf("metrics %s with scopes and domains %v, want v2 with [E5 E5/network suite]", m.Schema, got)
+	}
+	header := ""
+	for _, line := range strings.Split(stderr, "\n") {
+		if strings.HasPrefix(line, "id ") {
+			header = strings.Join(strings.Fields(line), " ")
+		}
+	}
+	if header != "id wall events peak pending fastpath % status" {
+		t.Errorf("summary header = %q\nstderr:\n%s", header, stderr)
 	}
 }
 

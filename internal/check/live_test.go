@@ -17,7 +17,7 @@ func TestLiveSuiteInvariants(t *testing.T) {
 		t.Skip("full suite")
 	}
 	specs := experiments.All()
-	tables, err := experiments.RunAllParallel(io.Discard, true, 0)
+	tables, err := experiments.RunSuite(io.Discard, experiments.Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -72,12 +71,4 @@ func ByID(id string) (Spec, error) {
 		return s, nil
 	}
 	return Spec{}, fmt.Errorf("experiments: unknown experiment %q", id)
-}
-
-// RunAll executes every experiment sequentially, printing each table to w
-// as it completes. It is RunAllParallel with one worker: the returned
-// slice has one slot per spec in suite order (nil marks a failure), and
-// a failing experiment no longer drops the experiments after it.
-func RunAll(w io.Writer, quick bool) ([]*Table, error) {
-	return RunAllParallel(w, quick, 1)
 }

@@ -334,7 +334,7 @@ func TestRunAllQuick(t *testing.T) {
 		t.Skip("full suite")
 	}
 	var buf bytes.Buffer
-	tabs, err := RunAll(&buf, true)
+	tabs, err := RunSuite(&buf, Options{Quick: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func goldenPath(id string) string { return filepath.Join(goldenDir, id+".table")
 // table per spec, failing the test on any spec error.
 func runQuickSuite(t *testing.T) []*experiments.Table {
 	t.Helper()
-	tables, err := experiments.RunAllParallel(io.Discard, true, 0)
+	tables, err := experiments.RunSuite(io.Discard, experiments.Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,55 +27,38 @@ type Options struct {
 	Observer *obs.SuiteObserver
 	// Summary, when non-nil (and Observer is set), receives a
 	// suite-summary table — per-spec wall clock, events fired, peak
-	// pending, retries, status — after the ordered table stream
+	// pending, fast-path share, status — after the ordered table stream
 	// completes. Point it at stderr to keep stdout canonical.
 	Summary io.Writer
-	// SpecTimeout bounds each spec attempt's host wall-clock time; 0
-	// disables the watchdog. An attempt that exceeds the budget is
-	// reported failed with a *TimeoutError carrying a goroutine dump.
-	// The sim is single-threaded per spec and Go cannot preempt-kill a
-	// goroutine, so the watchdog abandons the attempt's goroutine and
-	// result slot rather than killing the process; the remaining specs
-	// still run and print.
+	// SpecTimeout bounds each spec's host wall-clock time; 0 disables
+	// the watchdog. A spec that exceeds the budget is reported failed
+	// with a *TimeoutError carrying a goroutine dump. The sim is
+	// single-threaded per spec and Go cannot preempt-kill a goroutine,
+	// so the watchdog abandons the spec's goroutine and result slot
+	// rather than killing the process; the remaining specs still run
+	// and print.
 	SpecTimeout time.Duration
-	// Retries re-runs a failed spec (error, panic, malformed table, or
-	// timeout) up to this many additional times. The default 0 is the
-	// norm — the suite is deterministic, so a real failure does not
-	// heal — but host-level flakes (a watchdog tripped by a loaded CI
-	// box) can be retried away. Retry counts surface in the observer's
-	// summary table and metrics registry.
-	Retries int
 }
 
-// RunAllParallel executes the full experiment suite on a bounded worker
-// pool and prints each table to w in suite order (E1 … X7) as soon as it
-// and all its predecessors are done. Every experiment is independent —
-// each builds its own kernels, machines, and roadmaps — so the tables are
-// byte-identical to a sequential run; only host wall-clock changes.
-//
-// workers <= 0 selects runtime.GOMAXPROCS(0); workers == 1 runs the
-// specs strictly one at a time (the sequential path).
-//
-// Unlike a sequential early-exit loop, a failing experiment does not drop
-// the experiments after it: all specs run to completion, failed ones
-// print nothing, and the returned slice holds one slot per spec in suite
-// order with nil marking failures. A spec that panics or returns a
-// malformed table fails the same way — the panic is recovered on the
-// spec's goroutine and surfaces as a *PanicError. The returned error
-// joins every per-experiment failure and any table write error (nil if
-// all succeeded).
-func RunAllParallel(w io.Writer, quick bool, workers int) ([]*Table, error) {
-	return RunSpecs(w, All(), Options{Quick: quick, Workers: workers})
-}
-
-// RunSuite executes the full suite with the given options.
+// RunSuite executes the full experiment suite (All) with the given
+// options; see RunSpecs.
 func RunSuite(w io.Writer, opts Options) ([]*Table, error) {
 	return RunSpecs(w, All(), opts)
 }
 
-// RunSpecs executes the given specs with the semantics of RunAllParallel:
-// bounded worker pool, ordered streaming output, partial-failure
-// reporting, optional observability.
+// RunSpecs executes specs on a bounded worker pool and prints each table
+// to w in spec order as soon as it and all its predecessors are done.
+// Every experiment is independent — each builds its own kernels,
+// machines, and roadmaps — so the tables are byte-identical to a
+// sequential run; only host wall-clock changes.
+//
+// A failing spec does not drop the specs after it: all specs run to
+// completion, failed ones print nothing, and the returned slice holds
+// one slot per spec in order with nil marking failures. A spec that
+// panics or returns a malformed table fails the same way — the panic is
+// recovered on the spec's goroutine and surfaces as a *PanicError. The
+// returned error joins every per-spec failure and any table write error
+// (nil if all succeeded).
 func RunSpecs(w io.Writer, specs []Spec, opts Options) ([]*Table, error) {
 	tables := make([]*Table, len(specs))
 	errs := make([]error, len(specs))
@@ -94,30 +77,16 @@ func RunSpecs(w io.Writer, specs []Spec, opts Options) ([]*Table, error) {
 		defer opts.Observer.End()
 	}
 
-	// runOne executes spec i, retrying failed attempts up to
-	// opts.Retries times. Each attempt runs on its own goroutine
-	// (runAttempt) so a panic or a hang is isolated to that attempt: the
-	// worker always comes back to fill the result slot, close done[i],
-	// and pick up the next job.
+	// runOne executes spec i on its own goroutine (runAttempt), so a
+	// panic or a hang is isolated to that spec: the worker always comes
+	// back to fill the result slot, close done[i], and pick up the next
+	// job.
 	runOne := func(i, worker int) {
-		var lastErr error
-		for attempt := 0; attempt <= opts.Retries; attempt++ {
-			t, so, err := runAttempt(specs[i], worker, attempt, opts)
-			if so != nil {
-				specObs[i] = so // the last attempt's observation wins
-			}
-			if err == nil {
-				tables[i] = t
-				return
-			}
-			lastErr = err
+		var err error
+		tables[i], specObs[i], err = runAttempt(specs[i], worker, opts)
+		if err != nil {
+			errs[i] = fmt.Errorf("experiments: %s failed: %w", specs[i].ID, err)
 		}
-		if opts.Retries > 0 {
-			errs[i] = fmt.Errorf("experiments: %s failed after %d attempts: %w",
-				specs[i].ID, opts.Retries+1, lastErr)
-			return
-		}
-		errs[i] = fmt.Errorf("experiments: %s failed: %w", specs[i].ID, lastErr)
 	}
 
 	// print streams table i if the writer is still healthy; after the
@@ -138,7 +107,7 @@ func RunSpecs(w io.Writer, specs []Spec, opts Options) ([]*Table, error) {
 			runOne(i, 0)
 			print(i)
 		}
-		return tables, finish(w, specs, specObs, opts, errs, werr)
+		return tables, finish(specs, specObs, opts, errs, werr)
 	}
 
 	// Each spec gets a result slot and a done signal; workers fill slots
@@ -175,7 +144,7 @@ func RunSpecs(w io.Writer, specs []Spec, opts Options) ([]*Table, error) {
 		<-done[i]
 		print(i)
 	}
-	return tables, finish(w, specs, specObs, opts, errs, werr)
+	return tables, finish(specs, specObs, opts, errs, werr)
 }
 
 // dispatchOrder returns spec indices sorted by descending Cost hint —
@@ -194,23 +163,24 @@ func dispatchOrder(specs []Spec) []int {
 
 // finish assembles the run's error and, when observing, appends the
 // suite-summary table after the ordered stream.
-func finish(w io.Writer, specs []Spec, specObs []*obs.SpecObs, opts Options, errs []error, werr error) error {
+func finish(specs []Spec, specObs []*obs.SpecObs, opts Options, errs []error, werr error) error {
 	if opts.Observer != nil && opts.Summary != nil {
-		if err := SummaryTable(specs, specObs).Fprint(opts.Summary); err != nil {
+		if err := summaryTable(specs, specObs).Fprint(opts.Summary); err != nil {
 			werr = errors.Join(werr, fmt.Errorf("experiments: writing summary table: %w", err))
 		}
 	}
 	return errors.Join(errors.Join(errs...), werr)
 }
 
-// runAttempt executes one attempt of spec s on a fresh goroutine and
-// waits for either its result or the watchdog deadline. Spawning lets a
-// hung attempt be abandoned — the goroutine stays parked, the worker
-// moves on — and confines a panic to the attempt. The observer binding
-// is made on the spawned goroutine (StartAttempt is per-goroutine), so
-// kernel attribution keeps working; the SpecObs is handed back over a
-// buffered channel so the watchdog can finalize it with Abandon.
-func runAttempt(s Spec, worker, attempt int, opts Options) (*Table, *obs.SpecObs, error) {
+// runAttempt executes spec s on a fresh goroutine and waits for either
+// its result or the watchdog deadline. Spawning lets a hung spec be
+// abandoned — the goroutine stays parked, the worker moves on — and
+// confines a panic to the spec. The observer binding is made on the
+// spawned goroutine (StartAttempt is per-goroutine), so kernel
+// attribution keeps working; the SpecObs is handed back over a buffered
+// channel so the watchdog can finalize it with Abandon. On failure the
+// table is nil.
+func runAttempt(s Spec, worker int, opts Options) (*Table, *obs.SpecObs, error) {
 	type result struct {
 		t   *Table
 		err error
@@ -220,7 +190,7 @@ func runAttempt(s Spec, worker, attempt int, opts Options) (*Table, *obs.SpecObs
 	go func() {
 		var so *obs.SpecObs
 		if opts.Observer != nil {
-			so = opts.Observer.StartAttempt(s.ID, s.Title, worker, attempt)
+			so = opts.Observer.StartAttempt(s.ID, s.Title, worker)
 		}
 		obsCh <- so
 		t, err := runShielded(s, opts.Quick)
@@ -286,34 +256,23 @@ func runShielded(s Spec, quick bool) (t *Table, err error) {
 	return t, err
 }
 
-// SummaryTable builds the suite-summary table from per-spec observations:
-// host wall clock, events fired, peak pending queue depth, same-time
-// fast-path share, bytes allocated, goroutine high-water, retries, and
-// status. Slots of specObs may be nil, and the slice may be shorter than
-// specs (for example when assembled by a caller that stopped observing
-// early): missing slots render as "unobserved" rows instead of
-// panicking. A timed-out spec renders as TIMEOUT with no event counts —
-// its abandoned goroutine may still be writing to the probe, so the
-// counters are not safe to read.
-func SummaryTable(specs []Spec, specObs []*obs.SpecObs) *Table {
+// summaryTable builds the suite-summary table from the per-spec
+// observations, one per spec: host wall clock, events fired, peak
+// pending queue depth, same-time fast-path share, and status. A
+// timed-out spec renders as TIMEOUT with no event counts — its abandoned
+// goroutine may still be writing to the probe, so the counters are not
+// safe to read.
+func summaryTable(specs []Spec, specObs []*obs.SpecObs) *Table {
 	t := &Table{
 		ID:      "suite",
 		Title:   "observability summary",
-		Columns: []string{"id", "wall", "events", "peak pending", "fastpath %", "alloc MB", "goros", "retries", "status"},
+		Columns: []string{"id", "wall", "events", "peak pending", "fastpath %", "status"},
 	}
 	for i, s := range specs {
-		var so *obs.SpecObs
-		if i < len(specObs) {
-			so = specObs[i]
-		}
-		if so == nil {
-			t.AddRow(s.ID, "-", "-", "-", "-", "-", "-", "-", "unobserved")
-			continue
-		}
-		retries := fmt.Sprintf("%d", so.Attempt())
+		so := specObs[i]
+		wall := so.Wall().Round(time.Microsecond).String()
 		if so.Abandoned() {
-			t.AddRow(s.ID, so.Wall().Round(time.Microsecond).String(),
-				"-", "-", "-", "-", "-", retries, "TIMEOUT")
+			t.AddRow(s.ID, wall, "-", "-", "-", "TIMEOUT")
 			continue
 		}
 		p := so.Probe()
@@ -325,13 +284,8 @@ func SummaryTable(specs []Spec, specObs []*obs.SpecObs) *Table {
 		if so.Failed() {
 			status = "FAILED"
 		}
-		res := so.Resources()
-		t.AddRow(s.ID, so.Wall().Round(time.Microsecond).String(),
-			fmt.Sprintf("%d", p.Fired()), fmt.Sprintf("%d", p.PeakPending()),
-			fmt.Sprintf("%.1f", fast),
-			fmt.Sprintf("%.1f", float64(res.AllocBytes())/(1<<20)),
-			fmt.Sprintf("%d", res.GoroutineHigh()),
-			retries, status)
+		t.AddRow(s.ID, wall, fmt.Sprintf("%d", p.Fired()), fmt.Sprintf("%d", p.PeakPending()),
+			fmt.Sprintf("%.1f", fast), status)
 	}
 	return t
 }

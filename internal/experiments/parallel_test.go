@@ -3,12 +3,17 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"northstar/internal/mc"
 	"northstar/internal/obs"
 	"northstar/internal/sim"
 )
@@ -59,7 +64,7 @@ func TestByIDIndexCoversAll(t *testing.T) {
 // Diffing every worker count against the corpus (not only against the
 // sequential run) means a deterministic-but-wrong parallel refactor
 // cannot pass by being consistently wrong.
-func TestRunAllParallelDeterministic(t *testing.T) {
+func TestRunSuiteDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
 	}
@@ -72,7 +77,7 @@ func TestRunAllParallelDeterministic(t *testing.T) {
 		golden.Write(g)
 	}
 	var ref bytes.Buffer
-	refTabs, err := RunAll(&ref, true)
+	refTabs, err := RunSuite(&ref, Options{Quick: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +86,7 @@ func TestRunAllParallelDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		var buf bytes.Buffer
-		tabs, err := RunAllParallel(&buf, true, workers)
+		tabs, err := RunSuite(&buf, Options{Quick: true, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -272,6 +277,99 @@ func TestRunSpecsObserverAttribution(t *testing.T) {
 	}
 	if got := reg.Scope("suite").Counter("events_fired"); got != 101+2001+51 {
 		t.Errorf("suite events_fired = %d, want %d", got, 101+2001+51)
+	}
+}
+
+// Every number the observer publishes for a spec must belong to that
+// spec, however the work is spread over goroutines. The quick suite runs
+// observed twice: on one suite worker with three mc pool helpers, so the
+// propagator forks child probes across helper goroutines and merges
+// them back, and on four suite workers with no helpers, so specs run
+// side by side. The two registries must agree scope by scope: every
+// counter and histogram exactly, every gauge but the wall-clock
+// host_seconds exactly, except link_busy_seconds and utilization — float
+// sums merged in task-completion order — to 1e-9 relative, and except
+// the counters of speculativeSections.
+func TestObservedMetricsIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite")
+	}
+	t.Cleanup(func() { mc.SetDefaultWorkers(runtime.GOMAXPROCS(0) - 1) })
+	observe := func(workers, helpers int) obs.Snapshot {
+		mc.SetDefaultWorkers(helpers)
+		o := obs.NewSuiteObserver(nil, nil, nil)
+		if _, err := RunSuite(io.Discard, Options{Quick: true, Workers: workers, Observer: o}); err != nil {
+			t.Fatalf("workers=%d helpers=%d: %v", workers, helpers, err)
+		}
+		return o.Registry().Snapshot()
+	}
+	seq, par := observe(1, 3), observe(4, 0)
+	if len(seq.Scopes) != len(All())+1 || len(par.Scopes) != len(seq.Scopes) {
+		t.Fatalf("scopes: %d sequential, %d parallel, want one per spec plus suite (%d)",
+			len(seq.Scopes), len(par.Scopes), len(All())+1)
+	}
+	for i, a := range seq.Scopes {
+		b := par.Scopes[i]
+		if a.Name != b.Name {
+			t.Fatalf("scope %d: %q sequential, %q parallel", i, a.Name, b.Name)
+		}
+		diffScopes(t, a.Name, a, b)
+	}
+}
+
+// speculativeSections are the metric sections whose counters count work
+// a Monte Carlo sweep did and then discarded, so the amount depends on
+// scheduling. E10's interval search simulates grid points whose runs hit
+// the wall-clock cap; mc.ReplicateCensoredSetup skips a replication only
+// once a lower one is known to have capped, so with several shards in
+// flight, replications above the cap may already have run. With one
+// shard none does, so the run with pool helpers may count more, never
+// less.
+var speculativeSections = map[string]bool{"E10/fault": true}
+
+// diffScopes reports where two snapshots of the scope at path disagree,
+// a from the run with pool helpers and b from the one without (see
+// TestObservedMetricsIndependentOfWorkers for the tolerances).
+func diffScopes(t *testing.T, path string, a, b obs.ScopeSnapshot) {
+	t.Helper()
+	if speculativeSections[path] {
+		for name, vb := range b.Counters {
+			if a.Counters[name] < vb {
+				t.Errorf("%s counter %s: %d with pool helpers, below %d without", path, name, a.Counters[name], vb)
+			}
+		}
+	} else if !reflect.DeepEqual(a.Counters, b.Counters) {
+		t.Errorf("%s counters differ:\n%v\n%v", path, a.Counters, b.Counters)
+	}
+	if !reflect.DeepEqual(a.Histograms, b.Histograms) {
+		t.Errorf("%s histograms differ:\n%v\n%v", path, a.Histograms, b.Histograms)
+	}
+	if len(a.Gauges) != len(b.Gauges) {
+		t.Errorf("%s gauges differ:\n%v\n%v", path, a.Gauges, b.Gauges)
+	}
+	for name, va := range a.Gauges {
+		vb, ok := b.Gauges[name]
+		tol := 0.0
+		switch name {
+		case "host_seconds":
+			continue
+		case "link_busy_seconds", "utilization":
+			tol = 1e-9 * math.Max(math.Abs(va), math.Abs(vb))
+		}
+		if !ok || math.Abs(va-vb) > tol {
+			t.Errorf("%s gauge %s: %v vs %v", path, name, va, vb)
+		}
+	}
+	if len(a.Domains) != len(b.Domains) {
+		t.Errorf("%s has %d domains vs %d", path, len(a.Domains), len(b.Domains))
+		return
+	}
+	for i, d := range a.Domains {
+		if d.Name != b.Domains[i].Name {
+			t.Errorf("%s domain %d: %q vs %q", path, i, d.Name, b.Domains[i].Name)
+			continue
+		}
+		diffScopes(t, path+"/"+d.Name, d, b.Domains[i])
 	}
 }
 

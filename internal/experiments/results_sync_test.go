@@ -32,7 +32,7 @@ func TestResultsSync(t *testing.T) {
 	}
 	specs := experiments.All()
 	var stream bytes.Buffer
-	tables, err := experiments.RunAllParallel(&stream, false, 0)
+	tables, err := experiments.RunSuite(&stream, experiments.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,175 +103,52 @@ func TestRunSpecsWatchdogTimeout(t *testing.T) {
 		}},
 		okSpec("W2"),
 	}
-	for _, workers := range []int{1, 3} {
+	// Without an observer there is no Abandon to arbitrate: the watchdog
+	// decides alone.
+	for _, tc := range []struct {
+		workers  int
+		observed bool
+	}{{1, true}, {3, true}, {1, false}} {
+		name := fmt.Sprintf("workers=%d observed=%t", tc.workers, tc.observed)
 		var buf, summary bytes.Buffer
-		observer := obs.NewSuiteObserver(nil, nil, nil)
+		opts := Options{Workers: tc.workers, SpecTimeout: 100 * time.Millisecond}
+		if tc.observed {
+			opts.Observer, opts.Summary = obs.NewSuiteObserver(nil, nil, nil), &summary
+		}
 		start := time.Now()
-		tabs, err := RunSpecs(&buf, specs, Options{
-			Workers: workers, SpecTimeout: 100 * time.Millisecond,
-			Observer: observer, Summary: &summary,
-		})
+		tabs, err := RunSpecs(&buf, specs, opts)
 		if err == nil {
-			t.Fatalf("workers=%d: no error for hung spec", workers)
+			t.Fatalf("%s: no error for hung spec", name)
 		}
 		var te *TimeoutError
 		if !errors.As(err, &te) {
-			t.Fatalf("workers=%d: error %T does not wrap *TimeoutError", workers, err)
+			t.Fatalf("%s: error %T does not wrap *TimeoutError", name, err)
 		}
 		if te.ID != "WH" || te.Timeout != 100*time.Millisecond {
-			t.Fatalf("workers=%d: TimeoutError = {%s %s}", workers, te.ID, te.Timeout)
+			t.Fatalf("%s: TimeoutError = {%s %s}", name, te.ID, te.Timeout)
 		}
 		if !strings.Contains(te.Stacks, "goroutine") {
-			t.Fatalf("workers=%d: timeout error missing goroutine dump", workers)
+			t.Fatalf("%s: timeout error missing goroutine dump", name)
 		}
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
-			t.Fatalf("workers=%d: suite took %s; watchdog did not fire", workers, elapsed)
+			t.Fatalf("%s: suite took %s; watchdog did not fire", name, elapsed)
 		}
 		if tabs[0] == nil || tabs[1] != nil || tabs[2] == nil {
-			t.Fatalf("workers=%d: slots = %v, want [W1 nil W2]", workers, tabs)
+			t.Fatalf("%s: slots = %v, want [W1 nil W2]", name, tabs)
 		}
 		out := buf.String()
 		if !strings.Contains(out, "W1") || !strings.Contains(out, "W2") {
-			t.Fatalf("workers=%d: surviving tables not printed:\n%s", workers, out)
+			t.Fatalf("%s: surviving tables not printed:\n%s", name, out)
+		}
+		if !tc.observed {
+			continue
 		}
 		row := summaryRow(t, summary.String(), "WH")
 		if !strings.Contains(row, "TIMEOUT") {
-			t.Fatalf("workers=%d: summary row for WH not TIMEOUT: %q", workers, row)
+			t.Fatalf("%s: summary row for WH not TIMEOUT: %q", name, row)
 		}
-		if got := observer.Registry().Scope("WH").Counter("timeouts"); got != 1 {
-			t.Fatalf("workers=%d: WH timeouts counter = %d, want 1", workers, got)
-		}
-	}
-}
-
-// A flaky spec that fails once and then succeeds must, with Retries >= 1,
-// end up ok: its table prints, the suite error is nil, and the retry is
-// visible in the summary table and the registry.
-func TestRunSpecsRetryThenSucceed(t *testing.T) {
-	var calls atomic.Int32
-	specs := []Spec{
-		okSpec("R1"),
-		{ID: "RF", Title: "flaky", Run: func(bool) (*Table, error) {
-			if calls.Add(1) == 1 {
-				return nil, errors.New("transient host flake")
-			}
-			tab := &Table{ID: "RF", Title: "flaky", Columns: []string{"v"}}
-			tab.AddRow("ok")
-			return tab, nil
-		}},
-	}
-	var buf, summary bytes.Buffer
-	observer := obs.NewSuiteObserver(nil, nil, nil)
-	tabs, err := RunSpecs(&buf, specs, Options{
-		Workers: 1, Retries: 2, Observer: observer, Summary: &summary,
-	})
-	if err != nil {
-		t.Fatalf("retry did not heal the flake: %v", err)
-	}
-	if tabs[1] == nil || !strings.Contains(buf.String(), "RF") {
-		t.Fatalf("flaky spec's table missing after successful retry:\n%s", buf.String())
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("flaky spec ran %d times, want 2", got)
-	}
-	row := summaryRow(t, summary.String(), "RF")
-	if !strings.Contains(row, "ok") || !fieldEquals(row, "1") {
-		t.Fatalf("summary row for RF should show 1 retry and ok: %q", row)
-	}
-	if got := observer.Registry().Scope("RF").Counter("retries"); got != 1 {
-		t.Fatalf("RF retries counter = %d, want 1", got)
-	}
-	if got := observer.Registry().Scope("suite").Counter("retries"); got != 1 {
-		t.Fatalf("suite retries counter = %d, want 1", got)
-	}
-}
-
-// When every attempt fails, the error reports the attempt count and the
-// registry counts each failed attempt.
-func TestRunSpecsRetryExhausted(t *testing.T) {
-	boom := errors.New("always broken")
-	specs := []Spec{
-		{ID: "RX", Title: "broken", Run: func(bool) (*Table, error) { return nil, boom }},
-	}
-	var buf, summary bytes.Buffer
-	observer := obs.NewSuiteObserver(nil, nil, nil)
-	tabs, err := RunSpecs(&buf, specs, Options{
-		Workers: 1, Retries: 2, Observer: observer, Summary: &summary,
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error %v does not wrap cause", err)
-	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("error %v does not report attempt count", err)
-	}
-	if tabs[0] != nil || buf.Len() != 0 {
-		t.Fatalf("broken spec produced output: %q", buf.String())
-	}
-	row := summaryRow(t, summary.String(), "RX")
-	if !strings.Contains(row, "FAILED") || !fieldEquals(row, "2") {
-		t.Fatalf("summary row for RX should show 2 retries and FAILED: %q", row)
-	}
-	if got := observer.Registry().Scope("RX").Counter("failures"); got != 3 {
-		t.Fatalf("RX failures counter = %d, want 3 (one per attempt)", got)
-	}
-	if got := observer.Registry().Scope("RX").Counter("retries"); got != 2 {
-		t.Fatalf("RX retries counter = %d, want 2", got)
-	}
-}
-
-// A spec whose first attempt hangs and whose retry succeeds must recover:
-// the timeout is retried like any other failure.
-func TestRunSpecsRetryAfterTimeout(t *testing.T) {
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	var calls atomic.Int32
-	specs := []Spec{
-		{ID: "RT", Title: "hangs once", Run: func(bool) (*Table, error) {
-			if calls.Add(1) == 1 {
-				<-release
-				return nil, errors.New("released after abandonment")
-			}
-			tab := &Table{ID: "RT", Title: "hangs once", Columns: []string{"v"}}
-			tab.AddRow("ok")
-			return tab, nil
-		}},
-	}
-	var buf bytes.Buffer
-	observer := obs.NewSuiteObserver(nil, nil, nil)
-	tabs, err := RunSpecs(&buf, specs, Options{
-		Workers: 1, Retries: 1, SpecTimeout: 100 * time.Millisecond, Observer: observer,
-	})
-	if err != nil {
-		t.Fatalf("retry did not recover from the timeout: %v", err)
-	}
-	if tabs[0] == nil || !strings.Contains(buf.String(), "RT") {
-		t.Fatalf("table missing after timeout+retry:\n%s", buf.String())
-	}
-	scope := observer.Registry().Scope("RT")
-	if got := scope.Counter("timeouts"); got != 1 {
-		t.Fatalf("RT timeouts counter = %d, want 1", got)
-	}
-	if got := scope.Counter("retries"); got != 1 {
-		t.Fatalf("RT retries counter = %d, want 1", got)
-	}
-}
-
-// SummaryTable must tolerate a specObs slice shorter than specs (or nil)
-// by emitting "unobserved" rows instead of panicking on the index.
-func TestSummaryTableShortObsSlice(t *testing.T) {
-	specs := []Spec{okSpec("S1"), okSpec("S2"), okSpec("S3")}
-	for _, obsSlice := range [][]*obs.SpecObs{nil, make([]*obs.SpecObs, 1)} {
-		tab := SummaryTable(specs, obsSlice)
-		if err := tab.Validate(); err != nil {
-			t.Fatalf("summary table invalid: %v", err)
-		}
-		if len(tab.Rows) != len(specs) {
-			t.Fatalf("summary has %d rows for %d specs", len(tab.Rows), len(specs))
-		}
-		for i, row := range tab.Rows {
-			if row[len(row)-1] != "unobserved" {
-				t.Fatalf("row %d status = %q, want unobserved", i, row[len(row)-1])
-			}
+		if got := opts.Observer.Registry().Scope("WH").Counter("timeouts"); got != 1 {
+			t.Fatalf("%s: WH timeouts counter = %d, want 1", name, got)
 		}
 	}
 }
@@ -351,15 +228,4 @@ func summaryRow(t *testing.T, summary, id string) string {
 	}
 	t.Fatalf("summary has no row for %s:\n%s", id, summary)
 	return ""
-}
-
-// fieldEquals reports whether any whitespace-separated field of line
-// equals want (used to check the retries column without assuming widths).
-func fieldEquals(line, want string) bool {
-	for _, f := range strings.Fields(line) {
-		if f == want {
-			return true
-		}
-	}
-	return false
 }

@@ -52,7 +52,7 @@ func TestScenariosValidate(t *testing.T) {
 // byte-identical to its pre-refactor golden file at several mc pool
 // widths — sequential, one helper, and many helpers. Sweep sharding may
 // move work between goroutines, never bytes. (Suite-level worker counts
-// 1/2/8 are covered by TestRunAllParallelDeterministic; the pool width
+// 1/2/8 are covered by TestRunSuiteDeterministic; the pool width
 // here is the shard axis the interpreter itself uses.)
 func TestScenarioGoldenAcrossWorkers(t *testing.T) {
 	if testing.Short() {

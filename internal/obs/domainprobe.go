@@ -12,7 +12,7 @@ import (
 
 // DomainProbe aggregates model-level telemetry: it implements
 // network.Probe, fault.Probe, and mgmt.Probe at once, so one probe per
-// experiment attempt observes the simulated cluster — traffic and link
+// experiment observes the simulated cluster — traffic and link
 // occupancy per fabric kind, failure/checkpoint/restart dynamics with a
 // bounded virtual-time timeline, and monitoring heartbeats and
 // detection latencies — the way KernelProbe observes the harness.
@@ -21,7 +21,8 @@ import (
 // bucket by float64 exponent, no math.Log on the hot path) and the
 // probe is written from one goroutine at a time; the suite observer
 // forks children across mc pool goroutines and folds them back with
-// Merge, which only sums and maxes, so totals are deterministic.
+// Merge, which only sums, so merged counts do not depend on merge order
+// (see Merge for the one float sum).
 type DomainProbe struct {
 	net      [network.NumFabricKinds]netKindStats
 	failures uint64
@@ -214,9 +215,12 @@ func (p *DomainProbe) DetectionMeasured(tree bool, latency sim.Time) {
 
 // ---- aggregation ----
 
-// Merge folds q into p: every field is a sum, so merged totals are
-// independent of how work landed on pool goroutines. Timeline entries
-// append up to the cap, overflow counts as dropped. Not safe for
+// Merge folds q into p. Every field is a sum, so the integer counts and
+// histograms are independent of how work landed on pool goroutines. The
+// link-busy time is a float64 sum, and float addition is not
+// associative: merged in task-completion order, it (and the utilization
+// derived from it) can differ in the last bits from run to run. Timeline
+// entries append up to the cap, overflow counts as dropped. Not safe for
 // concurrent use — the suite observer serializes merges.
 func (p *DomainProbe) Merge(q *DomainProbe) {
 	for k := range p.net {
@@ -250,9 +254,6 @@ func (p *DomainProbe) Failures() uint64 { return p.failures }
 
 // Checkpoints returns the number of committed checkpoints observed.
 func (p *DomainProbe) Checkpoints() uint64 { return p.checkpts }
-
-// Restarts returns the number of completed restarts observed.
-func (p *DomainProbe) Restarts() uint64 { return p.restarts }
 
 // Heartbeats returns the heartbeats observed for the given shape.
 func (p *DomainProbe) Heartbeats(tree bool) uint64 {

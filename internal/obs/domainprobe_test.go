@@ -207,7 +207,7 @@ func TestObserverDomainPlumbing(t *testing.T) {
 	tr := NewTrace()
 	o := NewSuiteObserver(reg, tr, nil)
 	o.Begin(1, 1)
-	so := o.StartAttempt("EX", "domain plumbing", 0, 0)
+	so := o.StartAttempt("EX", "domain plumbing", 0)
 
 	// Network: a fabric built through the constructor gets the probe.
 	k := sim.New(1)
@@ -251,7 +251,6 @@ func TestObserverDomainPlumbing(t *testing.T) {
 	if hb := findDomain(t, findDomain(t, ex, "mgmt"), "flat").Counters["heartbeats_sent"]; hb == 0 {
 		t.Error("no heartbeats recorded through the provider")
 	}
-	findDomain(t, ex, "resources")
 
 	// The fault timeline must have landed on the virtual-time trace
 	// process as instants.
@@ -277,13 +276,13 @@ func TestObserverDomainPlumbing(t *testing.T) {
 }
 
 // TestObserverAnalyticSpecHasNoDomainSections pins the Empty() gate: a
-// spec that touches no model package gets resources but no
-// network/fault/mgmt sections.
+// spec that touches no model package gets no network/fault/mgmt
+// sections.
 func TestObserverAnalyticSpecHasNoDomainSections(t *testing.T) {
 	reg := NewRegistry()
 	o := NewSuiteObserver(reg, nil, nil)
 	o.Begin(1, 1)
-	so := o.StartAttempt("AN", "analytic", 0, 0)
+	so := o.StartAttempt("AN", "analytic", 0)
 	so.Done(nil)
 	o.End()
 
@@ -294,9 +293,7 @@ func TestObserverAnalyticSpecHasNoDomainSections(t *testing.T) {
 		}
 	}
 	for _, d := range an.Domains {
-		if d.Name != "resources" {
-			t.Errorf("analytic spec grew a %q domain section", d.Name)
-		}
+		t.Errorf("analytic spec grew a %q domain section", d.Name)
 	}
 }
 

@@ -119,12 +119,6 @@ func (p *KernelProbe) Cancelled() uint64 { return p.cancelled }
 // FastPathHits returns how many schedules took the same-time FIFO.
 func (p *KernelProbe) FastPathHits() uint64 { return p.fastPath }
 
-// Compactions returns how many heap compactions ran.
-func (p *KernelProbe) Compactions() uint64 { return p.compactions }
-
-// CompactedEntries returns the dead entries removed by compactions.
-func (p *KernelProbe) CompactedEntries() uint64 { return p.compacted }
-
 // PeakPending returns the deepest queue observed at a schedule.
 func (p *KernelProbe) PeakPending() int { return p.peakPending }
 

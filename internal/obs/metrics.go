@@ -112,7 +112,7 @@ func (s *Scope) PutHistogram(name string, h *stats.Histogram) {
 // Domain returns the named sub-scope, creating it on first use. Domains
 // nest ("network" -> "packet"), giving snapshots per-domain sections:
 // an experiment scope's harness metrics stay top-level while its model
-// telemetry lands under network/fault/mgmt/resources.
+// telemetry lands under network/fault/mgmt.
 func (s *Scope) Domain(name string) *Scope {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,6 +1,6 @@
 // Package obs is the observability layer for the simulation stack: a
 // kernel probe (KernelProbe, implementing sim.Probe), a metrics registry
-// with per-experiment scopes and stable JSON/text snapshots (Registry),
+// with per-experiment scopes and stable JSON snapshots (Registry),
 // a Chrome trace_event writer loadable in Perfetto (Trace), and a suite
 // observer (SuiteObserver) that wires all three through the experiment
 // runner.
@@ -16,14 +16,18 @@
 // function, and a process-global sim.SetKernelHook attaches the bound
 // probe to every kernel the spec constructs, however deep inside
 // machine/network/sched code. Experiments run synchronously on their
-// worker goroutine, so the binding is exact. One observed suite runs at a
-// time (the hook is process-global); SuiteObserver.Begin panics if a
-// hook is already installed rather than silently replacing it.
+// worker goroutine, so the binding is exact: every count a SpecObs
+// publishes comes from its own bound probes, never from process-wide
+// state, so it does not depend on which specs run beside it. One
+// observed suite runs at a time (the hook is process-global);
+// SuiteObserver.Begin panics if a hook is already installed rather than
+// silently replacing it.
 package obs
 
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,7 +58,6 @@ type SuiteObserver struct {
 	totalFired    uint64
 	totalEvents   uint64
 	totalFailures int64
-	totalRetries  int64
 	totalTimeouts int64
 
 	binding sync.Map // goroutine id (uint64) -> *probeSet
@@ -138,8 +141,7 @@ func (o *SuiteObserver) boundDomain() *DomainProbe {
 }
 
 // End removes the kernel hook and writes suite totals into the "suite"
-// scope (specs/events/failures/retries/timeouts counters, host_seconds
-// gauge).
+// scope (specs/events/failures/timeouts counters, host_seconds gauge).
 func (o *SuiteObserver) End() {
 	network.SetProbeProvider(nil)
 	fault.SetProbeProvider(nil)
@@ -148,14 +150,13 @@ func (o *SuiteObserver) End() {
 	sim.SetKernelHook(nil)
 	o.mu.Lock()
 	fired, scheduled := o.totalFired, o.totalEvents
-	failures, retries, timeouts := o.totalFailures, o.totalRetries, o.totalTimeouts
+	failures, timeouts := o.totalFailures, o.totalTimeouts
 	o.mu.Unlock()
 	s := o.registry.Scope("suite")
 	s.Add("specs", int64(o.total))
 	s.Add("events_fired", int64(fired))
 	s.Add("events_scheduled", int64(scheduled))
 	s.Add("failures", failures)
-	s.Add("retries", retries)
 	s.Add("timeouts", timeouts)
 	s.Set("host_seconds", time.Since(o.start).Seconds())
 }
@@ -175,11 +176,11 @@ func (o *SuiteObserver) attach(k *sim.Kernel) {
 // executes it (saving and restoring that goroutine's previous binding,
 // so inline execution on the submitter works too), and the child's
 // counters are merged into the submitter's probe when the task returns.
-// Merges serialize on a per-Do mutex, and KernelProbe.Merge only sums
-// and maxes, so the spec's totals are deterministic no matter how tasks
-// land on goroutines. Nested Do calls nest naturally: the inner Do's
-// submitter is bound to an outer child probe, which becomes the inner
-// parent.
+// Merges serialize on a per-Do mutex and only sum and max, so the merged
+// counts do not depend on how tasks land on goroutines (only
+// DomainProbe's float link-busy sum may differ in its last bits). Nested
+// Do calls nest naturally: the inner Do's submitter is bound to an outer
+// child probe, which becomes the inner parent.
 func (o *SuiteObserver) forkProbe() func(task func()) {
 	parentAny, ok := o.binding.Load(goid())
 	if !ok {
@@ -207,24 +208,20 @@ func (o *SuiteObserver) forkProbe() func(task func()) {
 	}
 }
 
-// StartAttempt begins observing attempt n of one experiment (0 is the
-// first try). It must be called on the goroutine that will run the spec
-// (the binding is per-goroutine), with the worker index that goroutine
-// represents. The returned SpecObs must be closed with Done on the same
-// goroutine, or with Abandon from a watchdog. Every attempt gets its own
-// SpecObs, probe, and trace slice; attempts n > 0 count into the scope's
-// and suite's "retries" counters when they finish.
-func (o *SuiteObserver) StartAttempt(id, title string, worker, attempt int) *SpecObs {
+// StartAttempt begins observing one experiment. It must be called on the
+// goroutine that will run the spec (the binding is per-goroutine), with
+// the worker index that goroutine represents. The returned SpecObs must
+// be closed with Done on the same goroutine, or with Abandon from a
+// watchdog.
+func (o *SuiteObserver) StartAttempt(id, title string, worker int) *SpecObs {
 	so := &SpecObs{
-		o:       o,
-		id:      id,
-		title:   title,
-		worker:  worker,
-		attempt: attempt,
-		start:   time.Now(),
-		probe:   NewKernelProbe(),
-		domain:  NewDomainProbe(),
-		res:     StartResourceScope(),
+		o:      o,
+		id:     id,
+		title:  title,
+		worker: worker,
+		start:  time.Now(),
+		probe:  NewKernelProbe(),
+		domain: NewDomainProbe(),
 	}
 	o.binding.Store(goid(), &probeSet{kernel: so.probe, domain: so.domain})
 	return so
@@ -238,7 +235,6 @@ type SpecObs struct {
 	id        string
 	title     string
 	worker    int
-	attempt   int
 	start     time.Time
 	finished  atomic.Bool
 	wall      time.Duration
@@ -246,54 +242,86 @@ type SpecObs struct {
 	abandoned bool
 	probe     *KernelProbe
 	domain    *DomainProbe
-	res       *ResourceScope
 }
 
-// Done finishes the observation: it unbinds the probe from the goroutine,
-// publishes the experiment's metrics into the registry scope named by the
-// spec id, records a trace slice on the worker's track, and prints a
-// progress line. err is the spec's failure, nil on success. If the
-// attempt was already abandoned by a watchdog, Done only unbinds: the
-// suite has moved on, and a late result must not perturb its metrics.
+// Done finishes the observation on the spec's goroutine: it unbinds the
+// probes from the goroutine and publishes the result (see finish). err
+// is the spec's failure, nil on success. If the attempt was already
+// abandoned by a watchdog, Done only unbinds: the suite has moved on,
+// and a late result must not perturb its metrics.
 func (so *SpecObs) Done(err error) {
-	o := so.o
-	o.binding.Delete(goid())
-	if !so.finished.CompareAndSwap(false, true) {
-		return // abandoned: the watchdog already finalized this attempt
+	so.o.binding.Delete(goid())
+	if so.finished.CompareAndSwap(false, true) {
+		so.finish(err, false)
 	}
+}
+
+// Abandon finalizes a hung attempt from outside its goroutine (the
+// runner's watchdog); err is the timeout. It reports whether it won the
+// finalization race: false means Done already ran — the spec finished
+// just under the wire — and the caller should use the real result
+// instead.
+func (so *SpecObs) Abandon(err error) bool {
+	if !so.finished.CompareAndSwap(false, true) {
+		return false
+	}
+	so.finish(err, true)
+	return true
+}
+
+// finish publishes the attempt once, for whichever of Done and Abandon
+// won the race: the scope named by the spec id gets host_seconds and a
+// failures counter, the trace a slice on the worker's track, the
+// progress stream one line, and the suite its totals. A finished attempt
+// also publishes its probes' counters. An abandoned one leaves them
+// unread — the hung goroutine may still be writing to them — and counts
+// a timeout instead.
+func (so *SpecObs) finish(err error, abandoned bool) {
+	o := so.o
 	so.wall = time.Since(so.start)
 	so.failed = err != nil
-	so.res.Stop()
+	so.abandoned = abandoned
 
 	scope := o.registry.Scope(so.id)
-	so.probe.PublishTo(scope)
-	if !so.domain.Empty() {
-		so.domain.PublishTo(scope, so.probe.LastVirtualTime().Seconds())
-	}
-	so.res.PublishTo(scope)
 	scope.Set("host_seconds", so.wall.Seconds())
 	if so.failed {
 		scope.Add("failures", 1)
 	}
-	if so.attempt > 0 {
-		scope.Add("retries", 1)
+	var fired, scheduled uint64
+	var timeline []FaultEvent
+	args := map[string]any{"failed": so.failed}
+	events, status := "-", "ok"
+	if abandoned {
+		scope.Add("timeouts", 1)
+		args["timeout"] = true
+		status = "TIMEOUT: " + firstLine(err.Error())
+	} else {
+		fired, scheduled = so.probe.Fired(), so.probe.Scheduled()
+		so.probe.PublishTo(scope)
+		if !so.domain.Empty() {
+			so.domain.PublishTo(scope, so.probe.LastVirtualTime().Seconds())
+		}
+		timeline = so.domain.Timeline()
+		args["events_fired"] = fired
+		args["events_sched"] = scheduled
+		args["fastpath_hits"] = so.probe.FastPathHits()
+		args["peak_pending"] = so.probe.PeakPending()
+		args["virtual_seconds"] = so.probe.LastVirtualTime().Seconds()
+		events = strconv.FormatUint(fired, 10)
+		if so.failed {
+			// A panic error carries a multi-line stack; the progress
+			// stream gets the headline, the suite error the full text.
+			status = "FAILED: " + firstLine(err.Error())
+		}
 	}
 
 	if o.trace != nil {
-		o.trace.Span(so.spanName(), so.worker, so.start, so.wall, map[string]any{
-			"events_fired":    so.probe.Fired(),
-			"events_sched":    so.probe.Scheduled(),
-			"fastpath_hits":   so.probe.FastPathHits(),
-			"peak_pending":    so.probe.PeakPending(),
-			"virtual_seconds": so.probe.LastVirtualTime().Seconds(),
-			"failed":          so.failed,
-			"attempt":         so.attempt,
-		})
-		if tl := so.domain.Timeline(); len(tl) > 0 {
+		o.trace.Span(so.id+": "+so.title, so.worker, so.start, so.wall, args)
+		if len(timeline) > 0 {
 			// The fault timeline lands on the virtual-time process, one
 			// track per spec, timestamps in simulated seconds.
 			o.trace.NameVirtualTrack(so.worker, so.id+" fault timeline")
-			for _, ev := range tl {
+			for _, ev := range timeline {
 				o.trace.VirtualInstant(so.id+" "+ev.Kind, so.worker, ev.At.Seconds(), nil)
 			}
 		}
@@ -302,94 +330,21 @@ func (so *SpecObs) Done(err error) {
 	// The progress line prints under o.mu: the writer need not be
 	// concurrency-safe, and [n/total] counters appear in order.
 	o.mu.Lock()
-	if so.attempt == 0 {
-		o.done++
-	}
-	o.totalFired += so.probe.Fired()
-	o.totalEvents += so.probe.Scheduled()
+	o.done++
+	o.totalFired += fired
+	o.totalEvents += scheduled
 	if so.failed {
 		o.totalFailures++
 	}
-	if so.attempt > 0 {
-		o.totalRetries++
+	if abandoned {
+		o.totalTimeouts++
 	}
 	if o.progress != nil {
-		status := "ok"
-		if so.failed {
-			// A panic error carries a multi-line stack; the progress
-			// stream gets the headline, the suite error the full text.
-			status = "FAILED: " + firstLine(err.Error())
-		}
-		if so.attempt > 0 {
-			status = fmt.Sprintf("(retry %d) %s", so.attempt, status)
-		}
-		fmt.Fprintf(o.progress, "[%2d/%d] %-4s %-42s %10s %12d events  %s\n",
-			o.done, o.total, so.id, so.title,
-			so.wall.Round(time.Microsecond), so.probe.Fired(), status)
-	}
-	o.mu.Unlock()
-}
-
-// Abandon finalizes a hung attempt from outside its goroutine (the
-// runner's watchdog). It reports whether it won the finalization race:
-// false means Done already ran — the spec finished just under the wire —
-// and the caller should use the real result instead. An abandoned
-// attempt's probe stays untouched (the hung goroutine may still be
-// writing to it), so the summary shows no event counts for it; the
-// scope gains failures and timeouts counters and the trace a slice
-// marked timeout.
-func (so *SpecObs) Abandon(err error) bool {
-	if !so.finished.CompareAndSwap(false, true) {
-		return false
-	}
-	so.wall = time.Since(so.start)
-	so.failed = true
-	so.abandoned = true
-	o := so.o
-
-	scope := o.registry.Scope(so.id)
-	scope.Set("host_seconds", so.wall.Seconds())
-	scope.Add("failures", 1)
-	scope.Add("timeouts", 1)
-	if so.attempt > 0 {
-		scope.Add("retries", 1)
-	}
-
-	if o.trace != nil {
-		o.trace.Span(so.spanName(), so.worker, so.start, so.wall, map[string]any{
-			"failed":  true,
-			"timeout": true,
-			"attempt": so.attempt,
-		})
-	}
-
-	o.mu.Lock()
-	if so.attempt == 0 {
-		o.done++
-	}
-	o.totalFailures++
-	o.totalTimeouts++
-	if so.attempt > 0 {
-		o.totalRetries++
-	}
-	if o.progress != nil {
-		status := "TIMEOUT: " + firstLine(err.Error())
-		if so.attempt > 0 {
-			status = fmt.Sprintf("(retry %d) %s", so.attempt, status)
-		}
 		fmt.Fprintf(o.progress, "[%2d/%d] %-4s %-42s %10s %12s events  %s\n",
 			o.done, o.total, so.id, so.title,
-			so.wall.Round(time.Microsecond), "-", status)
+			so.wall.Round(time.Microsecond), events, status)
 	}
 	o.mu.Unlock()
-	return true
-}
-
-func (so *SpecObs) spanName() string {
-	if so.attempt > 0 {
-		return fmt.Sprintf("%s: %s (retry %d)", so.id, so.title, so.attempt)
-	}
-	return so.id + ": " + so.title
 }
 
 // firstLine truncates s at its first newline.
@@ -399,12 +354,6 @@ func firstLine(s string) string {
 	}
 	return s
 }
-
-// ID returns the observed spec's id.
-func (so *SpecObs) ID() string { return so.id }
-
-// Attempt returns the attempt number this SpecObs observed (0 = first).
-func (so *SpecObs) Attempt() int { return so.attempt }
 
 // Wall returns the spec's host wall-clock duration (valid after Done or
 // Abandon).
@@ -426,6 +375,3 @@ func (so *SpecObs) Probe() *KernelProbe { return so.probe }
 // Domain returns the spec's domain probe with its accumulated model
 // telemetry. Do not read it for an Abandoned observation.
 func (so *SpecObs) Domain() *DomainProbe { return so.domain }
-
-// Resources returns the spec's resource samples (valid after Done).
-func (so *SpecObs) Resources() *ResourceScope { return so.res }

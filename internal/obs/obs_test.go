@@ -219,7 +219,7 @@ func TestSuiteObserverBindsPerGoroutine(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			so := o.StartAttempt([]string{"A", "B"}[w], "spec", w, 0)
+			so := o.StartAttempt([]string{"A", "B"}[w], "spec", w)
 			k := sim.New(1) // hook must attach this goroutine's probe
 			if k.Probe() == nil {
 				t.Errorf("worker %d: kernel got no probe", w)
@@ -275,7 +275,7 @@ func TestProgressLinesSerializedAndOrdered(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			so := o.StartAttempt(string(rune('A'+w)), "spec", w%4, 0)
+			so := o.StartAttempt(string(rune('A'+w)), "spec", w%4)
 			so.Done(nil)
 		}(w)
 	}
@@ -316,7 +316,7 @@ func TestSpecObsAbandonThenLateDone(t *testing.T) {
 	var progress bytes.Buffer
 	o := NewSuiteObserver(nil, NewTrace(), &progress)
 	o.Begin(1, 1)
-	so := o.StartAttempt("A", "hangs", 0, 0)
+	so := o.StartAttempt("A", "hangs", 0)
 	if !so.Abandon(errors.New("deadline")) {
 		t.Fatal("Abandon on a live attempt returned false")
 	}
@@ -352,7 +352,7 @@ func TestSpecObsAbandonThenLateDone(t *testing.T) {
 func TestSpecObsDoneBeatsAbandon(t *testing.T) {
 	o := NewSuiteObserver(nil, nil, nil)
 	o.Begin(1, 1)
-	so := o.StartAttempt("A", "fast", 0, 0)
+	so := o.StartAttempt("A", "fast", 0)
 	so.Done(nil)
 	if so.Abandon(errors.New("deadline")) {
 		t.Fatal("Abandon after Done returned true")
@@ -366,43 +366,13 @@ func TestSpecObsDoneBeatsAbandon(t *testing.T) {
 	}
 }
 
-// Retry attempts (attempt > 0) count into the scope's and suite's
-// retries counters and are labeled in the progress stream.
-func TestSpecObsRetryAttemptCounted(t *testing.T) {
-	var progress bytes.Buffer
-	o := NewSuiteObserver(nil, nil, &progress)
-	o.Begin(1, 1)
-	first := o.StartAttempt("A", "flaky", 0, 0)
-	first.Done(errors.New("transient"))
-	second := o.StartAttempt("A", "flaky", 0, 1)
-	second.Done(nil)
-	o.End()
-
-	if first.Attempt() != 0 || second.Attempt() != 1 {
-		t.Fatalf("attempts = %d,%d, want 0,1", first.Attempt(), second.Attempt())
-	}
-	scope := o.Registry().Scope("A")
-	if got := scope.Counter("retries"); got != 1 {
-		t.Errorf("retries = %d, want 1", got)
-	}
-	if got := scope.Counter("failures"); got != 1 {
-		t.Errorf("failures = %d, want 1", got)
-	}
-	if got := o.Registry().Scope("suite").Counter("retries"); got != 1 {
-		t.Errorf("suite retries = %d, want 1", got)
-	}
-	if !strings.Contains(progress.String(), "(retry 1)") {
-		t.Errorf("progress missing retry label:\n%s", progress.String())
-	}
-}
-
 // A multi-line failure (panic stack) must reach the progress stream as a
 // single headline line, not a stack dump per spec.
 func TestProgressTruncatesMultilineErrors(t *testing.T) {
 	var progress bytes.Buffer
 	o := NewSuiteObserver(nil, nil, &progress)
 	o.Begin(1, 1)
-	so := o.StartAttempt("A", "panics", 0, 0)
+	so := o.StartAttempt("A", "panics", 0)
 	so.Done(errors.New("boom\ngoroutine 7 [running]:\nmain.explode()"))
 	o.End()
 	if got := strings.Count(progress.String(), "\n"); got != 1 {

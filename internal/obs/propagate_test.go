@@ -52,7 +52,7 @@ func TestForkProbeAttributesPoolWork(t *testing.T) {
 		o := NewSuiteObserver(nil, nil, nil)
 		o.Begin(1, 1)
 		defer o.End()
-		so := o.StartAttempt("T1", "propagation probe", 0, 0)
+		so := o.StartAttempt("T1", "propagation probe", 0)
 		p := mc.NewPool(helpers)
 		defer p.Close()
 		mc.ForEach(p, 12, func(i int) {
@@ -100,7 +100,7 @@ func TestForkProbeNestedDo(t *testing.T) {
 	o := NewSuiteObserver(nil, nil, nil)
 	o.Begin(1, 1)
 	defer o.End()
-	so := o.StartAttempt("T2", "nested", 0, 0)
+	so := o.StartAttempt("T2", "nested", 0)
 	p := mc.NewPool(3)
 	defer p.Close()
 	mc.ForEach(p, 3, func(i int) {

@@ -55,8 +55,6 @@ const KeyHeader = "X-Northstar-Key"
 // Config configures a Server. The zero value serves the registered
 // scenario inventory with default limits.
 type Config struct {
-	// Scenarios is the served inventory; nil means experiments.Scenarios().
-	Scenarios []*experiments.ScenarioSpec
 	// CacheBytes is the result-cache byte budget over stored response
 	// bodies; <= 0 means DefaultCacheBytes.
 	CacheBytes int64
@@ -67,9 +65,6 @@ type Config struct {
 	PoolWorkers int
 	// MaxBodyBytes caps request bodies; <= 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// Registry receives the serve metrics scope; nil means a fresh
-	// registry (exposed at /varz and via Server.Registry).
-	Registry *obs.Registry
 }
 
 // Request is the POST /v1/scenario body: exactly one of ID (a
@@ -125,14 +120,12 @@ type errorBody struct {
 // Server is the scenario service. Create with New, mount Handler, and
 // Close when done to stop the worker pool.
 type Server struct {
-	scenarios map[string]*experiments.ScenarioSpec
-	order     []string
-	cache     *resultCache
-	pool      *mc.Pool
-	reg       *obs.Registry
-	scope     *obs.Scope
-	maxBody   int64
-	mux       *http.ServeMux
+	cache   *resultCache
+	pool    *mc.Pool
+	reg     *obs.Registry
+	scope   *obs.Scope
+	maxBody int64
+	mux     *http.ServeMux
 
 	// mu guards latency-histogram writes and /varz snapshots —
 	// stats.Histogram is not internally synchronized, so every Add and
@@ -141,12 +134,10 @@ type Server struct {
 	lat *stats.Histogram
 }
 
-// New builds a Server from the config.
+// New builds a Server from the config. It serves the registered
+// scenario inventory, experiments.Scenarios(), and publishes its metrics
+// into a fresh registry (Server.Registry, /varz).
 func New(cfg Config) *Server {
-	inventory := cfg.Scenarios
-	if inventory == nil {
-		inventory = experiments.Scenarios()
-	}
 	budget := cfg.CacheBytes
 	if budget <= 0 {
 		budget = DefaultCacheBytes
@@ -159,27 +150,16 @@ func New(cfg Config) *Server {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	s := &Server{
-		scenarios: make(map[string]*experiments.ScenarioSpec, len(inventory)),
-		cache:     newResultCache(budget),
-		pool:      mc.NewPool(workers - 1),
-		reg:       reg,
-		scope:     reg.Scope("serve"),
-		maxBody:   maxBody,
-		mux:       http.NewServeMux(),
+		cache:   newResultCache(budget),
+		pool:    mc.NewPool(workers - 1),
+		reg:     reg,
+		scope:   reg.Scope("serve"),
+		maxBody: maxBody,
+		mux:     http.NewServeMux(),
 		// Request latencies from 1 us to 100 s, 8 log buckets per decade.
 		lat: stats.NewLogHistogram(1e-6, 100, 64),
-	}
-	for _, sc := range inventory {
-		if _, dup := s.scenarios[sc.ID]; dup {
-			continue
-		}
-		s.scenarios[sc.ID] = sc
-		s.order = append(s.order, sc.ID)
 	}
 	s.scope.PutHistogram("request_seconds", s.lat)
 	s.mux.HandleFunc("POST /v1/scenario", s.handleScenario)
@@ -215,8 +195,8 @@ func (s *Server) resolve(req *Request) (*experiments.ScenarioSpec, int, error) {
 	}
 	base := req.Spec
 	if req.ID != "" {
-		reg, ok := s.scenarios[req.ID]
-		if !ok {
+		reg, err := experiments.ScenarioByID(req.ID)
+		if err != nil {
 			return nil, http.StatusNotFound, fmt.Errorf("unknown scenario id %q", req.ID)
 		}
 		base = reg
@@ -351,9 +331,9 @@ func (s *Server) observe(start time.Time, status int) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	infos := make([]ScenarioInfo, 0, len(s.order))
-	for _, id := range s.order {
-		sc := s.scenarios[id]
+	scenarios := experiments.Scenarios()
+	infos := make([]ScenarioInfo, 0, len(scenarios))
+	for _, sc := range scenarios {
 		infos = append(infos, ScenarioInfo{
 			ID:        sc.ID,
 			Name:      sc.Name,
@@ -368,8 +348,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	sc, ok := s.scenarios[r.PathValue("id")]
-	if !ok {
+	sc, err := experiments.ScenarioByID(r.PathValue("id"))
+	if err != nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown scenario id %q", r.PathValue("id")))
 		return
 	}

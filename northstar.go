@@ -475,7 +475,7 @@ func Experiments() []experiments.Spec { return experiments.All() }
 // RunExperiments executes the whole suite sequentially, printing tables
 // to w. It is RunExperimentsParallel with one worker.
 func RunExperiments(w io.Writer, quick bool) ([]*ExperimentTable, error) {
-	return experiments.RunAll(w, quick)
+	return experiments.RunSuite(w, experiments.Options{Quick: quick, Workers: 1})
 }
 
 // RunExperimentsParallel executes the whole suite on a bounded worker
@@ -485,5 +485,5 @@ func RunExperiments(w io.Writer, quick bool) ([]*ExperimentTable, error) {
 // does not stop the others: its slot in the returned slice is nil and
 // the joined error names it.
 func RunExperimentsParallel(w io.Writer, quick bool, workers int) ([]*ExperimentTable, error) {
-	return experiments.RunAllParallel(w, quick, workers)
+	return experiments.RunSuite(w, experiments.Options{Quick: quick, Workers: workers})
 }
