@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -37,42 +39,53 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// commands maps each subcommand to its implementation. A subcommand
+// writes its report to stdout and its flag diagnostics to stderr.
+var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"project":  cmdProject,
+	"simulate": cmdSimulate,
+	"schedule": cmdSchedule,
+	"faults":   cmdFaults,
+	"explore":  cmdExplore,
+	"serve":    cmdServe,
+	"topo":     cmdTopo,
+	"frontier": cmdFrontier,
+}
+
+// run is the whole command behind the process boundary. It returns the
+// exit status: 0 on success or -h, 1 when the subcommand fails, and 2
+// for an unknown command or bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "project":
-		err = cmdProject(args)
-	case "simulate":
-		err = cmdSimulate(args)
-	case "schedule":
-		err = cmdSchedule(args)
-	case "faults":
-		err = cmdFaults(args)
-	case "explore":
-		err = cmdExplore(args)
-	case "serve":
-		err = cmdServe(args)
-	case "topo":
-		err = cmdTopo(args)
-	case "frontier":
-		err = cmdFrontier(args)
-	case "help", "-h", "--help":
-		usage()
+	cmd, ok := commands[args[0]]
+	if !ok {
+		switch args[0] {
+		case "help", "-h", "--help":
+		default:
+			fmt.Fprintf(stderr, "northstar: unknown command %q\n\n", args[0])
+		}
+		usage(stderr)
+		return 2
+	}
+	switch err := cmd(args[1:], stdout, stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlags):
+		return 2
 	default:
-		fmt.Fprintf(os.Stderr, "northstar: unknown command %q\n\n", cmd)
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "northstar:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "northstar:", err)
+		return 1
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: northstar <command> [flags]
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: northstar <command> [flags]
 
 commands:
   project    project what a budget buys each year under a scenario
@@ -85,7 +98,27 @@ commands:
   frontier   the Pareto menu of buildable configurations at a year
 
 run 'northstar <command> -h' for flags.`)
-	os.Exit(2)
+}
+
+// errFlags reports a flag error the flag package has already printed,
+// with the subcommand's usage, to stderr.
+var errFlags = errors.New("bad flags")
+
+// flagSet returns a subcommand's flag set, reporting to stderr.
+func flagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parseFlags parses args into fs. It returns flag.ErrHelp for -h and
+// errFlags for any other flag error.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errFlags
+	}
+	return err
 }
 
 func scenarioByName(name string) (core.Scenario, error) {
@@ -101,14 +134,16 @@ func scenarioByName(name string) (core.Scenario, error) {
 	return core.Scenario{}, fmt.Errorf("unknown scenario %q (have: %s)", name, strings.Join(names, ", "))
 }
 
-func cmdProject(args []string) error {
-	fs := flag.NewFlagSet("project", flag.ExitOnError)
+func cmdProject(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("project", stderr)
 	budget := fs.Float64("budget", 1e6, "hardware budget, dollars")
 	power := fs.Float64("power", 0, "power cap, watts (0 = none)")
 	scn := fs.String("scenario", "moore-only", "scenario name")
 	from := fs.Float64("from", 2002, "first year")
 	to := fs.Float64("to", 2012, "last year")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	s, err := scenarioByName(*scn)
 	if err != nil {
@@ -123,7 +158,7 @@ func cmdProject(args []string) error {
 	if err != nil {
 		return err
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "year\tnodes\tarch\tfabric\tpeak TF\tsustained TF\tpower kW\tracks\tMTBF")
 	for _, p := range pts {
 		sustained, _ := p.Metrics.LinpackEstimate()
@@ -135,8 +170,8 @@ func cmdProject(args []string) error {
 	return w.Flush()
 }
 
-func cmdSimulate(args []string) error {
-	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
+func cmdSimulate(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("simulate", stderr)
 	nodes := fs.Int("nodes", 64, "cluster size")
 	arch := fs.String("arch", "conventional", "node architecture")
 	fabric := fs.String("fabric", "myrinet-2000", "fabric preset name")
@@ -145,7 +180,9 @@ func cmdSimulate(args []string) error {
 	packet := fs.Bool("packet", false, "packet-level network simulation")
 	topo := fs.String("topo", "fattree", "packet topology: crossbar|fattree|torus2d|torus3d|hypercube")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	preset, err := network.PresetByName(*fabric)
 	if err != nil {
@@ -185,25 +222,27 @@ func cmdSimulate(args []string) error {
 	default:
 		return fmt.Errorf("unknown app %q", *appName)
 	}
-	fmt.Println("machine:", m)
+	fmt.Fprintln(stdout, "machine:", m)
 	rep, err := workload.Execute(m, msg.Options{}, app)
 	if err != nil {
 		return err
 	}
-	fmt.Println("report: ", rep)
-	fmt.Printf("per-rank mean: compute %v, blocked-in-comm %v\n", rep.MeanComputeTime, rep.MeanCommTime)
+	fmt.Fprintln(stdout, "report: ", rep)
+	fmt.Fprintf(stdout, "per-rank mean: compute %v, blocked-in-comm %v\n", rep.MeanComputeTime, rep.MeanCommTime)
 	return nil
 }
 
-func cmdSchedule(args []string) error {
-	fs := flag.NewFlagSet("schedule", flag.ExitOnError)
+func cmdSchedule(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("schedule", stderr)
 	nodes := fs.Int("nodes", 128, "cluster size")
 	jobs := fs.Int("jobs", 2000, "jobs in the synthetic trace")
 	load := fs.Float64("load", 0.85, "offered load")
 	policy := fs.String("policy", "all", "fcfs|easy|conservative|gang|all")
 	seed := fs.Int64("seed", 1, "trace seed")
 	swf := fs.String("swf", "", "replay this SWF trace file instead of generating one")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	var trace []*sched.Job
 	var err error
@@ -215,7 +254,7 @@ func cmdSchedule(args []string) error {
 		defer f.Close()
 		trace, err = sched.ReadSWF(f, *nodes)
 		if err == nil {
-			fmt.Printf("replaying %d jobs from %s\n", len(trace), *swf)
+			fmt.Fprintf(stdout, "replaying %d jobs from %s\n", len(trace), *swf)
 		}
 	} else {
 		trace, err = sched.GenerateTrace(sched.TraceConfig{
@@ -256,19 +295,21 @@ func cmdSchedule(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 	}
 	return nil
 }
 
-func cmdFaults(args []string) error {
-	fs := flag.NewFlagSet("faults", flag.ExitOnError)
+func cmdFaults(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("faults", stderr)
 	nodes := fs.Int("nodes", 4096, "cluster size")
 	nodeMTBFDays := fs.Float64("node-mtbf", 1000, "per-node MTBF, days")
 	repairHours := fs.Float64("repair", 4, "repair time, hours")
 	workHours := fs.Float64("work", 168, "job useful work, hours")
 	deltaMin := fs.Float64("delta", 5, "checkpoint cost, minutes")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	sys := fault.System{
 		Nodes:    *nodes,
@@ -276,9 +317,9 @@ func cmdFaults(args []string) error {
 		Repair:   stats.Constant{V: *repairHours * float64(sim.Hour)},
 	}
 	mtbf := sys.MTBF()
-	fmt.Printf("%d nodes at %.0f-day node MTBF:\n", *nodes, *nodeMTBFDays)
-	fmt.Printf("  system MTBF          %v\n", mtbf)
-	fmt.Printf("  all-up availability  %.4g\n", sys.AllUpAvailability())
+	fmt.Fprintf(stdout, "%d nodes at %.0f-day node MTBF:\n", *nodes, *nodeMTBFDays)
+	fmt.Fprintf(stdout, "  system MTBF          %v\n", mtbf)
+	fmt.Fprintf(stdout, "  all-up availability  %.4g\n", sys.AllUpAvailability())
 
 	c := fault.Checkpoint{
 		Work:     sim.Time(*workHours) * sim.Hour,
@@ -293,27 +334,29 @@ func cmdFaults(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("checkpoint planning for a %.0f h job (delta %.0f min):\n", *workHours, *deltaMin)
-	fmt.Printf("  Young interval       %v\n", young)
-	fmt.Printf("  Daly interval        %v\n", daly)
-	fmt.Printf("  simulated optimum    %v (useful work %.1f%%, %.1f failures/run)\n",
+	fmt.Fprintf(stdout, "checkpoint planning for a %.0f h job (delta %.0f min):\n", *workHours, *deltaMin)
+	fmt.Fprintf(stdout, "  Young interval       %v\n", young)
+	fmt.Fprintf(stdout, "  Daly interval        %v\n", daly)
+	fmt.Fprintf(stdout, "  simulated optimum    %v (useful work %.1f%%, %.1f failures/run)\n",
 		opt, res.UsefulFraction*100, res.MeanFailures)
 	return nil
 }
 
-func cmdExplore(args []string) error {
-	fs := flag.NewFlagSet("explore", flag.ExitOnError)
+func cmdExplore(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("explore", stderr)
 	budget := fs.Float64("budget", 20e6, "hardware budget, dollars")
 	target := fs.Float64("target", 1e15, "sustained flops target")
 	year := fs.Float64("year", 2010, "waterfall evaluation year")
 	lastYear := fs.Float64("last", 2020, "crossing search horizon")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	e := core.Explorer{
 		Constraint: cluster.Constraint{BudgetDollars: *budget},
 		LastYear:   *lastYear,
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "crossing of %s sustained under %s:\n", tech.Engineering(*target, "flop/s"), tech.Dollars(*budget))
 	fmt.Fprintln(w, "scenario\tyear\tnodes\tarch\tfabric")
 	for _, s := range core.Scenarios() {
@@ -330,48 +373,52 @@ func cmdExplore(args []string) error {
 	}
 	w.Flush()
 
-	fmt.Printf("\ninnovation waterfall at %.0f:\n", *year)
+	fmt.Fprintf(stdout, "\ninnovation waterfall at %.0f:\n", *year)
 	steps, err := e.Waterfall(*year, core.Scenarios())
 	if err != nil {
 		return err
 	}
 	base := steps[0].Value
 	for _, s := range steps {
-		fmt.Printf("  %-16s %10s  (%.2fx)\n", s.Scenario,
+		fmt.Fprintf(stdout, "  %-16s %10s  (%.2fx)\n", s.Scenario,
 			tech.Engineering(s.Value, "flop/s"), s.Value/base)
 	}
 	return nil
 }
 
-func cmdTopo(args []string) error {
-	fs := flag.NewFlagSet("topo", flag.ExitOnError)
+func cmdTopo(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("topo", stderr)
 	kind := fs.String("kind", "fattree", "crossbar|fattree|torus2d|torus3d|hypercube")
 	nodes := fs.Int("nodes", 64, "endpoints to cover")
 	failures := fs.Int("failures", 0, "core links to fail before reporting")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	g, err := machine.Topology(*kind).Build(*nodes)
 	if err != nil {
 		return err
 	}
 	g.FailCoreLinks(*failures)
-	fmt.Printf("topology        %s\n", g.Name)
-	fmt.Printf("endpoints       %d\n", g.NumEndpoints())
-	fmt.Printf("switch vertices %d\n", g.Vertices()-g.NumEndpoints())
-	fmt.Printf("links           %d (%d failed)\n", g.Edges(), g.DisabledEdges())
-	fmt.Printf("bisection links %d\n", g.BisectionLinks)
-	fmt.Printf("diameter        %d hops\n", g.Diameter())
-	fmt.Printf("avg distance    %.2f hops\n", g.AvgDistance())
-	fmt.Printf("connected       %v\n", g.AllEndpointsConnected())
+	fmt.Fprintf(stdout, "topology        %s\n", g.Name)
+	fmt.Fprintf(stdout, "endpoints       %d\n", g.NumEndpoints())
+	fmt.Fprintf(stdout, "switch vertices %d\n", g.Vertices()-g.NumEndpoints())
+	fmt.Fprintf(stdout, "links           %d (%d failed)\n", g.Edges(), g.DisabledEdges())
+	fmt.Fprintf(stdout, "bisection links %d\n", g.BisectionLinks)
+	fmt.Fprintf(stdout, "diameter        %d hops\n", g.Diameter())
+	fmt.Fprintf(stdout, "avg distance    %.2f hops\n", g.AvgDistance())
+	fmt.Fprintf(stdout, "connected       %v\n", g.AllEndpointsConnected())
 	return nil
 }
 
-func cmdFrontier(args []string) error {
-	fs := flag.NewFlagSet("frontier", flag.ExitOnError)
+func cmdFrontier(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("frontier", stderr)
 	budget := fs.Float64("budget", 20e6, "hardware budget, dollars")
 	power := fs.Float64("power", 0, "power cap, watts (0 = none)")
 	year := fs.Float64("year", 2008, "technology year")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	e := core.Explorer{Constraint: cluster.Constraint{BudgetDollars: *budget, PowerWatts: *power}}
 	pts, err := e.Frontier(tech.Default2002(), *year)
@@ -379,10 +426,10 @@ func cmdFrontier(args []string) error {
 		return err
 	}
 	if len(pts) == 0 {
-		fmt.Println("no feasible configuration under the constraint")
+		fmt.Fprintln(stdout, "no feasible configuration under the constraint")
 		return nil
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "sustained TF\tcost\tpower kW\tarch\tfabric\tnodes\tpareto")
 	for _, p := range pts {
 		mark := ""

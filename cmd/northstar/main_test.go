@@ -1,0 +1,82 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// goldenRun is one pinned invocation: its stdout must equal
+// testdata/<name>.golden byte for byte. A golden is the CLI's own
+// output, regenerated after an intended change with
+//
+//	go run ./cmd/northstar <args> > cmd/northstar/testdata/<name>.golden
+type goldenRun struct {
+	name string
+	args []string
+}
+
+// goldenRuns covers every subcommand but serve at its defaults, topo on
+// every kind healthy and with three core links failed, and a packet-level
+// simulate on every kind: the outputs routing changes would move.
+func goldenRuns() []goldenRun {
+	var runs []goldenRun
+	for _, cmd := range []string{"project", "simulate", "schedule", "faults", "explore", "topo", "frontier"} {
+		runs = append(runs, goldenRun{cmd, []string{cmd}})
+	}
+	for _, kind := range []string{"crossbar", "fattree", "torus2d", "torus3d", "hypercube"} {
+		for _, f := range []string{"0", "3"} {
+			runs = append(runs, goldenRun{"topo-" + kind + "-failures-" + f, []string{"topo", "-kind", kind, "-failures", f}})
+		}
+		runs = append(runs, goldenRun{"simulate-packet-" + kind, []string{"simulate", "-packet", "-topo", kind}})
+	}
+	return runs
+}
+
+func TestGoldenOutputs(t *testing.T) {
+	for _, r := range goldenRuns() {
+		t.Run(r.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(r.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("northstar %s: exit %d, stderr:\n%s", strings.Join(r.args, " "), code, stderr.String())
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", r.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("northstar %s: stdout differs from testdata/%s.golden\ngot:\n%s\nwant:\n%s",
+					strings.Join(r.args, " "), r.name, stdout.String(), want)
+			}
+		})
+	}
+}
+
+// TestExitStatus pins the process contract: 2 with the usage text for a
+// missing or unknown command and for bad flags, 0 for a subcommand's -h,
+// and 1 with a "northstar:" diagnostic when a subcommand fails. None of
+// them writes to stdout.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"bogus"}, 2, `northstar: unknown command "bogus"`},
+		{nil, 2, "usage: northstar <command>"},
+		{[]string{"help"}, 2, "usage: northstar <command>"},
+		{[]string{"topo", "-h"}, 0, "Usage of topo"},
+		{[]string{"topo", "-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"project", "-scenario", "nope"}, 1, `northstar: unknown scenario "nope"`},
+		{[]string{"topo", "-kind", "nope"}, 1, `northstar: machine: unknown topology "nope"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(c.args, &stdout, &stderr)
+		if code != c.code || !strings.Contains(stderr.String(), c.stderr) || stdout.Len() != 0 {
+			t.Errorf("northstar %q: exit %d, stdout %q, stderr %q; want exit %d and stderr containing %q",
+				c.args, code, stdout.String(), stderr.String(), c.code, c.stderr)
+		}
+	}
+}

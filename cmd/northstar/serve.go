@@ -3,8 +3,8 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -20,13 +20,15 @@ import (
 // evaluating ScenarioSpec requests behind a content-addressed result
 // cache (see internal/serve). It blocks until SIGINT/SIGTERM, then
 // shuts down gracefully.
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+func cmdServe(args []string, _, stderr io.Writer) error {
+	fs := flagSet("serve", stderr)
 	addr := fs.String("addr", "127.0.0.1:8424", "listen address")
 	cacheMB := fs.Int("cache-mb", 64, "result cache budget, MiB of response bodies")
 	pool := fs.Int("pool", 0, "execution width of the request pool (0 = GOMAXPROCS)")
 	maxBodyKB := fs.Int("max-body-kb", 1024, "request body cap, KiB")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if *cacheMB < 1 {
 		return fmt.Errorf("serve: -cache-mb %d: budget must be at least 1 MiB", *cacheMB)
 	}
@@ -49,7 +51,7 @@ func cmdServe(args []string) error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sig
-		fmt.Fprintf(os.Stderr, "northstar: %v, shutting down\n", s)
+		fmt.Fprintf(stderr, "northstar: %v, shutting down\n", s)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		idle <- hs.Shutdown(ctx)
@@ -59,7 +61,7 @@ func cmdServe(args []string) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Fprintf(os.Stderr, "northstar: serving %d scenarios on http://%s (cache %d MiB, pool width %d)\n",
+	fmt.Fprintf(stderr, "northstar: serving %d scenarios on http://%s (cache %d MiB, pool width %d)\n",
 		len(experiments.Scenarios()), *addr, *cacheMB, workers)
 	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err

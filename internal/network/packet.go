@@ -15,11 +15,10 @@ import (
 // O(packets × hops) events per message.
 type PacketNet struct {
 	Counters
-	k       *sim.Kernel
-	p       Preset
-	g       *topology.Graph
-	eps     []int // fabric endpoint -> graph vertex
-	vert2ep map[int]int
+	k   *sim.Kernel
+	p   Preset
+	g   *topology.Graph
+	eps []int // fabric endpoint -> graph vertex
 	// linkFree[2*edge+dir] is when that directed link finishes its
 	// current transmission. dir 0 = A->B.
 	linkFree []sim.Time
@@ -51,11 +50,7 @@ func NewPacketNet(k *sim.Kernel, p Preset, g *topology.Graph) *PacketNet {
 		p:        p,
 		g:        g,
 		eps:      g.Endpoints(),
-		vert2ep:  make(map[int]int, g.NumEndpoints()),
 		linkFree: make([]sim.Time, 2*g.Edges()),
-	}
-	for i, v := range f.eps {
-		f.vert2ep[v] = i
 	}
 	f.SetProbe(newProbe())
 	return f

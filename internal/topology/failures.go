@@ -56,10 +56,10 @@ func (g *Graph) EnableEdge(e int) error {
 	return nil
 }
 
-// publish swaps in a new routing snapshot with an empty tree cache.
-// Callers hold g.mu.
+// publish swaps in a new routing snapshot with an empty tree slot per
+// vertex. Callers hold g.mu.
 func (g *Graph) publish(disabled map[int]bool) {
-	g.routing.Store(&routeState{disabled: disabled, trees: make(map[int]*treeEntry)})
+	g.routing.Store(&routeState{disabled: disabled, trees: make([]treeEntry, len(g.verts))})
 	g.numDisabled.Store(int64(len(disabled)))
 }
 
@@ -113,8 +113,7 @@ func (g *Graph) Reachable(src, dst int) bool {
 	if src == dst {
 		return true
 	}
-	tree := g.tree(dst)
-	return len(tree[src]) > 0
+	return len(g.tree(dst).next(src)) > 0
 }
 
 // AllEndpointsConnected reports whether every endpoint pair remains
@@ -124,9 +123,9 @@ func (g *Graph) AllEndpointsConnected() bool {
 	if len(g.endpoints) == 0 {
 		return false
 	}
-	tree := g.tree(g.endpoints[0])
+	t := g.tree(g.endpoints[0])
 	for _, ep := range g.endpoints {
-		if ep != g.endpoints[0] && len(tree[ep]) == 0 {
+		if ep != g.endpoints[0] && len(t.next(ep)) == 0 {
 			return false
 		}
 	}

@@ -11,9 +11,8 @@ func (g *Graph) Diameter() int {
 	d := 0
 	if len(eps) <= maxExact {
 		for _, dst := range eps {
-			tree := g.tree(dst)
 			for _, src := range eps {
-				if h := g.distVia(tree, src, dst); h > d {
+				if h := g.Dist(src, dst); h > d {
 					d = h
 				}
 			}
@@ -23,9 +22,8 @@ func (g *Graph) Diameter() int {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 64; i++ {
 		dst := eps[rng.Intn(len(eps))]
-		tree := g.tree(dst)
 		for _, src := range eps {
-			if h := g.distVia(tree, src, dst); h > d {
+			if h := g.Dist(src, dst); h > d {
 				d = h
 			}
 		}
@@ -44,12 +42,11 @@ func (g *Graph) AvgDistance() float64 {
 	var total, count float64
 	if len(eps) <= maxExact {
 		for _, dst := range eps {
-			tree := g.tree(dst)
 			for _, src := range eps {
 				if src == dst {
 					continue
 				}
-				total += float64(g.distVia(tree, src, dst))
+				total += float64(g.Dist(src, dst))
 				count++
 			}
 		}
@@ -66,17 +63,4 @@ func (g *Graph) AvgDistance() float64 {
 		count++
 	}
 	return total / count
-}
-
-func (g *Graph) distVia(tree [][]halfEdge, src, dst int) int {
-	d := 0
-	v := src
-	for v != dst {
-		if len(tree[v]) == 0 {
-			return -1
-		}
-		v = tree[v][0].to
-		d++
-	}
-	return d
 }

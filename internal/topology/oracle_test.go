@@ -2,36 +2,199 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// referenceDist is an independent BFS, deliberately not sharing code
-// with Graph.tree, used to pin the analytic oracle.
-func referenceDist(g *Graph, src int) []int {
-	adj := make([][]int, g.Vertices())
+// referenceNextHops is an independent multi-parent BFS toward dst,
+// deliberately not sharing code with Graph.buildTree, used to pin the
+// analytic oracle and the order of every candidate list Route hashes
+// over. next[v] lists the edges that leave v on a shortest path to dst,
+// in the order a breadth-first search from dst discovers them when it
+// scans each vertex's enabled links by ascending edge id; dist[v] is v's
+// hop count to dst, or -1 when v cannot reach it.
+func referenceNextHops(g *Graph, dst int, disabled map[int]bool) (next [][]int, dist []int) {
+	type link struct{ to, edge int }
+	adj := make([][]link, g.Vertices())
 	for e := 0; e < g.Edges(); e++ {
+		if disabled[e] {
+			continue
+		}
 		ed := g.Edge(e)
-		adj[ed.A] = append(adj[ed.A], ed.B)
-		adj[ed.B] = append(adj[ed.B], ed.A)
+		adj[ed.A] = append(adj[ed.A], link{ed.B, e})
+		adj[ed.B] = append(adj[ed.B], link{ed.A, e})
 	}
-	dist := make([]int, g.Vertices())
+	dist = make([]int, g.Vertices())
 	for i := range dist {
 		dist[i] = -1
 	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
+	next = make([][]int, g.Vertices())
+	dist[dst] = 0
+	queue := []int{dst}
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, l := range adj[v] {
+			if dist[l.to] == -1 {
+				dist[l.to] = dist[v] + 1
+				queue = append(queue, l.to)
+			}
+			if dist[l.to] == dist[v]+1 {
+				next[l.to] = append(next[l.to], l.edge)
 			}
 		}
 	}
-	return dist
+	return next, dist
+}
+
+// nextHops returns the edge ids g's cached tree for dst offers at v, in
+// candidate order.
+func nextHops(g *Graph, v, dst int) []int {
+	var out []int
+	for _, e := range g.tree(dst).next(v) {
+		out = append(out, int(e))
+	}
+	return out
+}
+
+// checkTreesMatchReference compares, for every (vertex, destination)
+// pair of g, the candidate list, Dist, Reachable and Route against
+// referenceNextHops under g's current failure set. A destination's lists
+// are all compared before anything walks them, so a wrong hop fails
+// instead of sending a walk round a cycle.
+func checkTreesMatchReference(t *testing.T, g *Graph) {
+	t.Helper()
+	disabled := g.routing.Load().disabled
+	for dst := 0; dst < g.Vertices(); dst++ {
+		next, dist := referenceNextHops(g, dst, disabled)
+		for v := 0; v < g.Vertices(); v++ {
+			if got := nextHops(g, v, dst); !slices.Equal(got, next[v]) {
+				t.Fatalf("%s: next hops %d->%d = %v, reference %v", g.Name, v, dst, got, next[v])
+			}
+		}
+		for v := 0; v < g.Vertices(); v++ {
+			if got := g.Dist(v, dst); got != dist[v] {
+				t.Fatalf("%s: Dist(%d, %d) = %d, reference %d", g.Name, v, dst, got, dist[v])
+			}
+			if got := g.Reachable(v, dst); got != (dist[v] >= 0) {
+				t.Fatalf("%s: Reachable(%d, %d) = %v, reference dist %d", g.Name, v, dst, got, dist[v])
+			}
+			if v == dst || dist[v] < 0 {
+				continue
+			}
+			// Route hashes over the candidate lists; walk the
+			// reference's lists with the same hash.
+			var wantE []int
+			wantV := []int{v}
+			for u, hop := v, 0; u != dst; hop++ {
+				cands := next[u]
+				e := cands[pathHash(v, dst, hop)%uint64(len(cands))]
+				u = g.Edge(e).Other(u)
+				wantE, wantV = append(wantE, e), append(wantV, u)
+			}
+			gotE, gotV := g.Route(v, dst)
+			if !slices.Equal(gotE, wantE) || !slices.Equal(gotV, wantV) {
+				t.Fatalf("%s: Route(%d, %d) = %v via %v, reference %v via %v", g.Name, v, dst, gotE, gotV, wantE, wantV)
+			}
+		}
+	}
+}
+
+// TestTreesMatchReference pins every candidate list, in order, on small
+// instances of every builder, healthy and with core links failed, and on
+// a hand-built graph with parallel links: Route picks
+// cands[pathHash % len], so any reordering moves packets.
+func TestTreesMatchReference(t *testing.T) {
+	builders := []func() *Graph{
+		func() *Graph { return Crossbar(5) },
+		func() *Graph { return FatTree(2, 3) },
+		func() *Graph { return FatTree(4, 2) },
+		func() *Graph { return Torus2D(2, 5) },
+		func() *Graph { return Torus2D(4, 3) },
+		func() *Graph { return Torus3D(2, 3, 4) },
+		func() *Graph { return Torus3D(3, 3, 3) },
+		func() *Graph { return Hypercube(4) },
+		parallelLinks,
+	}
+	for _, build := range builders {
+		g := build()
+		t.Run(g.Name, func(t *testing.T) { checkTreesMatchReference(t, g) })
+		g = build()
+		failed := g.FailCoreLinks(3)
+		t.Run(fmt.Sprintf("%s/failed-%d", g.Name, failed), func(t *testing.T) {
+			checkTreesMatchReference(t, g)
+		})
+	}
+}
+
+// parallelLinks is a small multigraph: doubled NIC and trunk links, so
+// some vertices hold two equal-cost hops to the same neighbor.
+func parallelLinks() *Graph {
+	g := NewGraph("parallel-links")
+	for i := 0; i < 3; i++ {
+		g.AddVertex(Vertex{Endpoint: true})
+	}
+	for i := 0; i < 3; i++ {
+		g.AddVertex(Vertex{})
+	}
+	for _, l := range [][2]int{{0, 3}, {0, 3}, {3, 4}, {3, 4}, {3, 5}, {4, 5}, {4, 1}, {5, 1}, {5, 2}, {2, 4}, {5, 2}} {
+		g.AddEdge(l[0], l[1])
+	}
+	mustFinalize(g)
+	return g
+}
+
+// FuzzTreeMatchesReference checks random multigraphs of up to 16
+// vertices with random links down against the reference BFS. data[0]
+// picks the vertex count and whether the failures land before or after
+// Finalize; each following triple adds a link (a, b) and disables it
+// when the third byte is odd.
+func FuzzTreeMatchesReference(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 0, 0, 1, 1, 1, 2, 0})
+	f.Add([]byte{3, 0, 1, 0, 1, 2, 1, 2, 3, 0, 3, 0, 0})
+	f.Add([]byte{0x85, 0, 1, 0, 1, 2, 1, 2, 3, 0, 3, 4, 0, 4, 0, 0, 0, 2, 0})
+	f.Add([]byte{15, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0, 5, 6, 0, 6, 7, 0, 7, 8, 0, 8, 9, 0,
+		9, 10, 0, 10, 11, 0, 11, 12, 0, 12, 13, 0, 13, 14, 0, 14, 15, 0, 15, 0, 0, 0, 8, 1, 4, 12, 0})
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n, early := 1+int(data[0]&15), data[0]&0x80 != 0
+		g := NewGraph("fuzz")
+		for v := 0; v < n; v++ {
+			g.AddVertex(Vertex{Endpoint: true})
+		}
+		var down []int
+		for i := 1; i+2 < len(data) && g.Edges() < 64; i += 3 {
+			a, b := int(data[i])%n, int(data[i+1])%n
+			if a == b {
+				continue
+			}
+			e := g.AddEdge(a, b)
+			if data[i+2]&1 != 0 {
+				down = append(down, e)
+			}
+		}
+		disable := func() {
+			for _, e := range down {
+				if err := g.DisableEdge(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if early {
+			disable()
+		}
+		_ = g.Finalize() // a disconnected graph still routes what it can
+		if !early {
+			disable()
+		}
+		if got := g.DisabledEdges(); got != len(down) {
+			t.Fatalf("%d edges disabled, want %d", got, len(down))
+		}
+		checkTreesMatchReference(t, g)
+	})
 }
 
 // TestAnalyticDistMatchesBFS pins the closed-form Dist against an
@@ -51,7 +214,7 @@ func TestAnalyticDistMatchesBFS(t *testing.T) {
 				t.Fatalf("%s: regular builder did not attach an analytic oracle", g.Name)
 			}
 			for src := 0; src < g.Vertices(); src++ {
-				want := referenceDist(g, src)
+				_, want := referenceNextHops(g, src, nil)
 				for dst := 0; dst < g.Vertices(); dst++ {
 					if got := g.Dist(src, dst); got != want[dst] {
 						t.Fatalf("%s: Dist(%d, %d) = %d, BFS says %d", g.Name, src, dst, got, want[dst])

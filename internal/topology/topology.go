@@ -13,6 +13,12 @@
 // Hypercube) answer Dist in O(1) from coordinate arithmetic while the
 // failure set is empty; everything else is served from lazily built,
 // once-initialized per-destination BFS trees.
+//
+// A tree is a flat next-hop table: a per-vertex offset into one slice of
+// next-hop edge ids, both int32, listed in the order the BFS reached
+// them. Each failure-set snapshot carries one tree slot per destination
+// vertex, so a lookup is a slice index with no lock, and while the
+// fabric is healthy the builder never consults the failure set.
 package topology
 
 import (
@@ -80,28 +86,39 @@ type Graph struct {
 	// numDisabled mirrors len(routing.disabled) for the lock-free
 	// analytic fast path.
 	numDisabled atomic.Int64
-	// mu serializes the mutators (DisableEdge/EnableEdge).
+	// mu serializes the mutators (DisableEdge/EnableEdge, Finalize).
 	mu sync.Mutex
 }
 
 // routeState is one immutable-failure-set snapshot: the disabled map is
-// never written after publication, and trees are entered under mtx then
-// built exactly once behind their entry's sync.Once.
+// never written after publication, and trees holds one entry per
+// destination vertex, each built exactly once behind its sync.Once.
 type routeState struct {
 	disabled map[int]bool // nil means no failures
-	mtx      sync.Mutex
-	trees    map[int]*treeEntry
+	trees    []treeEntry
 }
 
 type treeEntry struct {
 	once sync.Once
-	tree [][]halfEdge
+	tree tree
 }
+
+// tree is one destination's multi-parent BFS tree, flattened: the next
+// hops from v toward the destination are the edge ids
+// hops[off[v]:off[v+1]], in the order the BFS discovered them.
+type tree struct {
+	off  []int32
+	hops []int32
+}
+
+// next returns the edge ids leaving v on a shortest path to the tree's
+// destination; empty at the destination and where it is unreachable.
+func (t *tree) next(v int) []int32 { return t.hops[t.off[v]:t.off[v+1]] }
 
 // NewGraph returns an empty graph with the given name.
 func NewGraph(name string) *Graph {
 	g := &Graph{Name: name}
-	g.routing.Store(&routeState{trees: make(map[int]*treeEntry)})
+	g.routing.Store(&routeState{})
 	return g
 }
 
@@ -142,13 +159,18 @@ func (g *Graph) Finalize() error {
 		g.adj[e.B] = append(g.adj[e.B], halfEdge{to: e.A, edge: i})
 	}
 	g.final = true
+	// The first snapshot with a tree slot per vertex, keeping any
+	// failures applied before Finalize.
+	g.mu.Lock()
+	g.publish(g.routing.Load().disabled)
+	g.mu.Unlock()
 	if len(g.endpoints) == 0 {
 		return fmt.Errorf("topology: graph %q has no endpoints", g.Name)
 	}
 	// Verify every endpoint can reach endpoint 0.
-	tree := g.tree(g.endpoints[0])
+	t := g.tree(g.endpoints[0])
 	for _, ep := range g.endpoints {
-		if ep != g.endpoints[0] && len(tree[ep]) == 0 {
+		if ep != g.endpoints[0] && len(t.next(ep)) == 0 {
 			return fmt.Errorf("topology: graph %q is disconnected at endpoint %d", g.Name, ep)
 		}
 	}
@@ -178,57 +200,77 @@ func (g *Graph) NumEndpoints() int { return len(g.endpoints) }
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
 // tree returns (building if needed) the multi-parent BFS tree rooted at
-// dst: tree[v] lists the next hops from v that lie on a shortest path to
 // dst. Neighbors are explored in adjacency order, which is deterministic
-// by construction. Safe for concurrent callers: the entry is created
-// under the snapshot's mutex and built exactly once; every caller that
-// raced on the same destination blocks on the same sync.Once and then
-// reads the same immutable tree.
-func (g *Graph) tree(dst int) [][]halfEdge {
+// by construction. Safe for concurrent callers: the snapshot holds one
+// entry per destination, and every caller that raced on the same
+// destination blocks on the same sync.Once and then reads the same
+// immutable tree.
+func (g *Graph) tree(dst int) *tree {
 	if !g.final {
 		panic("topology: routing before Finalize")
 	}
 	st := g.routing.Load()
-	st.mtx.Lock()
-	e := st.trees[dst]
-	if e == nil {
-		e = &treeEntry{}
-		st.trees[dst] = e
-	}
-	st.mtx.Unlock()
+	e := &st.trees[dst]
 	e.once.Do(func() { e.tree = g.buildTree(dst, st.disabled) })
-	return e.tree
+	return &e.tree
 }
 
 // buildTree runs the multi-parent BFS for dst against one immutable
-// failure set.
-func (g *Graph) buildTree(dst int, disabled map[int]bool) [][]halfEdge {
-	dist := make([]int, len(g.verts))
+// failure set. The first pass records the BFS order and each vertex's
+// distance and next-hop count; the second walks the same order again
+// and fills the hops, so each vertex lists its next hops in the order
+// the search reached them, parallel links included. A healthy fabric
+// never consults the failure set.
+func (g *Graph) buildTree(dst int, disabled map[int]bool) tree {
+	n := len(g.verts)
+	failures := len(disabled) > 0
+	dist := make([]int32, n)
 	for i := range dist {
 		dist[i] = -1
 	}
-	tree := make([][]halfEdge, len(g.verts))
+	off := make([]int32, n+1)
+	order := make([]int32, 1, n)
+	order[0] = int32(dst)
 	dist[dst] = 0
-	queue := []int{dst}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		d := dist[v] + 1
 		for _, he := range g.adj[v] {
-			if disabled[he.edge] {
+			if failures && disabled[he.edge] {
 				continue
 			}
-			switch {
-			case dist[he.to] == -1:
-				dist[he.to] = dist[v] + 1
-				tree[he.to] = append(tree[he.to], halfEdge{to: v, edge: he.edge})
-				queue = append(queue, he.to)
-			case dist[he.to] == dist[v]+1:
+			switch dist[he.to] {
+			case -1:
+				dist[he.to] = d
+				order = append(order, int32(he.to))
+				off[he.to+1]++
+			case d:
 				// Another equal-cost next hop toward dst.
-				tree[he.to] = append(tree[he.to], halfEdge{to: v, edge: he.edge})
+				off[he.to+1]++
 			}
 		}
 	}
-	return tree
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	// Fill with off[v] as v's cursor. It stops at v's end, which is
+	// v+1's start, so one shift afterwards restores the offsets.
+	hops := make([]int32, off[n])
+	for _, v := range order {
+		d := dist[v] + 1
+		for _, he := range g.adj[v] {
+			if failures && disabled[he.edge] {
+				continue
+			}
+			if dist[he.to] == d {
+				hops[off[he.to]] = int32(he.edge)
+				off[he.to]++
+			}
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return tree{off: off, hops: hops}
 }
 
 // Route returns the shortest path from endpoint src to endpoint dst as a
@@ -250,18 +292,18 @@ func (g *Graph) RouteAppend(src, dst int, edges, verts []int) ([]int, []int) {
 	if src == dst {
 		return edges, append(verts, src)
 	}
-	tree := g.tree(dst)
+	t := g.tree(dst)
 	verts = append(verts, src)
 	v := src
 	for hop := 0; v != dst; hop++ {
-		cands := tree[v]
+		cands := t.next(v)
 		if len(cands) == 0 {
 			panic(fmt.Sprintf("topology: no route %d->%d in %q", src, dst, g.Name))
 		}
-		he := cands[pathHash(src, dst, hop)%uint64(len(cands))]
-		edges = append(edges, he.edge)
-		verts = append(verts, he.to)
-		v = he.to
+		e := int(cands[pathHash(src, dst, hop)%uint64(len(cands))])
+		v = g.edges[e].Other(v)
+		edges = append(edges, e)
+		verts = append(verts, v)
 	}
 	return edges, verts
 }
@@ -269,7 +311,7 @@ func (g *Graph) RouteAppend(src, dst int, edges, verts []int) ([]int, []int) {
 // Dist returns the hop count of the shortest path between two vertices,
 // or -1 if unreachable. On the regular topologies (crossbar, torus,
 // hypercube) with no disabled edges it is O(1) coordinate arithmetic;
-// otherwise it walks the cached BFS tree for dst.
+// otherwise it walks the first next hops of the cached BFS tree for dst.
 func (g *Graph) Dist(src, dst int) int {
 	if src == dst {
 		return 0
@@ -277,15 +319,14 @@ func (g *Graph) Dist(src, dst int) int {
 	if g.analytic != nil && g.numDisabled.Load() == 0 {
 		return g.analytic.dist(src, dst)
 	}
-	tree := g.tree(dst)
+	t := g.tree(dst)
 	d := 0
-	v := src
-	for v != dst {
-		if len(tree[v]) == 0 {
+	for v := src; v != dst; d++ {
+		cands := t.next(v)
+		if len(cands) == 0 {
 			return -1
 		}
-		v = tree[v][0].to
-		d++
+		v = g.edges[cands[0]].Other(v)
 	}
 	return d
 }
