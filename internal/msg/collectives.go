@@ -39,9 +39,7 @@ func (r *Rank) Barrier() {
 		for round, dist := 0, 1; dist < p; round, dist = round+1, dist*2 {
 			to := (r.id + dist) % p
 			from := (r.id - dist + p) % p
-			req := r.IRecv(from, r.collTag(round))
-			r.Send(to, r.collTag(round), 0)
-			req.Wait()
+			r.SendRecv(to, r.collTag(round), 0, from, r.collTag(round))
 		}
 	case Binomial:
 		r.reduceTree(0, 0, false)

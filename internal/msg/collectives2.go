@@ -106,7 +106,7 @@ func (r *Rank) Scan(bytes int64) {
 	for round, mask := 0, 1; mask < p; round, mask = round+1, mask*2 {
 		var req *Request
 		if r.id-mask >= 0 {
-			req = r.IRecv(r.id-mask, r.collTag(round))
+			req = r.post(&r.recvReq, r.id-mask, r.collTag(round))
 		}
 		if r.id+mask < p {
 			r.Send(r.id+mask, r.collTag(round), bytes)

@@ -8,6 +8,14 @@
 // latencies, which is exactly the substitution DESIGN.md §4 calls out
 // for reproducing user-level messaging results inside a garbage-
 // collected host.
+//
+// Requests: ISend and IRecv return a fresh *Request that belongs to the
+// caller, who may keep it after it completes. Send, Recv and SendRecv
+// wait before they return, so they use two requests the rank owns and
+// reuses instead. The records that carry a message through the fabric
+// (an eager send, a rendezvous handshake) come from free lists on the
+// Comm with their fabric callbacks bound once, so a blocking send or
+// receive allocates nothing in steady state.
 package msg
 
 import (
@@ -84,24 +92,24 @@ func (o Options) withDefaults() Options {
 
 // Comm is a communicator: P ranks bound to the nodes of one machine.
 type Comm struct {
-	mach       *machine.Machine
-	opts       Options
-	ranks      []*Rank
-	nextSendID int64
-	sendOps    map[int64]*sendOp
-	finished   int
-	errs       []error
+	mach     *machine.Machine
+	opts     Options
+	ranks    []*Rank
+	finished int
+	errs     []error
+
+	// Free lists of the records that carry messages through the fabric.
+	freeEager []*eagerSend
+	freeOps   []*sendOp
 }
 
 // NewComm returns a communicator spanning all nodes of m.
 func NewComm(m *machine.Machine, opts Options) *Comm {
-	c := &Comm{
-		mach:    m,
-		opts:    opts.withDefaults(),
-		sendOps: make(map[int64]*sendOp),
-	}
+	c := &Comm{mach: m, opts: opts.withDefaults()}
 	for i := 0; i < m.Ranks(); i++ {
-		c.ranks = append(c.ranks, &Rank{comm: c, id: i})
+		r := &Rank{comm: c, id: i}
+		r.onCopied = r.copied
+		c.ranks = append(c.ranks, r)
 	}
 	if c.opts.Trace != nil {
 		fmt.Fprintln(c.opts.Trace, "time_s,src,dst,tag,bytes,protocol")
@@ -170,12 +178,123 @@ func (c *Comm) Start(fn func(r *Rank)) (sim.Time, error) {
 	return end, nil
 }
 
-// sendOp tracks one rendezvous send from RTS to payload completion.
+// eagerSend carries one eager message through the fabric. Its fabric
+// callbacks are bound once; the fabric calls each exactly once, in
+// either order, and the record goes back on the Comm's free list after
+// both have fired.
+type eagerSend struct {
+	c       *Comm
+	req     *Request // sender's request, until injected
+	dst     *Rank
+	env     envelope
+	pending int // callbacks still to fire
+
+	onInjected, onDelivered func()
+}
+
+func (c *Comm) newEagerSend(req *Request, dst *Rank, env envelope) *eagerSend {
+	var s *eagerSend
+	if n := len(c.freeEager); n > 0 {
+		s = c.freeEager[n-1]
+		c.freeEager = c.freeEager[:n-1]
+	} else {
+		s = &eagerSend{c: c}
+		s.onInjected, s.onDelivered = s.injected, s.delivered
+	}
+	s.req, s.dst, s.env, s.pending = req, dst, env, 2
+	return s
+}
+
+func (s *eagerSend) injected() {
+	req, bytes := s.req, s.env.bytes
+	s.req = nil
+	s.release()
+	req.complete(bytes)
+}
+
+func (s *eagerSend) delivered() {
+	dst, env := s.dst, s.env
+	s.release()
+	dst.deliver(env)
+}
+
+// release counts one fired callback and frees the record after both.
+// Callers copy out what they need first.
+func (s *eagerSend) release() {
+	if s.pending--; s.pending == 0 {
+		s.dst = nil
+		s.c.freeEager = append(s.c.freeEager, s)
+	}
+}
+
+// sendOp carries one rendezvous send from RTS to payload completion.
+// Its handlers for RTS delivery, CTS arrival and the payload's two
+// callbacks are bound once. The RTS envelope points at its op, so the
+// receiver that matches it finds the sender directly. The op goes back
+// on the Comm's free list once both payload callbacks have fired.
 type sendOp struct {
-	id       int64
-	src, dst int
-	tag      int
-	bytes    int64
-	req      *Request // sender's request
-	recvReq  *Request // receiver's matched request (set at CTS time)
+	c       *Comm
+	dst     *Rank
+	env     envelope // the RTS
+	req     *Request // sender's request
+	recvReq *Request // receiver's matched request (set at match time)
+	pending int      // payload callbacks still to fire
+
+	onRTS, onCTS, onInjected, onDelivered func()
+}
+
+func (c *Comm) newSendOp(req *Request, dst *Rank, env envelope) *sendOp {
+	var op *sendOp
+	if n := len(c.freeOps); n > 0 {
+		op = c.freeOps[n-1]
+		c.freeOps = c.freeOps[:n-1]
+	} else {
+		op = &sendOp{c: c}
+		op.onRTS, op.onCTS = op.rtsDelivered, op.ctsArrived
+		op.onInjected, op.onDelivered = op.payloadInjected, op.payloadDelivered
+	}
+	env.kind, env.op = kindRTS, op
+	op.dst, op.env, op.req, op.pending = dst, env, req, 2
+	return op
+}
+
+// rtsDelivered hands the RTS to the receiver's matching.
+func (op *sendOp) rtsDelivered() { op.dst.deliver(op.env) }
+
+// matched records the receive that matched the RTS and sends the CTS
+// back to the sender.
+func (op *sendOp) matched(req *Request) {
+	if op.recvReq != nil {
+		panic(fmt.Sprintf("msg: RTS from rank %d (tag %d) matched twice", op.env.src, op.env.tag))
+	}
+	op.recvReq = req
+	op.c.mach.Fabric().Send(op.dst.id, op.env.src, ctrlBytes, nil, op.onCTS)
+}
+
+// ctsArrived streams the payload once the CTS reaches the sender.
+func (op *sendOp) ctsArrived() {
+	op.c.mach.Fabric().Send(op.env.src, op.dst.id, op.env.bytes, op.onInjected, op.onDelivered)
+}
+
+func (op *sendOp) payloadInjected() {
+	req, bytes := op.req, op.env.bytes
+	op.release()
+	req.complete(bytes)
+}
+
+func (op *sendOp) payloadDelivered() {
+	req, bytes := op.recvReq, op.env.bytes
+	op.release()
+	req.complete(bytes)
+}
+
+// release counts one payload callback and frees the op after both.
+// recvReq stays set until then, so a second match of the same RTS
+// panics. Callers copy out what they need first.
+func (op *sendOp) release() {
+	if op.pending--; op.pending == 0 {
+		op.dst, op.req, op.recvReq = nil, nil, nil
+		op.env.op = nil
+		op.c.freeOps = append(op.c.freeOps, op)
+	}
 }

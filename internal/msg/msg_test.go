@@ -582,12 +582,34 @@ func TestRandomTrafficConservationProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkAllreduce64(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := testMachine(b, 64, network.InfiniBand4X())
-		if _, err := Run(m, Options{}, func(r *Rank) { r.Allreduce(65536) }); err != nil {
-			b.Fatal(err)
-		}
+// TestRendezvousMisusePanics pins the protocol-bug panics of the
+// rendezvous handshake: an RTS that arrives without its send op, and an
+// RTS matched twice.
+func TestRendezvousMisusePanics(t *testing.T) {
+	c := NewComm(gigE(t, 2), Options{})
+	sender, receiver := c.Rank(0), c.Rank(1)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"RTS without op", func() {
+			receiver.IRecv(0, 3)
+			receiver.deliver(envelope{src: 0, tag: 3, bytes: 1 << 20, kind: kindRTS})
+		}},
+		{"RTS matched twice", func() {
+			op := c.newSendOp(&Request{rank: sender}, receiver, envelope{src: 0, tag: 3, bytes: 1 << 20})
+			op.matched(&Request{rank: receiver})
+			op.matched(&Request{rank: receiver})
+		}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.fn()
+		}()
 	}
 }
 

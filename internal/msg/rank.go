@@ -2,6 +2,7 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 
 	"northstar/internal/sim"
 )
@@ -16,8 +17,22 @@ type Rank struct {
 	finished bool
 
 	// MPI-style matching state.
-	posted     []*Request  // posted receives, FIFO
-	unexpected []*envelope // arrived-but-unmatched messages, FIFO
+	posted     []*Request // posted receives, FIFO
+	unexpected []envelope // arrived-but-unmatched messages, FIFO
+
+	// sendReq and recvReq are the requests Send, Recv and SendRecv use.
+	// Each of those waits before it returns, so the two are reused.
+	sendReq, recvReq Request
+
+	// copies holds the local copies (self-sends) in flight, oldest
+	// first from copyHead. A rank's copies run one after another, so
+	// they complete, and are delivered, in send order; copyDone is when
+	// the newest one completes. onCopied is the completion handler,
+	// bound once.
+	copies   []localCopy
+	copyHead int
+	copyDone sim.Time
+	onCopied func()
 
 	// collEpoch numbers collective calls; SPMD programs invoke
 	// collectives in lockstep, so epochs agree across ranks and keep
@@ -49,7 +64,13 @@ type envelope struct {
 	src, tag int
 	bytes    int64
 	kind     kindT
-	sendID   int64 // rendezvous only
+	op       *sendOp // rendezvous only: the sender's handshake
+}
+
+// localCopy is one self-send in flight.
+type localCopy struct {
+	req *Request
+	env envelope
 }
 
 // Request is a pending nonblocking operation. Wait blocks the rank until
@@ -94,12 +115,21 @@ func (r *Rank) Sleep(d sim.Time) { r.proc.Wait(d) }
 // payload injected after the rendezvous handshake for large ones. Tags
 // must be non-negative (negative tags are reserved for collectives).
 func (r *Rank) Send(dst, tag int, bytes int64) {
-	req := r.ISend(dst, tag, bytes)
-	req.Wait()
+	r.sendReq = Request{rank: r}
+	r.isend(&r.sendReq, dst, tag, bytes)
+	r.sendReq.Wait()
 }
 
 // ISend starts a nonblocking send and returns its request.
 func (r *Rank) ISend(dst, tag int, bytes int64) *Request {
+	req := &Request{rank: r}
+	r.isend(req, dst, tag, bytes)
+	return req
+}
+
+// isend starts sending bytes to dst, completing req when the message is
+// locally complete.
+func (r *Rank) isend(req *Request, dst, tag int, bytes int64) {
 	if dst < 0 || dst >= r.Size() {
 		panic(fmt.Sprintf("msg: rank %d sending to invalid rank %d", r.id, dst))
 	}
@@ -108,63 +138,75 @@ func (r *Rank) ISend(dst, tag int, bytes int64) *Request {
 	}
 	r.Stats.BytesSent += bytes
 	r.Stats.MsgsSent++
-	req := &Request{rank: r}
 	c := r.comm
+	env := envelope{src: r.id, tag: tag, bytes: bytes, kind: kindEager}
 
 	if dst == r.id {
 		// Self-send: a local memory copy, delivered through the normal
-		// matching path after the copy time.
+		// matching path once the copy completes. Copies queue behind the
+		// rank's earlier ones, so they cannot overtake each other.
 		c.trace(r.id, dst, tag, bytes, "local")
-		copyTime := c.mach.RankModel().ComputeTime(0, 2*float64(bytes))
-		env := &envelope{src: r.id, tag: tag, bytes: bytes, kind: kindEager}
-		c.mach.Kernel().After(copyTime, func() {
-			req.complete(bytes)
-			r.deliver(env)
-		})
-		return req
+		k := c.mach.Kernel()
+		at := k.Now()
+		if r.copyHead < len(r.copies) {
+			at = r.copyDone
+		}
+		at += c.mach.RankModel().ComputeTime(0, 2*float64(bytes))
+		r.copyDone = at
+		r.copies = append(r.copies, localCopy{req: req, env: env})
+		k.At(at, r.onCopied)
+		return
 	}
 
 	fab := c.mach.Fabric()
 	if bytes <= c.opts.EagerLimit {
 		c.trace(r.id, dst, tag, bytes, "eager")
-		env := &envelope{src: r.id, tag: tag, bytes: bytes, kind: kindEager}
-		dstRank := c.ranks[dst]
-		fab.Send(r.id, dst, bytes+ctrlBytes,
-			func() { req.complete(bytes) },
-			func() { dstRank.deliver(env) })
-		return req
+		s := c.newEagerSend(req, c.ranks[dst], env)
+		fab.Send(r.id, dst, bytes+ctrlBytes, s.onInjected, s.onDelivered)
+		return
 	}
 
 	// Rendezvous: RTS -> (receiver matches) -> CTS -> payload.
 	c.trace(r.id, dst, tag, bytes, "rendezvous")
-	c.nextSendID++
-	op := &sendOp{id: c.nextSendID, src: r.id, dst: dst, tag: tag, bytes: bytes, req: req}
-	c.sendOps[op.id] = op
-	env := &envelope{src: r.id, tag: tag, bytes: bytes, kind: kindRTS, sendID: op.id}
-	dstRank := c.ranks[dst]
-	fab.Send(r.id, dst, ctrlBytes, nil, func() { dstRank.deliver(env) })
-	return req
+	op := c.newSendOp(req, c.ranks[dst], env)
+	fab.Send(r.id, dst, ctrlBytes, nil, op.onRTS)
+}
+
+// copied completes the oldest local copy and delivers its message.
+func (r *Rank) copied() {
+	lc := r.copies[r.copyHead]
+	r.copies[r.copyHead] = localCopy{}
+	if r.copyHead++; r.copyHead == len(r.copies) {
+		r.copies, r.copyHead = r.copies[:0], 0
+	}
+	lc.req.complete(lc.env.bytes)
+	r.deliver(lc.env)
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
 // size. Use AnySource and/or AnyTag as wildcards. It returns the actual
 // source rank alongside the byte count.
 func (r *Rank) Recv(src, tag int) (from int, bytes int64) {
-	req := r.IRecv(src, tag)
+	req := r.post(&r.recvReq, src, tag)
 	bytes = req.Wait()
 	return req.from, bytes
 }
 
 // IRecv posts a nonblocking receive and returns its request.
 func (r *Rank) IRecv(src, tag int) *Request {
+	return r.post(new(Request), src, tag)
+}
+
+// post makes req a receive for (src, tag): it matches the oldest
+// unexpected message that fits, or joins the posted queue.
+func (r *Rank) post(req *Request, src, tag int) *Request {
 	if src != AnySource && (src < 0 || src >= r.Size()) {
 		panic(fmt.Sprintf("msg: rank %d receiving from invalid rank %d", r.id, src))
 	}
-	req := &Request{rank: r, src: src, tag: tag}
-	// Check the unexpected queue first (FIFO matching).
-	for i, env := range r.unexpected {
-		if req.matches(env) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
+	*req = Request{rank: r, src: src, tag: tag}
+	for i := range r.unexpected {
+		if env := r.unexpected[i]; req.matches(&env) {
+			r.unexpected = slices.Delete(r.unexpected, i, i+1)
 			r.consume(req, env)
 			return req
 		}
@@ -177,7 +219,7 @@ func (r *Rank) IRecv(src, tag int) *Request {
 // receive — the deadlock-free exchange primitive ring and pairwise
 // collectives are built from. It returns the received byte count.
 func (r *Rank) SendRecv(dst, sendTag int, bytes int64, src, recvTag int) int64 {
-	req := r.IRecv(src, recvTag)
+	req := r.post(&r.recvReq, src, recvTag)
 	r.Send(dst, sendTag, bytes)
 	return req.Wait()
 }
@@ -195,10 +237,10 @@ func (req *Request) matches(env *envelope) bool {
 
 // deliver handles a message arrival at this rank: match a posted receive
 // or queue as unexpected.
-func (r *Rank) deliver(env *envelope) {
+func (r *Rank) deliver(env envelope) {
 	for i, req := range r.posted {
-		if req.matches(env) {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...)
+		if req.matches(&env) {
+			r.posted = slices.Delete(r.posted, i, i+1)
 			r.consume(req, env)
 			return
 		}
@@ -209,27 +251,16 @@ func (r *Rank) deliver(env *envelope) {
 // consume completes a matched (request, envelope) pair. For eager
 // envelopes the payload has already arrived; for RTS envelopes the
 // receiver issues the CTS and completion happens at payload delivery.
-func (r *Rank) consume(req *Request, env *envelope) {
+func (r *Rank) consume(req *Request, env envelope) {
 	req.from = env.src
 	switch env.kind {
 	case kindEager:
 		req.complete(env.bytes)
 	case kindRTS:
-		c := r.comm
-		op := c.sendOps[env.sendID]
-		if op == nil {
-			panic(fmt.Sprintf("msg: CTS for unknown send %d", env.sendID))
+		if env.op == nil {
+			panic(fmt.Sprintf("msg: RTS from rank %d (tag %d) arrived without its send op", env.src, env.tag))
 		}
-		op.recvReq = req
-		fab := c.mach.Fabric()
-		// CTS control message back to the sender; on its arrival the
-		// sender streams the payload.
-		fab.Send(r.id, op.src, ctrlBytes, nil, func() {
-			delete(c.sendOps, op.id)
-			fab.Send(op.src, op.dst, op.bytes,
-				func() { op.req.complete(op.bytes) },
-				func() { op.recvReq.complete(op.bytes) })
-		})
+		env.op.matched(req)
 	}
 }
 

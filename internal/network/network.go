@@ -37,9 +37,12 @@ type Fabric interface {
 	// Send transfers bytes from endpoint src to endpoint dst.
 	// onInjected fires when the sender's NIC is free for the next message
 	// (local completion); onDelivered fires when the last byte arrives at
-	// dst. Either callback may be nil. bytes must be >= 0; a 0-byte
-	// message still pays latency and overhead (it models a header-only
-	// control message).
+	// dst. Either callback may be nil. Each non-nil callback is called
+	// exactly once, from an event handler, and the two may fire in
+	// either order: callers such as the messaging layer recycle the
+	// record a pair of callbacks is bound to once both have fired.
+	// bytes must be >= 0; a 0-byte message still pays latency and
+	// overhead (it models a header-only control message).
 	Send(src, dst int, bytes int64, onInjected, onDelivered func())
 	// Reset returns the fabric to its just-built state (idle links,
 	// zeroed counters) so a machine can be reused across runs instead of

@@ -328,6 +328,65 @@ func TestFabricMonotonicityProperty(t *testing.T) {
 	}
 }
 
+// TestSendCallsEachCallbackOnce pins the Fabric.Send contract the
+// messaging layer's record pools rely on: every fabric calls each
+// non-nil callback exactly once, whatever the message size, and copes
+// with either callback being nil.
+func TestSendCallsEachCallbackOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		make func(k *sim.Kernel) Fabric
+	}{
+		{"loggp", func(k *sim.Kernel) Fabric { return NewLogGP(k, Myrinet2000(), 16) }},
+		{"packet", func(k *sim.Kernel) Fabric { return NewPacketNet(k, Myrinet2000(), topology.FatTree(4, 2)) }},
+		{"wormhole", func(k *sim.Kernel) Fabric { return NewWormholeNet(k, InfiniBand4X(), topology.FatTree(4, 2), 2) }},
+		{"circuit", func(k *sim.Kernel) Fabric { return NewCircuit(k, OpticalCircuit(), 16) }},
+		{"hierarchical", func(k *sim.Kernel) Fabric {
+			h, err := NewHierarchical(NewLogGP(k, SharedMemory(1e9), 16), NewLogGP(k, Myrinet2000(), 8), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := sim.New(1)
+			f := c.make(k)
+			const msgs = 64
+			var injected, delivered [msgs]int
+			for i := 0; i < msgs; i++ {
+				i := i
+				src, dst := i%16, (i*7+3)%16
+				if src == dst {
+					dst = (dst + 1) % 16
+				}
+				var onInj, onDel func()
+				if i%4 != 1 {
+					onInj = func() { injected[i]++ }
+				}
+				if i%4 != 2 {
+					onDel = func() { delivered[i]++ }
+				}
+				size := []int64{0, 100, 5000, 300 << 10}[i/4%4]
+				k.At(sim.Time(i%5)*sim.Microsecond, func() { f.Send(src, dst, size, onInj, onDel) })
+			}
+			k.Run()
+			for i := 0; i < msgs; i++ {
+				wantInj, wantDel := 1, 1
+				if i%4 == 1 {
+					wantInj = 0
+				}
+				if i%4 == 2 {
+					wantDel = 0
+				}
+				if injected[i] != wantInj || delivered[i] != wantDel {
+					t.Errorf("message %d: onInjected ran %d times, onDelivered %d", i, injected[i], delivered[i])
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkLogGPSend(b *testing.B) {
 	k := sim.New(1)
 	f := NewLogGP(k, InfiniBand4X(), 64)

@@ -144,7 +144,7 @@ func TestWormholeCreditsConserved(t *testing.T) {
 		if l.credits != 3 {
 			t.Fatalf("link %d ends with %d credits, want 3", i, l.credits)
 		}
-		if l.busy || len(l.waiting) != 0 {
+		if l.busy || l.waiting.n != 0 || l.transit.n != 0 || l.landing.n != 0 {
 			t.Fatalf("link %d not quiescent", i)
 		}
 	}

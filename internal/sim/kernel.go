@@ -19,9 +19,12 @@
 // list, cancelled events are deleted lazily with the queue compacted once
 // dead entries outnumber live ones, and events scheduled at the current
 // virtual time — the dominant case for process handoff — bypass the queue
-// entirely via a FIFO. A calendar-queue backend (bucketed sliding time
-// window, see queue_calendar.go) is available through NewOnQueue for
-// benchmarking and differential testing; New always builds the heap.
+// entirely via a FIFO. A Proc binds its wake handlers once when Go
+// spawns it, so a proc handoff (Wait, Resume, Interrupt) schedules a
+// long-lived func value and allocates nothing. A calendar-queue backend
+// (bucketed sliding time window, see queue_calendar.go) is available
+// through NewOnQueue for benchmarking and differential testing; New
+// always builds the heap.
 package sim
 
 import (

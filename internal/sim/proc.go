@@ -29,14 +29,24 @@ import (
 // Proc methods must be called only from the Proc's own coroutine, with
 // the exception of Resume and Interrupt which are called from event
 // handlers or other Procs.
+//
+// A handoff allocates nothing: Go binds the proc's three wake handlers
+// (timer, resume, interrupt) once, and Wait, Resume and Interrupt
+// schedule those bound handlers instead of a fresh closure per event.
+// Resume parks its payload on the Proc until the wake fires.
 type Proc struct {
-	k      *Kernel
-	id     int
-	next   func() (struct{}, bool) // kernel side: hand the token to the proc
-	yield  func(struct{}) bool     // proc side: hand the token back
-	sig    procSignal              // wake payload, set before next
-	waking bool                    // a Resume is already in flight
-	done   bool
+	k         *Kernel
+	id        int
+	next      func() (struct{}, bool) // kernel side: hand the token to the proc
+	yield     func(struct{}) bool     // proc side: hand the token back
+	sig       procSignal              // wake payload, set before next
+	payload   any                     // Resume's payload until its wake fires
+	waking    bool                    // a Resume or Interrupt is already in flight
+	suspended bool                    // parked in Suspend (the only state Resume may wake)
+	done      bool
+
+	// Wake handlers, bound once by Go.
+	onTimer, onResume, onInterrupt func()
 }
 
 type procSignal struct {
@@ -50,11 +60,12 @@ type procSignal struct {
 func (k *Kernel) Go(fn func(p *Proc)) *Proc {
 	k.procs++
 	p := &Proc{k: k, id: k.procs}
+	p.onTimer, p.onResume, p.onInterrupt = p.timerFired, p.resumeFired, p.interruptFired
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		fn(p)
 	})
-	k.After(0, func() { p.deliver(procSignal{}) })
+	k.After(0, p.onTimer)
 	return p
 }
 
@@ -75,7 +86,7 @@ func (p *Proc) Wait(d Time) bool {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative wait %v", d))
 	}
-	h := p.k.After(d, func() { p.deliver(procSignal{}) })
+	h := p.k.After(d, p.onTimer)
 	sig := p.block()
 	if sig.interrupted {
 		h.Cancel()
@@ -88,15 +99,18 @@ func (p *Proc) Wait(d Time) bool {
 // Interrupt. It returns the payload passed to Resume (nil for Interrupt)
 // and whether the wake was a normal Resume.
 func (p *Proc) Suspend() (payload any, resumed bool) {
+	p.suspended = true
 	sig := p.block()
+	p.suspended = false
 	return sig.payload, !sig.interrupted
 }
 
 // Resume wakes a process blocked in Suspend, handing it payload. The wake
 // is scheduled as an event at the current virtual time, preserving
-// deterministic ordering. Resuming a process that is not suspended (or
-// that already has a wake in flight) panics: it indicates a protocol bug
-// in the caller, and silently dropping or queueing wakes would corrupt
+// deterministic ordering. Resuming a process that is not parked in
+// Suspend (finished, not yet started, or in Wait) or that already has a
+// wake in flight panics: it indicates a protocol bug in the caller, and
+// silently dropping, queueing or misdirecting wakes would corrupt
 // virtual-time bookkeeping.
 func (p *Proc) Resume(payload any) {
 	if p.done {
@@ -105,8 +119,12 @@ func (p *Proc) Resume(payload any) {
 	if p.waking {
 		panic("sim: Resume of proc with wake already in flight")
 	}
+	if !p.suspended {
+		panic("sim: Resume of proc not parked in Suspend")
+	}
 	p.waking = true
-	p.k.After(0, func() { p.deliver(procSignal{payload: payload}) })
+	p.payload = payload
+	p.k.After(0, p.onResume)
 }
 
 // Interrupt wakes a process blocked in Wait or Suspend with an
@@ -117,12 +135,25 @@ func (p *Proc) Interrupt() {
 		return
 	}
 	p.waking = true
-	p.k.After(0, func() {
-		if p.done {
-			return
-		}
-		p.deliver(procSignal{interrupted: true})
-	})
+	p.k.After(0, p.onInterrupt)
+}
+
+// timerFired is the wake of Go's start event and of Wait's timer.
+func (p *Proc) timerFired() { p.deliver(procSignal{}) }
+
+// resumeFired is the wake Resume schedules.
+func (p *Proc) resumeFired() {
+	payload := p.payload
+	p.payload = nil
+	p.deliver(procSignal{payload: payload})
+}
+
+// interruptFired is the wake Interrupt schedules.
+func (p *Proc) interruptFired() {
+	if p.done {
+		return
+	}
+	p.deliver(procSignal{interrupted: true})
 }
 
 // deliver hands the control token to the proc; it returns when the proc

@@ -125,8 +125,64 @@ func TestProcDoubleResumePanics(t *testing.T) {
 	k.Run()
 }
 
+// TestProcResumeDuringWaitPanics: Resume wakes only a proc parked in
+// Suspend. Resuming a proc that is in Wait panics and leaves the wait
+// running to its full length, where it once cut the wait short and
+// reported it completed.
+func TestProcResumeDuringWaitPanics(t *testing.T) {
+	k := New(1)
+	var completed bool
+	var woke Time
+	sleeper := k.Go(func(p *Proc) {
+		completed = p.Wait(10)
+		woke = p.Now()
+	})
+	var panicked bool
+	k.Go(func(p *Proc) {
+		p.Wait(1)
+		defer func() { panicked = recover() != nil }()
+		sleeper.Resume("early")
+	})
+	k.Run()
+	if !panicked {
+		t.Fatal("Resume of a proc in Wait did not panic")
+	}
+	if !completed || woke != 10 {
+		t.Fatalf("Wait returned %v at %v, want true at 10", completed, woke)
+	}
+}
+
+// TestProcSuspendAfterWaitNotWokenByStaleTimer: the proc's next Suspend
+// after a Wait is woken by the next Resume and nothing else. A Resume
+// that cut a Wait short once left the wait's timer scheduled, and that
+// stale timer woke the following Suspend with a nil payload.
+func TestProcSuspendAfterWaitNotWokenByStaleTimer(t *testing.T) {
+	k := New(1)
+	var got any
+	var at Time
+	sleeper := k.Go(func(p *Proc) {
+		p.Wait(10)
+		got, _ = p.Suspend()
+		at = p.Now()
+	})
+	k.Go(func(p *Proc) {
+		p.Wait(1)
+		func() {
+			defer func() { _ = recover() }()
+			sleeper.Resume("early")
+		}()
+		p.Wait(19)
+		sleeper.Resume("late")
+	})
+	k.Run()
+	if got != "late" || at != 20 {
+		t.Fatalf("Suspend returned %v at %v, want late at 20", got, at)
+	}
+}
+
 // TestMisusePanics pins the remaining protocol-bug panics: a nil event
-// function, a negative Wait, and a Resume of a finished proc.
+// function, a negative Wait, a Resume of a finished proc and a Resume of
+// a proc that has not started.
 func TestMisusePanics(t *testing.T) {
 	k := New(1)
 	done := k.Go(func(p *Proc) {})
@@ -137,6 +193,7 @@ func TestMisusePanics(t *testing.T) {
 	}{
 		{"nil event", func() { k.At(k.Now(), nil) }},
 		{"resume finished", func() { done.Resume(nil) }},
+		{"resume unstarted", func() { k.Go(func(p *Proc) {}).Resume(nil) }},
 		{"negative wait", func() { k.Go(func(p *Proc) { p.Wait(-1) }); k.Run() }},
 	} {
 		func() {
@@ -181,15 +238,4 @@ func TestManyProcs(t *testing.T) {
 	if finished != n {
 		t.Fatalf("finished %d of %d procs", finished, n)
 	}
-}
-
-func BenchmarkProcContextSwitch(b *testing.B) {
-	k := New(1)
-	k.Go(func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Wait(Microsecond)
-		}
-	})
-	b.ReportAllocs()
-	k.Run()
 }
