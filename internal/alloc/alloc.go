@@ -97,6 +97,9 @@ type ContiguousTorus struct {
 	X, Y, Z int
 	used    []bool
 	free    int
+	// boxes[n] holds width n's candidate box shapes, enumerated on the
+	// first request of that width.
+	boxes [][][3]int
 }
 
 // NewContiguousTorus returns a contiguous allocator over an x×y×z torus.
@@ -104,7 +107,8 @@ func NewContiguousTorus(x, y, z int) *ContiguousTorus {
 	if x <= 0 || y <= 0 || z <= 0 {
 		panic("alloc: torus dims must be positive")
 	}
-	return &ContiguousTorus{X: x, Y: y, Z: z, used: make([]bool, x*y*z), free: x * y * z}
+	n := x * y * z
+	return &ContiguousTorus{X: x, Y: y, Z: z, used: make([]bool, n), free: n, boxes: make([][][3]int, n+1)}
 }
 
 // Name implements Allocator.
@@ -123,7 +127,11 @@ func (c *ContiguousTorus) Alloc(n int) ([]int, bool) {
 	if n <= 0 || n > len(c.used) {
 		panic(fmt.Sprintf("alloc: bad request %d of %d", n, len(c.used)))
 	}
-	dims := c.candidateBoxes(n)
+	dims := c.boxes[n]
+	if dims == nil {
+		dims = c.candidateBoxes(n)
+		c.boxes[n] = dims
+	}
 	for _, d := range dims {
 		if nodes, ok := c.placeBox(d[0], d[1], d[2]); ok {
 			c.free -= len(nodes)
@@ -135,7 +143,7 @@ func (c *ContiguousTorus) Alloc(n int) ([]int, bool) {
 
 // candidateBoxes enumerates box shapes covering n nodes, smallest volume
 // (least internal fragmentation) first, most-cubic first within a
-// volume.
+// volume. The list is never empty: the X×Y footprint fits any width.
 func (c *ContiguousTorus) candidateBoxes(n int) [][3]int {
 	var out [][3]int
 	for a := 1; a <= c.X; a++ {
@@ -161,6 +169,9 @@ func (c *ContiguousTorus) candidateBoxes(n int) [][3]int {
 }
 
 // placeBox scans origins for an all-free a×b×d box and claims the first.
+// A used cell at column x rules out every origin from ox to x, whose
+// boxes all hold it, so the scan resumes at x+1; each row is checked
+// right to left to find the furthest such cell first.
 func (c *ContiguousTorus) placeBox(a, b, d int) ([]int, bool) {
 	for oz := 0; oz+d <= c.Z; oz++ {
 		for oy := 0; oy+b <= c.Y; oy++ {
@@ -168,8 +179,9 @@ func (c *ContiguousTorus) placeBox(a, b, d int) ([]int, bool) {
 			for ox := 0; ox+a <= c.X; ox++ {
 				for z := oz; z < oz+d; z++ {
 					for y := oy; y < oy+b; y++ {
-						for x := ox; x < ox+a; x++ {
+						for x := ox + a - 1; x >= ox; x-- {
 							if c.used[c.idx(x, y, z)] {
+								ox = x
 								continue origin
 							}
 						}
@@ -207,19 +219,23 @@ func (c *ContiguousTorus) Free(nodes []int) {
 // endpoint indices of graph g — the locality cost a job pays for its
 // placement. Endpoint indices refer to g.Endpoints() order.
 func Dilation(g *topology.Graph, endpoints []int) float64 {
-	if len(endpoints) < 2 {
-		return 0
-	}
+	d, _ := dilation(g, endpoints, nil)
+	return d
+}
+
+// dilation is Dilation, listing the endpoints' vertex ids in scratch,
+// which it returns for the next call.
+func dilation(g *topology.Graph, endpoints, scratch []int) (float64, []int) {
 	eps := g.Endpoints()
-	var total float64
-	var count int
-	for i, a := range endpoints {
-		for _, b := range endpoints[i+1:] {
-			total += float64(g.Dist(eps[a], eps[b]))
-			count++
-		}
+	verts := scratch[:0]
+	for _, a := range endpoints {
+		verts = append(verts, eps[a])
 	}
-	return total / float64(count)
+	n := len(verts)
+	if n < 2 {
+		return 0, verts
+	}
+	return float64(g.SumDist(verts)) / float64(n*(n-1)/2), verts
 }
 
 // Result summarizes an allocation-aware FCFS run.
@@ -259,6 +275,7 @@ func SimulateFCFS(a Allocator, g *topology.Graph, jobs []*sched.Job) (Result, er
 	var dilationSum, overSum float64
 	var placed int
 	var usedNodeSeconds float64
+	var verts []int // dilation's scratch
 
 	var dispatch func()
 	dispatch = func() {
@@ -275,7 +292,9 @@ func SimulateFCFS(a Allocator, g *topology.Graph, jobs []*sched.Job) (Result, er
 			head.Start = k.Now()
 			head.End = head.Start + head.Runtime
 			placed++
-			dilationSum += Dilation(g, nodes)
+			var d float64
+			d, verts = dilation(g, nodes, verts)
+			dilationSum += d
 			overSum += float64(len(nodes)) / float64(head.Nodes)
 			usedNodeSeconds += float64(len(nodes)) * float64(head.Runtime)
 			nodesCopy := nodes
@@ -285,12 +304,16 @@ func SimulateFCFS(a Allocator, g *topology.Graph, jobs []*sched.Job) (Result, er
 			})
 		}
 	}
+	// Arrivals fire in submit order, which is jobs order, so one handler
+	// admits the next job each time.
+	arrived := 0
+	arrive := func() {
+		queue = append(queue, jobs[arrived])
+		arrived++
+		dispatch()
+	}
 	for _, j := range jobs {
-		j := j
-		k.At(j.Submit, func() {
-			queue = append(queue, j)
-			dispatch()
-		})
+		k.At(j.Submit, arrive)
 	}
 	k.Run()
 	if len(queue) > 0 {
@@ -319,9 +342,10 @@ func SimulateFCFS(a Allocator, g *topology.Graph, jobs []*sched.Job) (Result, er
 // locality of a scatter allocator under churn, and the standard
 // pessimistic baseline in the placement literature.
 type RandomScatter struct {
-	used []bool
-	free int
-	rng  *rand.Rand
+	used    []bool
+	free    int
+	rng     *rand.Rand
+	freeIdx []int // Alloc's list of free nodes to shuffle
 }
 
 // NewRandomScatter returns a random-scatter allocator over n nodes.
@@ -349,14 +373,15 @@ func (s *RandomScatter) Alloc(n int) ([]int, bool) {
 	if n > s.free {
 		return nil, false
 	}
-	freeIdx := make([]int, 0, s.free)
+	freeIdx := s.freeIdx[:0]
 	for i, u := range s.used {
 		if !u {
 			freeIdx = append(freeIdx, i)
 		}
 	}
+	s.freeIdx = freeIdx
 	s.rng.Shuffle(len(freeIdx), func(i, j int) { freeIdx[i], freeIdx[j] = freeIdx[j], freeIdx[i] })
-	out := freeIdx[:n:n]
+	out := append([]int(nil), freeIdx[:n]...)
 	for _, i := range out {
 		s.used[i] = true
 	}

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -86,6 +88,61 @@ func TestContiguousFragmentation(t *testing.T) {
 	// A 4-node box still fits in either hole.
 	if _, ok := c.Alloc(4); !ok {
 		t.Fatal("4-node box should fit the freed hole")
+	}
+}
+
+// firstFreeBox is the origin scan placeBox replaced, kept as the
+// reference: every origin in z, y, x order, checking the whole box. It
+// returns the first all-free box's cells without claiming them.
+func firstFreeBox(c *ContiguousTorus, a, b, d int) []int {
+	for oz := 0; oz+d <= c.Z; oz++ {
+		for oy := 0; oy+b <= c.Y; oy++ {
+		origin:
+			for ox := 0; ox+a <= c.X; ox++ {
+				var cells []int
+				for z := oz; z < oz+d; z++ {
+					for y := oy; y < oy+b; y++ {
+						for x := ox; x < ox+a; x++ {
+							if c.used[c.idx(x, y, z)] {
+								continue origin
+							}
+							cells = append(cells, c.idx(x, y, z))
+						}
+					}
+				}
+				return cells
+			}
+		}
+	}
+	return nil
+}
+
+// TestPlaceBoxMatchesScan: on random occupancy of small tori, placeBox's
+// skipping scan claims the same first-fit box as checking every origin,
+// for every box shape, or fails where it does.
+func TestPlaceBoxMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		c := NewContiguousTorus(1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(4))
+		fill := rng.Float64()
+		for i := range c.used {
+			c.used[i] = rng.Float64() < fill
+		}
+		for a := 1; a <= c.X; a++ {
+			for b := 1; b <= c.Y; b++ {
+				for d := 1; d <= c.Z; d++ {
+					want := firstFreeBox(c, a, b, d)
+					got, ok := c.placeBox(a, b, d)
+					if ok != (want != nil) || !slices.Equal(got, want) {
+						t.Fatalf("%dx%dx%d torus, %dx%dx%d box: placeBox = %v, %v; scan finds %v",
+							c.X, c.Y, c.Z, a, b, d, got, ok, want)
+					}
+					for _, i := range got {
+						c.used[i] = false
+					}
+				}
+			}
+		}
 	}
 }
 

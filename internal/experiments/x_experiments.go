@@ -362,35 +362,36 @@ func X7Congestion(quick bool) (*Table, error) {
 			"finding: buffer depth barely helps a victim of a *sustained* incast — buffers fill and the congestion tree forms regardless (depth only absorbs transients); deeper buffers even hold slightly more hotspot data in shared switches",
 		},
 	}
-	p := network.InfiniBand4X()
-	run := func(incast, depth int) (sim.Time, error) {
+	// One kernel, fat tree and fabric per buffer depth, reset between
+	// runs: a reset fabric replays a fresh one exactly and keeps its
+	// packet pool and link queues. victim[d] holds the victim flow's
+	// delivery times at depths[d]: alone first, then beside each
+	// incasts[i] incast flows.
+	victim := make([][]sim.Time, len(depths))
+	for d, depth := range depths {
 		k := sim.New(1)
-		g := topology.FatTree(4, 2)
-		wh := network.NewWormholeNet(k, p, g, depth)
-		for i := 0; i < incast; i++ {
-			wh.Send(4+i, 1, 4<<20, nil, nil)
-		}
-		var done sim.Time
-		wh.Send(5, 2, 256<<10, nil, func() { done = k.Now() })
-		k.Run()
-		return done, nil
-	}
-	base := map[int]sim.Time{}
-	for _, depth := range depths {
-		b, err := run(0, depth)
-		if err != nil {
-			return nil, err
-		}
-		base[depth] = b
-	}
-	for _, incast := range incasts {
-		row := []any{incast}
-		for _, depth := range depths {
-			v, err := run(incast, depth)
-			if err != nil {
-				return nil, err
+		wh := network.NewWormholeNet(k, network.InfiniBand4X(), topology.FatTree(4, 2), depth)
+		run := func(incast int) sim.Time {
+			k.Reset()
+			wh.Reset()
+			for i := 0; i < incast; i++ {
+				wh.Send(4+i, 1, 4<<20, nil, nil)
 			}
-			row = append(row, float64(v)*1e3, float64(v)/float64(base[depth]))
+			var done sim.Time
+			wh.Send(5, 2, 256<<10, nil, func() { done = k.Now() })
+			k.Run()
+			return done
+		}
+		victim[d] = append(victim[d], run(0))
+		for _, incast := range incasts {
+			victim[d] = append(victim[d], run(incast))
+		}
+	}
+	for i, incast := range incasts {
+		row := []any{incast}
+		for d := range depths {
+			v := victim[d][1+i]
+			row = append(row, float64(v)*1e3, float64(v)/float64(victim[d][0]))
 		}
 		t.AddRow(row...)
 	}

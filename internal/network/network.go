@@ -206,12 +206,23 @@ func Presets() []Preset {
 	return []Preset{FastEthernet(), GigabitEthernet(), Myrinet2000(), QsNet(), InfiniBand4X(), OpticalCircuit()}
 }
 
-// PresetByName returns the built-in preset with the given name.
+// PresetByName returns the built-in preset with the given name. It
+// builds only that preset: model validation and sizing loops call it
+// once per candidate.
 func PresetByName(name string) (Preset, error) {
-	for _, p := range Presets() {
-		if p.Name == name {
-			return p, nil
-		}
+	switch name {
+	case "fast-ethernet":
+		return FastEthernet(), nil
+	case "gigabit-ethernet":
+		return GigabitEthernet(), nil
+	case "myrinet-2000":
+		return Myrinet2000(), nil
+	case "qsnet-elan3":
+		return QsNet(), nil
+	case "infiniband-4x":
+		return InfiniBand4X(), nil
+	case "optical-circuit":
+		return OpticalCircuit(), nil
 	}
 	return Preset{}, fmt.Errorf("network: unknown preset %q", name)
 }

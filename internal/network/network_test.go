@@ -43,13 +43,21 @@ func TestPresetOrdering(t *testing.T) {
 	}
 }
 
+// TestPresetByName: every built-in preset's name finds an equal preset
+// without allocating, and an unknown name is an error naming it.
 func TestPresetByName(t *testing.T) {
-	p, err := PresetByName("infiniband-4x")
-	if err != nil || p.Name != "infiniband-4x" {
-		t.Fatalf("PresetByName = %v, %v", p, err)
+	for _, want := range Presets() {
+		got, err := PresetByName(want.Name)
+		if err != nil || got != want {
+			t.Errorf("PresetByName(%q) = %+v, %v; want %+v", want.Name, got, err, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = PresetByName(want.Name) }); allocs != 0 {
+			t.Errorf("PresetByName(%q) allocated %v times per call", want.Name, allocs)
+		}
 	}
-	if _, err := PresetByName("token-ring"); err == nil {
-		t.Fatal("unknown preset did not error")
+	_, err := PresetByName("token-ring")
+	if err == nil || err.Error() != `network: unknown preset "token-ring"` {
+		t.Fatalf("PresetByName(unknown) error = %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"northstar/internal/sim"
@@ -101,5 +103,62 @@ func TestFabricResetZeroesCounters(t *testing.T) {
 	f.Reset()
 	if f.Messages != 0 || f.Bytes != 0 {
 		t.Fatalf("counters after reset: %d msgs, %d bytes", f.Messages, f.Bytes)
+	}
+}
+
+// TestWormholeResetReplays: under congestion — a seeded incast of 1–8
+// flows onto one hotspot plus a victim flow between two other
+// endpoints — a wormhole fat tree reused through Reset gives
+// bit-identical delivery times and Stalls to a freshly built kernel and
+// fabric, at buffer depths 2 and 8, whatever ran on it before. X7
+// reuses one fabric per depth on this contract.
+func TestWormholeResetReplays(t *testing.T) {
+	type result struct {
+		delivered []uint64 // math.Float64bits of each message's delivery time
+		stalls    int64
+	}
+	run := func(k *sim.Kernel, f *WormholeNet, seed int64) result {
+		rng := rand.New(rand.NewSource(seed))
+		perm := rng.Perm(16)
+		hot, victim, from := perm[0], perm[1], perm[2]
+		var res result
+		send := func(src, dst int, bytes int64) {
+			i := len(res.delivered)
+			res.delivered = append(res.delivered, 0)
+			f.Send(src, dst, bytes, nil, func() { res.delivered[i] = math.Float64bits(float64(k.Now())) })
+		}
+		for _, src := range perm[3 : 4+rng.Intn(8)] {
+			send(src, hot, int64(64<<10+rng.Intn(1<<20)))
+		}
+		send(from, victim, 256<<10)
+		k.Run()
+		res.stalls = f.Stalls
+		return res
+	}
+	for _, depth := range []int{2, 8} {
+		k := sim.New(1)
+		reused := NewWormholeNet(k, InfiniBand4X(), topology.FatTree(4, 2), depth)
+		var stalls int64
+		for seed := int64(1); seed <= 6; seed++ {
+			k.Reset()
+			reused.Reset()
+			got := run(k, reused, seed)
+			kf := sim.New(1)
+			want := run(kf, NewWormholeNet(kf, InfiniBand4X(), topology.FatTree(4, 2), depth), seed)
+			if got.stalls != want.stalls || len(got.delivered) != len(want.delivered) {
+				t.Fatalf("depth %d seed %d: reset fabric stalled %d times over %d messages, fresh %d over %d",
+					depth, seed, got.stalls, len(got.delivered), want.stalls, len(want.delivered))
+			}
+			for i := range got.delivered {
+				if got.delivered[i] != want.delivered[i] || got.delivered[i] == 0 {
+					t.Fatalf("depth %d seed %d: message %d delivered at %v after a reset, %v fresh",
+						depth, seed, i, math.Float64frombits(got.delivered[i]), math.Float64frombits(want.delivered[i]))
+				}
+			}
+			stalls += got.stalls
+		}
+		if stalls == 0 {
+			t.Fatalf("depth %d: no run stalled, so no congestion tree formed", depth)
+		}
 	}
 }

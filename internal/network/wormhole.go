@@ -58,7 +58,7 @@ type WormholeNet struct {
 	starting fifo[*wmsg] // messages waiting out the sender overhead
 	onStart  func()      // bound start handler
 	freeMsgs []*wmsg
-	freePkts []*wpacket
+	freePkts *wpacket // linked through next, so the pool never regrows a slice
 	// Per-send routing scratch.
 	scrEdges []int
 	scrVerts []int
@@ -94,9 +94,10 @@ type wmsg struct {
 type wpacket struct {
 	msg     *wmsg
 	size    int64
-	hop     int  // next link index to traverse
-	inbound int  // directed link whose buffer slot we occupy (-1 at source)
-	last    bool // last packet of its message: clearing the first link completes the send locally
+	hop     int      // next link index to traverse
+	inbound int      // directed link whose buffer slot we occupy (-1 at source)
+	last    bool     // last packet of its message: clearing the first link completes the send locally
+	next    *wpacket // next free packet while pooled
 }
 
 // NewWormholeNet builds a wormhole fabric over g with the preset's
@@ -293,8 +294,8 @@ func (l *wlink) landed() {
 	f := l.f
 	pkt := l.landing.pop()
 	m := pkt.msg
-	*pkt = wpacket{}
-	f.freePkts = append(f.freePkts, pkt)
+	*pkt = wpacket{next: f.freePkts}
+	f.freePkts = pkt
 	if m.pending--; m.pending > 0 {
 		return
 	}
@@ -322,9 +323,8 @@ func (f *WormholeNet) newMsg() *wmsg {
 }
 
 func (f *WormholeNet) newPacket() *wpacket {
-	if n := len(f.freePkts); n > 0 {
-		pkt := f.freePkts[n-1]
-		f.freePkts = f.freePkts[:n-1]
+	if pkt := f.freePkts; pkt != nil {
+		f.freePkts = pkt.next
 		return pkt
 	}
 	return &wpacket{}

@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"northstar/internal/sim"
 )
@@ -49,12 +52,16 @@ func Simulate(nodes int, jobs []*Job, p Policy) (Result, error) {
 			})
 		}
 	}
+	// Arrivals fire in submit order, which is jobs order, so one handler
+	// admits the next job each time.
+	arrived := 0
+	arrive := func() {
+		queue = append(queue, jobs[arrived])
+		arrived++
+		dispatch()
+	}
 	for _, j := range jobs {
-		j := j
-		k.At(j.Submit, func() {
-			queue = append(queue, j)
-			dispatch()
-		})
+		k.At(j.Submit, arrive)
 	}
 	k.Run()
 	if len(queue) > 0 || len(running) > 0 {
@@ -123,18 +130,17 @@ func (EASY) Pick(now sim.Time, free int, queue, running []*Job) []*Job {
 
 	// Reservation for the blocked head: walk running jobs (plus the ones
 	// just picked) by estimated completion until enough nodes free up.
-	type rel struct {
-		end   sim.Time
-		nodes int
-	}
-	rels := make([]rel, 0, len(running)+len(picks))
+	// slices.SortFunc runs the same pdqsort as sort.Slice, so equal ends
+	// keep the order they always had.
+	rp := releases.Get().(*[]release)
+	rels := (*rp)[:0]
 	for _, j := range running {
-		rels = append(rels, rel{j.Start + j.Estimate, j.Nodes})
+		rels = append(rels, release{j.Start + j.Estimate, j.Nodes})
 	}
 	for _, j := range picks {
-		rels = append(rels, rel{now + j.Estimate, j.Nodes})
+		rels = append(rels, release{now + j.Estimate, j.Nodes})
 	}
-	sort.Slice(rels, func(a, b int) bool { return rels[a].end < rels[b].end })
+	slices.SortFunc(rels, func(a, b release) int { return cmp.Compare(a.end, b.end) })
 	avail := free
 	shadow := sim.Forever
 	extra := 0
@@ -146,6 +152,8 @@ func (EASY) Pick(now sim.Time, free int, queue, running []*Job) []*Job {
 			break
 		}
 	}
+	*rp = rels
+	releases.Put(rp)
 	if free >= head.Nodes { // cannot happen (head didn't fit), defensive
 		return picks
 	}
@@ -167,6 +175,17 @@ func (EASY) Pick(now sim.Time, free int, queue, running []*Job) []*Job {
 	return picks
 }
 
+// release is when a running or just-picked job is estimated to end and
+// the nodes it frees then.
+type release struct {
+	end   sim.Time
+	nodes int
+}
+
+// releases recycles the release list of every EASY.Pick that reserves
+// for a blocked head; simulations on different goroutines share it.
+var releases = sync.Pool{New: func() any { return new([]release) }}
+
 // Conservative is conservative backfilling: every queued job holds a
 // reservation at its earliest feasible start (by estimates), and a job
 // may only backfill if doing so delays no earlier reservation. It trades
@@ -186,7 +205,8 @@ func (Conservative) Pick(now sim.Time, free int, queue, running []*Job) []*Job {
 	}
 	// Size the breakpoint arrays for the reservations about to be laid
 	// down (two breakpoints each) so split never regrows them.
-	prof := newProfileCap(now, total, 2*(len(running)+len(queue))+2)
+	prof := profiles.Get().(*profile)
+	prof.init(now, total, 2*(len(running)+len(queue))+2)
 	for _, j := range running {
 		prof.reserve(now, j.Start+j.Estimate, j.Nodes)
 	}
@@ -198,6 +218,7 @@ func (Conservative) Pick(now sim.Time, free int, queue, running []*Job) []*Job {
 			picks = append(picks, j)
 		}
 	}
+	profiles.Put(prof)
 	return picks
 }
 
@@ -208,12 +229,19 @@ type profile struct {
 	free  []int      // free[i] applies on [times[i], times[i+1])
 }
 
-func newProfileCap(now sim.Time, free int, capHint int) *profile {
-	times := make([]sim.Time, 2, capHint)
-	times[0], times[1] = now, sim.Forever
-	frees := make([]int, 1, capHint)
-	frees[0] = free
-	return &profile{times: times, free: frees}
+// profiles recycles the profile of every Conservative.Pick; simulations
+// on different goroutines share it.
+var profiles = sync.Pool{New: func() any { return new(profile) }}
+
+// init resets p to free nodes over [now, forever), with room for
+// capHint breakpoints.
+func (p *profile) init(now sim.Time, free int, capHint int) {
+	if cap(p.times) < capHint {
+		p.times = make([]sim.Time, 0, capHint)
+		p.free = make([]int, 0, capHint)
+	}
+	p.times = append(p.times[:0], now, sim.Forever)
+	p.free = append(p.free[:0], free)
 }
 
 // split ensures t is a breakpoint and returns its index.
@@ -245,7 +273,9 @@ func (p *profile) reserve(from, to sim.Time, n int) {
 }
 
 // earliest returns the first breakpoint time at which n nodes are free
-// for the whole duration d.
+// for the whole duration d. It makes one pass: when the window from
+// breakpoint i first runs short at breakpoint j, every start from i to j
+// also covers j, so the search resumes after j.
 func (p *profile) earliest(n int, d sim.Time) sim.Time {
 	for i := 0; i < len(p.free); i++ {
 		if p.free[i] < n {
@@ -253,16 +283,14 @@ func (p *profile) earliest(n int, d sim.Time) sim.Time {
 		}
 		start := p.times[i]
 		end := start + d
-		ok := true
-		for j := i; j < len(p.free) && p.times[j] < end; j++ {
-			if p.free[j] < n {
-				ok = false
-				break
-			}
+		j := i + 1
+		for j < len(p.free) && p.times[j] < end && p.free[j] >= n {
+			j++
 		}
-		if ok {
+		if j == len(p.free) || p.times[j] >= end {
 			return start
 		}
+		i = j
 	}
 	panic("sched: profile has no feasible slot") // unreachable: tail is full capacity minus running
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -153,6 +154,38 @@ func TestConservativeBackfills(t *testing.T) {
 	}
 	if jobs[1].Start != 100 {
 		t.Errorf("reserved job started at %v, want 100", jobs[1].Start)
+	}
+}
+
+// TestBackfillConcurrentSimulations runs conservative and EASY
+// simulations on several goroutines at once, as E8 does, so that -race
+// checks the pools their picks share; each must match a sequential run.
+func TestBackfillConcurrentSimulations(t *testing.T) {
+	trace, err := GenerateTrace(TraceConfig{Jobs: 300, MaxNodes: 32, Load: 0.9, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Policy{Conservative{}, EASY{}} {
+		want, err := Simulate(32, cloneJobs(trace), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := make([]Result, 4)
+		errs := make([]error, len(results))
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = Simulate(32, cloneJobs(trace), p)
+			}()
+		}
+		wg.Wait()
+		for i, got := range results {
+			if errs[i] != nil || got != want {
+				t.Errorf("%s, goroutine %d: %+v, %v; sequential run %+v", p.Name(), i, got, errs[i], want)
+			}
+		}
 	}
 }
 

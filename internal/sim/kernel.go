@@ -185,8 +185,8 @@ type Kernel struct {
 
 	free    []*event // payload free list; bounded by peak pending events
 	seq     uint64
-	seed    int64 // construction seed, replayed by Reset
-	rng     *rand.Rand
+	seed    int64      // construction seed, replayed by Reset
+	rng     *rand.Rand // built from seed by the first Rand call
 	fired   uint64
 	stopped bool
 
@@ -205,7 +205,7 @@ func New(seed int64) *Kernel { return NewOnQueue(seed, QueueHeap) }
 
 // NewOnQueue is New with an explicit queue backend.
 func NewOnQueue(seed int64, kind QueueKind) *Kernel {
-	k := &Kernel{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	k := &Kernel{seed: seed}
 	if kind == QueueCalendar {
 		k.qc, k.onCal = &calendarQueue{}, true
 	} else {
@@ -241,14 +241,21 @@ func (k *Kernel) Reset() {
 	k.fired = 0
 	k.stopped = false
 	k.procs = 0
-	k.rng = rand.New(rand.NewSource(k.seed))
+	k.rng = nil
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Rand returns the kernel's deterministic random source.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+// Rand returns the kernel's deterministic random source, seeded from
+// the construction seed. It is built on the first call: most models
+// draw nothing, and a source costs about 5 KB.
+func (k *Kernel) Rand() *rand.Rand {
+	if k.rng == nil {
+		k.rng = rand.New(rand.NewSource(k.seed))
+	}
+	return k.rng
+}
 
 // Fired reports how many events have executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }

@@ -46,6 +46,30 @@ func TestKernelResetReplaysIdentically(t *testing.T) {
 	}
 }
 
+// The random source is built by the first Rand call and dropped by
+// Reset, so a reset kernel draws a fresh kernel's sequence whether its
+// source was never built, built, or partly consumed before the reset.
+func TestKernelResetDrawsMatchFresh(t *testing.T) {
+	draws := func(k *Kernel) [8]int64 {
+		var out [8]int64
+		for i := range out {
+			out[i] = k.Rand().Int63()
+		}
+		return out
+	}
+	want := draws(New(42))
+	for _, before := range []int{0, 1, 5} {
+		k := New(42)
+		for i := 0; i < before; i++ {
+			k.Rand().Int63()
+		}
+		k.Reset()
+		if got := draws(k); got != want {
+			t.Errorf("after %d draws and a reset: %v, fresh kernel draws %v", before, got, want)
+		}
+	}
+}
+
 // Cancelled events are lazily deleted; Reset must drain them rather
 // than mistake them for pending work.
 func TestKernelResetDrainsCancelled(t *testing.T) {

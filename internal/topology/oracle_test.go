@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -253,6 +254,58 @@ func TestAnalyticBypassedUnderFailures(t *testing.T) {
 	}
 	if got := g.Dist(eps[0], eps[1]); got != before {
 		t.Errorf("Dist after repair = %d, want %d", got, before)
+	}
+}
+
+// TestSumDistMatchesPairwise pins SumDist to the sum of pairwise Dist on
+// random vertex lists with repeats, over small instances of every
+// builder (healthy, and with core links failed so the sum takes the
+// fallback), and Torus3D(11,11,11), whose router space is too large for
+// the dense table. SumDist allocates nothing once the routing state it
+// reads is built.
+func TestSumDistMatchesPairwise(t *testing.T) {
+	builders := []func() *Graph{
+		func() *Graph { return Crossbar(5) },
+		func() *Graph { return FatTree(2, 3) },
+		func() *Graph { return FatTree(4, 2) },
+		func() *Graph { return Torus2D(2, 5) },
+		func() *Graph { return Torus2D(4, 3) },
+		func() *Graph { return Torus3D(2, 3, 4) },
+		func() *Graph { return Torus3D(3, 3, 3) },
+		func() *Graph { return Torus3D(11, 11, 11) },
+		func() *Graph { return Hypercube(4) },
+		parallelLinks,
+	}
+	rng := rand.New(rand.NewSource(1))
+	check := func(t *testing.T, g *Graph) {
+		for trial := 0; trial < 20; trial++ {
+			verts := make([]int, rng.Intn(14))
+			for i := range verts {
+				verts[i] = rng.Intn(g.Vertices())
+			}
+			if len(verts) > 2 {
+				verts[len(verts)-1] = verts[0]
+			}
+			want := 0
+			for i := range verts {
+				for j := i + 1; j < len(verts); j++ {
+					want += g.Dist(verts[i], verts[j])
+				}
+			}
+			if got := g.SumDist(verts); got != want {
+				t.Fatalf("SumDist(%v) = %d, pairwise Dist sums to %d", verts, got, want)
+			}
+			if allocs := testing.AllocsPerRun(2, func() { g.SumDist(verts) }); allocs != 0 {
+				t.Fatalf("SumDist(%v) allocated %v times per call", verts, allocs)
+			}
+		}
+	}
+	for _, build := range builders {
+		g := build()
+		t.Run(g.Name, func(t *testing.T) { check(t, g) })
+		g = build()
+		failed := g.FailCoreLinks(3)
+		t.Run(fmt.Sprintf("%s/failed-%d", g.Name, failed), func(t *testing.T) { check(t, g) })
 	}
 }
 

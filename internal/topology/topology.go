@@ -331,6 +331,40 @@ func (g *Graph) Dist(src, dst int) int {
 	return d
 }
 
+// SumDist returns the sum of Dist(verts[i], verts[j]) over every pair
+// i < j; a vertex listed twice contributes 0 for that pair. On a
+// healthy regular topology small enough for the dense router-distance
+// table it reads one table row per vertex, which all-pairs callers such
+// as placement dilation need; otherwise it calls Dist for each pair.
+func (g *Graph) SumDist(verts []int) int {
+	sum := 0
+	a := g.analytic
+	var table []uint8
+	if a != nil && g.numDisabled.Load() == 0 {
+		table = a.denseTable()
+	}
+	if table == nil {
+		for i, u := range verts {
+			for _, v := range verts[i+1:] {
+				sum += g.Dist(u, v)
+			}
+		}
+		return sum
+	}
+	nr, router, leg := int(a.nr), a.router, a.leg
+	for i, u := range verts {
+		row := table[int(router[u])*nr:][:nr]
+		lu := int(leg[u])
+		for _, v := range verts[i+1:] {
+			if v != u {
+				// Distinct vertices at one router read the zero diagonal.
+				sum += lu + int(leg[v]) + int(row[router[v]])
+			}
+		}
+	}
+	return sum
+}
+
 // pathHash mixes (src, dst, hop) into a stable pseudo-random value
 // (splitmix64 finalizer).
 func pathHash(src, dst, hop int) uint64 {
