@@ -287,9 +287,8 @@ func TestRunSpecsObserverAttribution(t *testing.T) {
 // them back, and on four suite workers with no helpers, so specs run
 // side by side. The two registries must agree scope by scope: every
 // counter and histogram exactly, every gauge but the wall-clock
-// host_seconds exactly, except link_busy_seconds and utilization — float
-// sums merged in task-completion order — to 1e-9 relative, and except
-// the counters of speculativeSections.
+// host_seconds exactly, except link_busy_seconds — a float sum merged in
+// task-completion order — to 1e-9 relative.
 func TestObservedMetricsIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
@@ -317,28 +316,12 @@ func TestObservedMetricsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// speculativeSections are the metric sections whose counters count work
-// a Monte Carlo sweep did and then discarded, so the amount depends on
-// scheduling. E10's interval search simulates grid points whose runs hit
-// the wall-clock cap; mc.ReplicateCensoredSetup skips a replication only
-// once a lower one is known to have capped, so with several shards in
-// flight, replications above the cap may already have run. With one
-// shard none does, so the run with pool helpers may count more, never
-// less.
-var speculativeSections = map[string]bool{"E10/fault": true}
-
 // diffScopes reports where two snapshots of the scope at path disagree,
 // a from the run with pool helpers and b from the one without (see
 // TestObservedMetricsIndependentOfWorkers for the tolerances).
 func diffScopes(t *testing.T, path string, a, b obs.ScopeSnapshot) {
 	t.Helper()
-	if speculativeSections[path] {
-		for name, vb := range b.Counters {
-			if a.Counters[name] < vb {
-				t.Errorf("%s counter %s: %d with pool helpers, below %d without", path, name, a.Counters[name], vb)
-			}
-		}
-	} else if !reflect.DeepEqual(a.Counters, b.Counters) {
+	if !reflect.DeepEqual(a.Counters, b.Counters) {
 		t.Errorf("%s counters differ:\n%v\n%v", path, a.Counters, b.Counters)
 	}
 	if !reflect.DeepEqual(a.Histograms, b.Histograms) {
@@ -353,7 +336,7 @@ func diffScopes(t *testing.T, path string, a, b obs.ScopeSnapshot) {
 		switch name {
 		case "host_seconds":
 			continue
-		case "link_busy_seconds", "utilization":
+		case "link_busy_seconds":
 			tol = 1e-9 * math.Max(math.Abs(va), math.Abs(vb))
 		}
 		if !ok || math.Abs(va-vb) > tol {

@@ -1,13 +1,15 @@
-// Package experiments implements the full evaluation suite E1–E12 from
-// DESIGN.md §3. The source paper is a keynote abstract with no published
+// Package experiments implements the full evaluation suite from
+// DESIGN.md §3: experiments E1–E12 with E5b and E6b, and extensions
+// X1–X7. The source paper is a keynote abstract with no published
 // tables, so each experiment here operationalizes one of the abstract's
 // claims (DESIGN.md §1 maps claims to experiments); EXPERIMENTS.md
 // records the expected shape versus what these functions measure.
 //
 // Every experiment returns a Table that renders as aligned text or CSV,
-// and is callable both from cmd/experiments and from the root-level
-// benchmarks. Experiments taking a `quick` flag shrink their sweeps for
-// CI; the full settings reproduce the committed EXPERIMENTS.md numbers.
+// and is callable from cmd/experiments, from the scenario service and
+// from the benchmark module. Experiments taking a `quick` flag shrink
+// their sweeps for CI; the full settings reproduce the committed
+// EXPERIMENTS.md numbers.
 package experiments
 
 import (

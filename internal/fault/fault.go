@@ -84,18 +84,15 @@ func (s System) FirstFailureMeanSharded(p *mc.Pool, runs int, seed int64, shards
 	}
 	first := stats.MinOf(s.Lifetime, s.Nodes)
 	firsts := make([]float64, runs)
-	// The probe lookup walks the goroutine-local registry, so fetch it
-	// once per shard rather than per replication; it is stable for the
-	// shard task's lifetime.
-	mc.ReplicateSetup(p, shards, runs, seed, newProbe, func(r int, rng *rand.Rand, probe Probe) {
+	mc.Replicate(p, shards, runs, seed, func(r int, rng *rand.Rand) {
 		firsts[r] = first.Sample(rng)
-		if probe != nil {
-			probe.Failure(sim.Time(firsts[r]))
-		}
 	})
 	var sum float64
 	for _, f := range firsts {
 		sum += f
+	}
+	if probe := newProbe(); probe != nil {
+		probe.Estimated(int64(runs), 0, 0)
 	}
 	return sim.Time(sum / float64(runs))
 }
@@ -208,9 +205,10 @@ func (c Checkpoint) SimulateSharded(p *mc.Pool, runs int, seed int64, shards int
 // oneRun holds the tallies of a single checkpointed execution, stored
 // per replication so the sharded reduction can run in index order.
 type oneRun struct {
-	wall     float64
-	lost     float64
-	failures int
+	wall        float64
+	lost        float64
+	failures    int
+	checkpoints int
 }
 
 // simulate is the validated core of SimulateSharded.
@@ -224,15 +222,11 @@ func (c Checkpoint) simulate(p *mc.Pool, runs int, seed int64, shards int) Resul
 	// bias every mean. ReplicateCensored preserves the sequential
 	// break-at-first-cap semantics: only runs before the first capped one
 	// enter the statistics.
-	// The probe is fetched once per shard (ReplicateCensoredSetup): the
-	// lookup walks the goroutine-local registry and is stable for the
-	// shard task's lifetime, and per-replication fetches dominated the
-	// observed runs of the checkpoint sweeps.
-	firstCapped := mc.ReplicateCensoredSetup(p, shards, runs, seed, newProbe, func(r int, rng *rand.Rand, probe Probe) bool {
+	firstCapped := mc.ReplicateCensored(p, shards, runs, seed, func(r int, rng *rand.Rand) bool {
 		t := 0.0    // wall clock
 		done := 0.0 // checkpointed useful work
 		runLost := 0.0
-		runFailures := 0
+		runFailures, runCheckpoints := 0, 0
 		capped := false
 		nextFail := fail.Sample(rng)
 		for done < float64(c.Work) {
@@ -254,8 +248,8 @@ func (c Checkpoint) simulate(p *mc.Pool, runs int, seed int64, shards int) Resul
 				// Segment (and its checkpoint) completes.
 				t += segCost
 				done += seg
-				if probe != nil && !final {
-					probe.Checkpoint(sim.Time(t))
+				if !final {
+					runCheckpoints++
 				}
 				continue
 			}
@@ -268,13 +262,9 @@ func (c Checkpoint) simulate(p *mc.Pool, runs int, seed int64, shards int) Resul
 			}
 			runLost += workedBeforeFailure
 			t = nextFail + float64(c.Restart)
-			if probe != nil {
-				probe.Failure(sim.Time(nextFail))
-				probe.Restart(sim.Time(t))
-			}
 			nextFail = t + fail.Sample(rng)
 		}
-		recs[r] = oneRun{wall: t, lost: runLost, failures: runFailures}
+		recs[r] = oneRun{wall: t, lost: runLost, failures: runFailures, checkpoints: runCheckpoints}
 		return capped
 	})
 	completed := firstCapped // every run below the first capped one finished
@@ -282,11 +272,16 @@ func (c Checkpoint) simulate(p *mc.Pool, runs int, seed int64, shards int) Resul
 		return Result{MeanCompletion: sim.Forever, Censored: true}
 	}
 	var total, lost float64
-	var failures int
+	var failures, checkpoints int
 	for r := 0; r < completed; r++ {
 		total += recs[r].wall
 		lost += recs[r].lost
 		failures += recs[r].failures
+		checkpoints += recs[r].checkpoints
+	}
+	if probe := newProbe(); probe != nil {
+		// Every failure in a finished run was followed by a restart.
+		probe.Estimated(int64(failures), int64(checkpoints), int64(failures))
 	}
 	mean := total / float64(completed)
 	return Result{

@@ -1,42 +1,32 @@
 package fault
 
-import (
-	"sync/atomic"
+import "sync/atomic"
 
-	"northstar/internal/sim"
-)
-
-// Probe observes the fault models' event stream: failures struck,
-// checkpoints committed, restarts completed, each stamped with the
-// replication's virtual time. Like network.Probe it is nil by default
-// and every hook site is a single nil-check, so unobserved simulations
-// pay one atomic load per replication and nothing per event.
-//
-// Probe methods are called from Monte Carlo pool goroutines; the
-// provider returns a per-goroutine probe (or nil), so implementations
-// need no locking. Probes observe tallies, they never alter a sample or
-// a reduction — attaching one cannot change a simulated result.
+// Probe observes the fault models' estimates: the failures struck,
+// checkpoints committed and restarts completed in the replications an
+// estimate averages. Each estimate reports once, on the goroutine that
+// asked for it, after its replications finish; replications a censored
+// estimate ran and then discarded are not counted. The provider returns
+// a probe per goroutine, so implementations need no locking. Probes
+// observe tallies, they never alter a sample or a reduction — attaching
+// one cannot change a simulated result.
 type Probe interface {
-	// Failure is called when a failure strikes, at its virtual time
-	// (for first-failure sampling, the sampled first-order statistic;
-	// for checkpoint runs, the wall clock at which the run fails).
-	Failure(at sim.Time)
-	// Checkpoint is called when a checkpoint is written and committed.
-	Checkpoint(at sim.Time)
-	// Restart is called when a failed run finishes its restart (repair)
-	// and resumes from the last checkpoint.
-	Restart(at sim.Time)
+	// Estimated is called once per estimate with its totals. A
+	// first-failure estimate reports one failure per replication and no
+	// checkpoints or restarts; a checkpoint estimate whose first run
+	// hit the cap averages nothing and makes no call.
+	Estimated(failures, checkpoints, restarts int64)
 }
 
-// probeProvider, when set, is consulted once per Monte Carlo
-// replication for the probe observing that replication's goroutine.
+// probeProvider, when set, is consulted once per estimate for the probe
+// observing the calling goroutine.
 var probeProvider atomic.Pointer[func() Probe]
 
-// SetProbeProvider installs fn as the per-replication probe source; nil
+// SetProbeProvider installs fn as the per-estimate probe source; nil
 // removes it. fn must be safe for concurrent calls from pool goroutines
 // and should return nil for goroutines it does not observe. Process-
-// global, like network.SetProbeProvider: one observability layer owns
-// it at a time.
+// global, like sim.SetKernelHook: one observability layer owns it at a
+// time.
 func SetProbeProvider(fn func() Probe) {
 	if fn == nil {
 		probeProvider.Store(nil)
@@ -45,8 +35,8 @@ func SetProbeProvider(fn func() Probe) {
 	probeProvider.Store(&fn)
 }
 
-// newProbe returns the probe the current replication should report to,
-// or nil when unobserved.
+// newProbe returns the probe the current estimate should report to, or
+// nil when unobserved.
 func newProbe() Probe {
 	fn := probeProvider.Load()
 	if fn == nil {

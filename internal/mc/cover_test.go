@@ -149,8 +149,7 @@ func TestEmptyWorkEarlyReturns(t *testing.T) {
 	called := false
 	ForEach(nil, 0, func(int) { called = true })
 	Replicate(nil, 1, 0, 1, func(int, *rand.Rand) { called = true })
-	ReplicateSetup(nil, 1, -1, 1, func() int { called = true; return 0 },
-		func(int, *rand.Rand, int) { called = true })
+	ReplicateCensored(nil, 1, -1, 1, func(int, *rand.Rand) bool { called = true; return false })
 	if called {
 		t.Fatal("zero-size work invoked a body")
 	}

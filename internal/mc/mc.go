@@ -235,34 +235,6 @@ func Replicate(p *Pool, shards, n int, seed int64, body func(r int, rng *rand.Ra
 	p.Do(tasks)
 }
 
-// ReplicateSetup is Replicate with a per-shard setup hook: setup runs
-// once at the start of each shard, on the goroutine that executes it,
-// and its result is handed to every body call in that shard. Use it to
-// hoist work whose value is stable for the lifetime of a shard task —
-// e.g. fetching a goroutine-local probe once instead of per
-// replication. setup must not consume random numbers or carry
-// replication-dependent state, or results would depend on the shard
-// count.
-func ReplicateSetup[C any](p *Pool, shards, n int, seed int64, setup func() C, body func(r int, rng *rand.Rand, c C)) {
-	if n <= 0 {
-		return
-	}
-	shards = Shards(p, shards, n)
-	tasks := make([]func(), shards)
-	for s := range tasks {
-		lo, hi := s*n/shards, (s+1)*n/shards
-		tasks[s] = func() {
-			c := setup()
-			st := stats.NewStream()
-			for r := lo; r < hi; r++ {
-				st.Reseed(stats.Substream(seed, uint64(r)))
-				body(r, st.Rand, c)
-			}
-		}
-	}
-	p.Do(tasks)
-}
-
 // ReplicateCensored is Replicate for loops that stop at the first capped
 // replication, preserving the sequential break-at-first-cap semantics
 // under sharding. body reports whether replication r censored. It
@@ -274,23 +246,18 @@ func ReplicateSetup[C any](p *Pool, shards, n int, seed int64, setup func() C, b
 // skipped r always exceeds the final minimum and would be excluded from
 // the reduction anyway, while every r below the final minimum is never
 // skipped and always executes. The caller must reduce exactly the
-// replications r < the returned index.
+// replications r < the returned index. With several shards in flight,
+// replications above it may already have run before the cap was seen,
+// and how many did depends on scheduling: anything a caller counts must
+// come from that reduction, not from body.
 func ReplicateCensored(p *Pool, shards, n int, seed int64, body func(r int, rng *rand.Rand) (censored bool)) int {
-	return ReplicateCensoredSetup(p, shards, n, seed,
-		func() struct{} { return struct{}{} },
-		func(r int, rng *rand.Rand, _ struct{}) bool { return body(r, rng) })
-}
-
-// ReplicateCensoredSetup is ReplicateCensored with ReplicateSetup's
-// per-shard setup hook; the same constraints on setup apply.
-func ReplicateCensoredSetup[C any](p *Pool, shards, n int, seed int64, setup func() C, body func(r int, rng *rand.Rand, c C) (censored bool)) int {
 	var first atomic.Int64
 	first.Store(int64(n))
-	ReplicateSetup(p, shards, n, seed, setup, func(r int, rng *rand.Rand, c C) {
+	Replicate(p, shards, n, seed, func(r int, rng *rand.Rand) {
 		if int64(r) > first.Load() {
 			return
 		}
-		if body(r, rng, c) {
+		if body(r, rng) {
 			for {
 				cur := first.Load()
 				if int64(r) >= cur || first.CompareAndSwap(cur, int64(r)) {
@@ -303,7 +270,7 @@ func ReplicateCensoredSetup[C any](p *Pool, shards, n int, seed int64, setup fun
 }
 
 // A Propagator forks per-task context — the obs layer uses it to give
-// every task its own kernel probe and merge the counts back. It is
+// every task its own probes and merge the counts back. It is
 // invoked once per Do on the submitting goroutine and returns the
 // wrapper applied to each task of that Do (nil meaning no wrapping); the
 // wrapper runs on whichever goroutine executes the task and must be safe

@@ -144,9 +144,9 @@ func (m Monitor) SimulateDetection(seed int64) (sim.Time, error) {
 	if m.Saturated() {
 		return sim.Forever, nil
 	}
-	probe := newProbe()
 	tree := m.Fanout > 0
 	k := sim.New(seed)
+	probe, _ := k.Probe().(Probe)
 	victim := k.Rand().Intn(m.Nodes)
 	deathAt := 3*m.Period + sim.Time(k.Rand().Float64())*m.Period
 

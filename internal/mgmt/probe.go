@@ -1,17 +1,14 @@
 package mgmt
 
-import (
-	"sync/atomic"
-
-	"northstar/internal/sim"
-)
+import "northstar/internal/sim"
 
 // Probe observes the monitoring model: heartbeat traffic generated
 // during detection simulations and the detection latencies measured,
-// split by aggregation shape (flat vs reporting tree). Nil by default
-// with one nil-check per hook site, like network.Probe and fault.Probe:
-// an unobserved simulation pays one atomic load per SimulateDetection
-// call and nothing per heartbeat.
+// split by aggregation shape (flat vs reporting tree). Each detection
+// simulation takes its probe from the kernel it builds: if the kernel's
+// sim.Probe also implements Probe, the simulation reports to it,
+// otherwise it holds nil, and an unobserved simulation pays one type
+// assertion per SimulateDetection call and nothing per heartbeat.
 //
 // Methods are called synchronously from the goroutine driving the
 // monitor's kernel; probes observe, they never schedule events or
@@ -24,30 +21,4 @@ type Probe interface {
 	// DetectionMeasured is called when SimulateDetection returns a
 	// measured death-to-declaration latency.
 	DetectionMeasured(tree bool, latency sim.Time)
-}
-
-// probeProvider, when set, is consulted at the start of each detection
-// simulation for the probe observing the calling goroutine.
-var probeProvider atomic.Pointer[func() Probe]
-
-// SetProbeProvider installs fn as the probe source; nil removes it. fn
-// must be safe for concurrent calls and should return nil for
-// goroutines it does not observe. Process-global, like
-// network.SetProbeProvider: one observability layer owns it at a time.
-func SetProbeProvider(fn func() Probe) {
-	if fn == nil {
-		probeProvider.Store(nil)
-		return
-	}
-	probeProvider.Store(&fn)
-}
-
-// newProbe returns the probe the current simulation should report to,
-// or nil when unobserved.
-func newProbe() Probe {
-	fn := probeProvider.Load()
-	if fn == nil {
-		return nil
-	}
-	return (*fn)()
 }

@@ -7,8 +7,11 @@ import (
 )
 
 // recMgmtProbe records monitoring events; SimulateDetection is
-// single-goroutine, so a plain struct is safe.
+// single-goroutine, so a plain struct is safe. It observes kernels too,
+// as the suite observer's probe set does, so a kernel hook can attach it
+// and the detection simulation finds it on its kernel.
 type recMgmtProbe struct {
+	kernelOnly
 	flatBeats, treeBeats int
 	detections           []struct {
 		tree    bool
@@ -31,10 +34,24 @@ func (r *recMgmtProbe) DetectionMeasured(tree bool, latency sim.Time) {
 	}{tree, latency})
 }
 
+// kernelOnly is a sim.Probe that observes the kernel only.
+type kernelOnly struct{}
+
+func (kernelOnly) EventScheduled(sim.Time, int, bool) {}
+func (kernelOnly) EventFired(sim.Time, int)           {}
+func (kernelOnly) EventCancelled(sim.Time, int)       {}
+func (kernelOnly) HeapCompacted(sim.Time, int, int)   {}
+
+// attach installs a kernel hook giving every new kernel p, until the
+// test ends.
+func attach(t *testing.T, p sim.Probe) {
+	sim.SetKernelHook(func(k *sim.Kernel) { k.SetProbe(p) })
+	t.Cleanup(func() { sim.SetKernelHook(nil) })
+}
+
 func TestDetectionProbeFlat(t *testing.T) {
 	rec := &recMgmtProbe{}
-	SetProbeProvider(func() Probe { return rec })
-	defer SetProbeProvider(nil)
+	attach(t, rec)
 
 	m := Monitor{Nodes: 32}
 	lat, err := m.SimulateDetection(3)
@@ -57,8 +74,7 @@ func TestDetectionProbeFlat(t *testing.T) {
 
 func TestDetectionProbeTree(t *testing.T) {
 	rec := &recMgmtProbe{}
-	SetProbeProvider(func() Probe { return rec })
-	defer SetProbeProvider(nil)
+	attach(t, rec)
 
 	m := Monitor{Nodes: 64, Fanout: 8}
 	lat, err := m.SimulateDetection(3)
@@ -76,15 +92,24 @@ func TestDetectionProbeTree(t *testing.T) {
 	}
 }
 
+// TestDetectionProbeUninstalled: a detection simulation whose kernel has
+// no probe, or a probe that observes the kernel only, reports nowhere
+// and measures what an unobserved one does.
 func TestDetectionProbeUninstalled(t *testing.T) {
 	rec := &recMgmtProbe{}
-	SetProbeProvider(func() Probe { return rec })
-	SetProbeProvider(nil)
-
-	if _, err := (Monitor{Nodes: 16}).SimulateDetection(3); err != nil {
+	attach(t, rec)
+	sim.SetKernelHook(nil)
+	m := Monitor{Nodes: 16}
+	want, err := m.SimulateDetection(3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.flatBeats != 0 || len(rec.detections) != 0 {
-		t.Fatalf("probe saw events after provider removal: %+v", rec)
+		t.Fatalf("probe saw events after the hook was removed: %+v", rec)
+	}
+
+	attach(t, kernelOnly{})
+	if got, err := m.SimulateDetection(3); err != nil || got != want {
+		t.Errorf("on a kernel-only probed kernel: latency %v, err %v; want %v", got, err, want)
 	}
 }

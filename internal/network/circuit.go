@@ -47,7 +47,8 @@ func NewCircuit(k *sim.Kernel, p Preset, n int) *Circuit {
 	for i := range c.lastDst {
 		c.lastDst[i] = -1
 	}
-	c.SetProbe(newProbe())
+	probe, _ := k.Probe().(Probe)
+	c.SetProbe(probe)
 	return c
 }
 

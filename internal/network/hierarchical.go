@@ -55,7 +55,8 @@ func NewHierarchical(intra, inter Fabric, ranksPerNode int) (*Hierarchical, erro
 			intra.NumEndpoints(), inter.NumEndpoints(), ranksPerNode)
 	}
 	h := &Hierarchical{intra: intra, inter: inter, ranksPerNode: ranksPerNode}
-	h.SetProbe(newProbe())
+	probe, _ := intra.Kernel().Probe().(Probe)
+	h.SetProbe(probe)
 	return h, nil
 }
 

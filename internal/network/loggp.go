@@ -35,7 +35,8 @@ func NewLogGP(k *sim.Kernel, p Preset, n int) *LogGP {
 		panic("network: fabric needs at least one endpoint")
 	}
 	f := &LogGP{k: k, p: p, n: n, egressFree: make([]sim.Time, n), ingressFree: make([]sim.Time, n)}
-	f.SetProbe(newProbe())
+	probe, _ := k.Probe().(Probe)
+	f.SetProbe(probe)
 	return f
 }
 

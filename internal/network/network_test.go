@@ -394,29 +394,3 @@ func TestSendCallsEachCallbackOnce(t *testing.T) {
 		})
 	}
 }
-
-func BenchmarkLogGPSend(b *testing.B) {
-	k := sim.New(1)
-	f := NewLogGP(k, InfiniBand4X(), 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Send(i%64, (i+1)%64, 4096, nil, nil)
-		if k.Pending() > 10000 {
-			k.Run()
-		}
-	}
-	k.Run()
-}
-
-func BenchmarkPacketNetSend(b *testing.B) {
-	k := sim.New(1)
-	f := NewPacketNet(k, InfiniBand4X(), topology.FatTree(4, 2))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Send(i%16, (i+5)%16, 8192, nil, nil)
-		if k.Pending() > 10000 {
-			k.Run()
-		}
-	}
-	k.Run()
-}

@@ -52,7 +52,8 @@ func NewPacketNet(k *sim.Kernel, p Preset, g *topology.Graph) *PacketNet {
 		eps:      g.Endpoints(),
 		linkFree: make([]sim.Time, 2*g.Edges()),
 	}
-	f.SetProbe(newProbe())
+	probe, _ := k.Probe().(Probe)
+	f.SetProbe(probe)
 	return f
 }
 

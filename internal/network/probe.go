@@ -1,10 +1,6 @@
 package network
 
-import (
-	"sync/atomic"
-
-	"northstar/internal/sim"
-)
+import "northstar/internal/sim"
 
 // FabricKind discriminates the built-in fabric models in probe events, so
 // one probe can keep per-fabric sections (a LogGP sweep and a wormhole
@@ -40,10 +36,15 @@ func (k FabricKind) String() string {
 
 // Probe observes fabric internals: traffic injected and delivered, link
 // occupancy, and fast-path use. It is the model-level analog of
-// sim.Probe — every fabric holds a nil probe by default and each hook
-// site is guarded by a single nil-check, so an unobserved fabric pays
-// nothing on its hot path (cmd/bench fails if an attached probe adds
-// more than 10% per send).
+// sim.Probe — each hook site is guarded by a single nil-check, so an
+// unobserved fabric pays nothing on its hot path (cmd/bench fails if an
+// attached probe adds more than 10% per send).
+//
+// A fabric takes its probe from its kernel when it is built: if the
+// kernel's sim.Probe also implements Probe, the fabric reports to it,
+// otherwise the fabric holds nil. That is how fabrics built deep inside
+// machine code are observed without a probe parameter on every
+// constructor. SetProbe on a fabric replaces that choice.
 //
 // All methods are called synchronously from the goroutine driving the
 // fabric's kernel, so implementations need no locking as long as one
@@ -72,35 +73,4 @@ type Probe interface {
 	// FastPath is called when PacketNet.BatchBulk extrapolates packets
 	// in O(hops) instead of simulating them, with the packet count.
 	FastPath(kind FabricKind, packets int64)
-}
-
-// probeProvider, when set, is consulted by every fabric constructor for
-// the probe to attach. The observability layer installs a provider that
-// returns the probe bound to the constructing goroutine (or nil), which
-// is how fabrics built deep inside machine code get observed without a
-// probe parameter threading through every constructor.
-var probeProvider atomic.Pointer[func() Probe]
-
-// SetProbeProvider installs fn as the construction-time probe source;
-// nil removes it. fn must be safe for concurrent calls (fabrics are
-// built from parallel suite workers and Monte Carlo pool goroutines) and
-// should return nil for goroutines it does not observe. Like
-// sim.SetKernelHook, the provider is process-global: one observability
-// layer owns it at a time.
-func SetProbeProvider(fn func() Probe) {
-	if fn == nil {
-		probeProvider.Store(nil)
-		return
-	}
-	probeProvider.Store(&fn)
-}
-
-// newProbe returns the probe a fabric constructed right now should
-// carry: the provider's answer, or nil when unobserved.
-func newProbe() Probe {
-	fn := probeProvider.Load()
-	if fn == nil {
-		return nil
-	}
-	return (*fn)()
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"northstar/internal/sim"
@@ -46,6 +47,23 @@ func (r *recProbe) MessageDelivered(kind FabricKind, bytes int64, latency sim.Ti
 func (r *recProbe) LinkBusy(kind FabricKind, busy sim.Time) { r.k[kind].busy += busy }
 
 func (r *recProbe) FastPath(kind FabricKind, packets int64) { r.k[kind].fast += packets }
+
+// kernelOnly is a sim.Probe that observes the kernel only, like a plain
+// obs.KernelProbe: fabrics built on its kernel hold no probe.
+type kernelOnly struct{}
+
+func (kernelOnly) EventScheduled(sim.Time, int, bool) {}
+func (kernelOnly) EventFired(sim.Time, int)           {}
+func (kernelOnly) EventCancelled(sim.Time, int)       {}
+func (kernelOnly) HeapCompacted(sim.Time, int, int)   {}
+
+// kernelRec is a kernel probe that also records fabric events, the way
+// the suite observer's probe set does: fabrics built on its kernel
+// report to it.
+type kernelRec struct {
+	kernelOnly
+	recProbe
+}
 
 // near compares sim.Times with a relative tolerance: probe latencies
 // are computed as timestamp differences, so they can differ from the
@@ -238,11 +256,9 @@ func TestWormholeProbe(t *testing.T) {
 }
 
 func TestHierarchicalProbe(t *testing.T) {
-	rec := &recProbe{}
-	SetProbeProvider(func() Probe { return rec })
-	defer SetProbeProvider(nil)
-
+	rec := &kernelRec{}
 	k := sim.New(1)
+	k.SetProbe(rec)
 	inter := NewLogGP(k, Myrinet2000(), 2)
 	intra := NewLogGP(k, SharedMemory(1e9), 4)
 	h, err := NewHierarchical(intra, inter, 2)
@@ -270,29 +286,54 @@ func TestHierarchicalProbe(t *testing.T) {
 	}
 }
 
-// TestProbeProviderAttachesAtConstruction covers the process-global
-// provider path every fabric constructor consults.
-func TestProbeProviderAttachesAtConstruction(t *testing.T) {
-	rec := &recProbe{}
-	SetProbeProvider(func() Probe { return rec })
+// TestFabricsTakeTheirKernelsProbe covers the attachment every fabric
+// constructor makes: a kernel probe that also implements Probe observes
+// each fabric built on its kernel, and a kernel without one leaves its
+// fabrics unobserved.
+func TestFabricsTakeTheirKernelsProbe(t *testing.T) {
+	build := func(k *sim.Kernel) []Fabric {
+		return []Fabric{
+			NewLogGP(k, Myrinet2000(), 3),
+			NewCircuit(k, OpticalCircuit(), 3),
+			NewPacketNet(k, Myrinet2000(), topology.Crossbar(4)),
+			NewWormholeNet(k, Myrinet2000(), topology.Crossbar(4), 0),
+		}
+	}
+	rec := &kernelRec{}
 	k := sim.New(1)
-	NewLogGP(k, Myrinet2000(), 3)
-	NewCircuit(k, OpticalCircuit(), 3)
-	NewPacketNet(k, Myrinet2000(), topology.Crossbar(4))
-	NewWormholeNet(k, Myrinet2000(), topology.Crossbar(4), 0)
-	SetProbeProvider(nil)
-	// Constructed after removal: must not reach the recorder.
-	NewLogGP(k, Myrinet2000(), 7)
+	k.SetProbe(rec)
+	for _, f := range build(k) {
+		f.Send(0, 1, 100, nil, nil)
+	}
+	k.Run()
+	for _, kind := range []FabricKind{KindLogGP, KindCircuit, KindPacket, KindWormhole} {
+		if st := rec.k[kind]; st.builds != 1 || st.msgs != 1 || st.delivered != 1 {
+			t.Errorf("%s: builds=%d msgs=%d delivered=%d, want 1/1/1", kind, st.builds, st.msgs, st.delivered)
+		}
+	}
 
-	builds := 0
-	for i := range rec.k {
-		builds += rec.k[i].builds
+	probeOf := func(f Fabric) Probe {
+		switch f := f.(type) {
+		case *LogGP:
+			return f.probe
+		case *Circuit:
+			return f.probe
+		case *PacketNet:
+			return f.probe
+		case *WormholeNet:
+			return f.probe
+		}
+		panic(fmt.Sprintf("unexpected fabric %T", f))
 	}
-	if builds != 4 {
-		t.Fatalf("provider attached %d fabrics, want exactly the 4 built while installed", builds)
-	}
-	if rec.k[KindLogGP].links != 3 {
-		t.Errorf("loggp links = %d, want 3 (the post-removal fabric must not register)", rec.k[KindLogGP].links)
+	bare := sim.New(1)
+	kernelOnlyK := sim.New(1)
+	kernelOnlyK.SetProbe(kernelOnly{})
+	for _, k := range []*sim.Kernel{bare, kernelOnlyK} {
+		for _, f := range build(k) {
+			if p := probeOf(f); p != nil {
+				t.Errorf("%s on a kernel probed by %T holds probe %T, want nil", f.Name(), k.Probe(), p)
+			}
+		}
 	}
 }
 

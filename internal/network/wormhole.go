@@ -119,7 +119,8 @@ func NewWormholeNet(k *sim.Kernel, p Preset, g *topology.Graph, bufferPackets in
 		l.f, l.id, l.credits = f, i, bufferPackets
 		l.onWireFree, l.onArrived, l.onLanded = l.wireFree, l.arrived, l.landed
 	}
-	f.SetProbe(newProbe())
+	probe, _ := k.Probe().(Probe)
+	f.SetProbe(probe)
 	return f
 }
 

@@ -13,9 +13,9 @@ import (
 // DomainProbe aggregates model-level telemetry: it implements
 // network.Probe, fault.Probe, and mgmt.Probe at once, so one probe per
 // experiment observes the simulated cluster — traffic and link
-// occupancy per fabric kind, failure/checkpoint/restart dynamics with a
-// bounded virtual-time timeline, and monitoring heartbeats and
-// detection latencies — the way KernelProbe observes the harness.
+// occupancy per fabric kind, the failures, checkpoints and restarts of
+// fault estimates, and monitoring heartbeats and detection latencies —
+// the way KernelProbe observes the harness.
 //
 // Like KernelProbe, methods never allocate (the latency histograms
 // bucket by float64 exponent, no math.Log on the hot path) and the
@@ -28,8 +28,6 @@ type DomainProbe struct {
 	failures uint64
 	checkpts uint64
 	restarts uint64
-	timeline []FaultEvent
-	dropped  uint64 // timeline events beyond the cap
 	mgmt     [2]monitorStats
 }
 
@@ -53,19 +51,6 @@ type monitorStats struct {
 	heartbeats uint64
 	detections latencyHist
 }
-
-// FaultEvent is one entry of the bounded virtual-time failure timeline,
-// emitted as a Chrome-trace instant on the virtual-time track.
-type FaultEvent struct {
-	Kind string // "failure", "checkpoint", "restart"
-	At   sim.Time
-}
-
-// timelineCap bounds the per-probe fault timeline; events beyond it are
-// counted in timeline_dropped instead of stored (a checkpoint sweep
-// runs millions of replications — the timeline is a sample, the
-// counters are the truth).
-const timelineCap = 256
 
 // latencyHist is an allocation-free log-bucket histogram over positive
 // seconds: bucket i counts values in [2^(i+latMinExp), 2^(i+1+latMinExp)),
@@ -168,30 +153,11 @@ func (p *DomainProbe) FastPath(kind network.FabricKind, packets int64) {
 
 // ---- fault.Probe ----
 
-func (p *DomainProbe) mark(kind string, at sim.Time) {
-	if len(p.timeline) < timelineCap {
-		p.timeline = append(p.timeline, FaultEvent{Kind: kind, At: at})
-	} else {
-		p.dropped++
-	}
-}
-
-// Failure implements fault.Probe.
-func (p *DomainProbe) Failure(at sim.Time) {
-	p.failures++
-	p.mark("failure", at)
-}
-
-// Checkpoint implements fault.Probe.
-func (p *DomainProbe) Checkpoint(at sim.Time) {
-	p.checkpts++
-	p.mark("checkpoint", at)
-}
-
-// Restart implements fault.Probe.
-func (p *DomainProbe) Restart(at sim.Time) {
-	p.restarts++
-	p.mark("restart", at)
+// Estimated implements fault.Probe.
+func (p *DomainProbe) Estimated(failures, checkpoints, restarts int64) {
+	p.failures += uint64(failures)
+	p.checkpts += uint64(checkpoints)
+	p.restarts += uint64(restarts)
 }
 
 // ---- mgmt.Probe ----
@@ -219,9 +185,8 @@ func (p *DomainProbe) DetectionMeasured(tree bool, latency sim.Time) {
 // histograms are independent of how work landed on pool goroutines. The
 // link-busy time is a float64 sum, and float addition is not
 // associative: merged in task-completion order, it (and the utilization
-// derived from it) can differ in the last bits from run to run. Timeline
-// entries append up to the cap, overflow counts as dropped. Not safe for
-// concurrent use — the suite observer serializes merges.
+// derived from it) can differ in the last bits from run to run. Not safe
+// for concurrent use — the suite observer serializes merges.
 func (p *DomainProbe) Merge(q *DomainProbe) {
 	for k := range p.net {
 		a, b := &p.net[k], &q.net[k]
@@ -239,10 +204,6 @@ func (p *DomainProbe) Merge(q *DomainProbe) {
 	p.failures += q.failures
 	p.checkpts += q.checkpts
 	p.restarts += q.restarts
-	for _, ev := range q.timeline {
-		p.mark(ev.Kind, ev.At)
-	}
-	p.dropped += q.dropped
 	for i := range p.mgmt {
 		p.mgmt[i].heartbeats += q.mgmt[i].heartbeats
 		p.mgmt[i].detections.merge(&q.mgmt[i].detections)
@@ -263,14 +224,6 @@ func (p *DomainProbe) Heartbeats(tree bool) uint64 {
 // Messages returns the messages injected into fabrics of the given kind.
 func (p *DomainProbe) Messages(kind network.FabricKind) uint64 { return p.net[kind].msgs }
 
-// Timeline returns the bounded virtual-time fault timeline, in the
-// order events were observed.
-func (p *DomainProbe) Timeline() []FaultEvent { return p.timeline }
-
-// TimelineDropped returns how many fault events exceeded the timeline
-// cap (they still counted).
-func (p *DomainProbe) TimelineDropped() uint64 { return p.dropped }
-
 // Empty reports whether the probe observed nothing — no fabric, fault,
 // or monitoring activity. The observer skips publishing empty probes so
 // purely analytic experiments add no domain sections to the snapshot.
@@ -280,7 +233,7 @@ func (p *DomainProbe) Empty() bool {
 			return false
 		}
 	}
-	if p.failures+p.checkpts+p.restarts+p.dropped != 0 {
+	if p.failures+p.checkpts+p.restarts != 0 {
 		return false
 	}
 	for i := range p.mgmt {
@@ -295,10 +248,11 @@ func (p *DomainProbe) Empty() bool {
 // network/<kind> (traffic counters, link_busy_seconds, utilization
 // gauge, message_latency_seconds histogram), fault (event counters),
 // and mgmt/{flat,tree} (heartbeats_sent, detection_latency_seconds).
-// virtualSeconds is the experiment's simulated span (the kernel probe's
-// last virtual timestamp); utilization is accumulated link-busy time
-// over links x virtualSeconds — approximate when an experiment drives
-// several kernels, exact for one.
+// virtualSeconds is the simulated span of the one run the probe
+// observed; utilization is accumulated link-busy time over links x
+// virtualSeconds. A caller whose probe summed several runs passes 0,
+// and the gauge is omitted: busy time of many runs over one run's span
+// measures nothing.
 func (p *DomainProbe) PublishTo(s *Scope, virtualSeconds float64) {
 	for k := range p.net {
 		st := &p.net[k]
@@ -324,14 +278,11 @@ func (p *DomainProbe) PublishTo(s *Scope, virtualSeconds float64) {
 			d.PutHistogram("message_latency_seconds", st.latency.histogram())
 		}
 	}
-	if p.failures+p.checkpts+p.restarts+p.dropped > 0 {
+	if p.failures+p.checkpts+p.restarts > 0 {
 		d := s.Domain("fault")
 		d.Add("failures", int64(p.failures))
 		d.Add("checkpoints", int64(p.checkpts))
 		d.Add("restarts", int64(p.restarts))
-		if p.dropped > 0 {
-			d.Add("timeline_dropped", int64(p.dropped))
-		}
 	}
 	for i := range p.mgmt {
 		m := &p.mgmt[i]

@@ -72,31 +72,15 @@ func TestLatencyHistMerge(t *testing.T) {
 	}
 }
 
-func TestDomainProbeTimelineCap(t *testing.T) {
-	p := NewDomainProbe()
-	for i := 0; i < timelineCap+50; i++ {
-		p.Failure(sim.Time(i) * sim.Second)
-	}
-	if got := len(p.Timeline()); got != timelineCap {
-		t.Errorf("timeline length = %d, want cap %d", got, timelineCap)
-	}
-	if got := p.TimelineDropped(); got != 50 {
-		t.Errorf("dropped = %d, want 50", got)
-	}
-	if got := p.Failures(); got != timelineCap+50 {
-		t.Errorf("failure counter = %d, want %d (dropped events still count)", got, timelineCap+50)
-	}
-}
-
 func TestDomainProbeMerge(t *testing.T) {
 	a, b := NewDomainProbe(), NewDomainProbe()
 	a.FabricBuilt(network.KindPacket, 8)
 	a.MessageInjected(network.KindPacket, 1000, 2)
-	a.Failure(1 * sim.Second)
+	a.Estimated(1, 0, 1)
 	a.HeartbeatSent(false)
 	b.MessageInjected(network.KindPacket, 500, 1)
 	b.MessageDelivered(network.KindPacket, 500, 2*sim.Millisecond)
-	b.Checkpoint(2 * sim.Second)
+	b.Estimated(2, 3, 2)
 	b.HeartbeatSent(true)
 	b.HeartbeatSent(false)
 
@@ -104,14 +88,11 @@ func TestDomainProbeMerge(t *testing.T) {
 	if got := a.Messages(network.KindPacket); got != 2 {
 		t.Errorf("merged messages = %d, want 2", got)
 	}
-	if a.Failures() != 1 || a.Checkpoints() != 1 {
-		t.Errorf("merged fault counters = %d/%d, want 1/1", a.Failures(), a.Checkpoints())
+	if a.Failures() != 3 || a.Checkpoints() != 3 {
+		t.Errorf("merged fault counters = %d/%d, want 3/3", a.Failures(), a.Checkpoints())
 	}
 	if a.Heartbeats(false) != 2 || a.Heartbeats(true) != 1 {
 		t.Errorf("merged heartbeats flat=%d tree=%d, want 2/1", a.Heartbeats(false), a.Heartbeats(true))
-	}
-	if got := len(a.Timeline()); got != 2 {
-		t.Errorf("merged timeline has %d events, want 2", got)
 	}
 }
 
@@ -123,6 +104,11 @@ func TestDomainProbeEmpty(t *testing.T) {
 	p.HeartbeatSent(true)
 	if p.Empty() {
 		t.Fatal("probe with a heartbeat must not be Empty")
+	}
+	q := NewDomainProbe()
+	q.Estimated(0, 1, 0)
+	if q.Empty() {
+		t.Fatal("probe with an estimate's checkpoint must not be Empty")
 	}
 	if NewDomainProbe().Empty() == false {
 		t.Fatal("unrelated probe affected")
@@ -156,9 +142,7 @@ func TestDomainProbePublishTo(t *testing.T) {
 	p.MessageDelivered(network.KindPacket, 3000, 500*sim.Millisecond)
 	p.LinkBusy(network.KindPacket, 2*sim.Second)
 	p.FastPath(network.KindPacket, 2)
-	p.Failure(5 * sim.Second)
-	p.Checkpoint(6 * sim.Second)
-	p.Restart(7 * sim.Second)
+	p.Estimated(1, 2, 1)
 	p.HeartbeatSent(false)
 	p.DetectionMeasured(true, 30*sim.Second)
 
@@ -185,7 +169,7 @@ func TestDomainProbePublishTo(t *testing.T) {
 	}
 
 	fd := findDomain(t, ss, "fault")
-	if fd.Counters["failures"] != 1 || fd.Counters["checkpoints"] != 1 || fd.Counters["restarts"] != 1 {
+	if fd.Counters["failures"] != 1 || fd.Counters["checkpoints"] != 2 || fd.Counters["restarts"] != 1 {
 		t.Errorf("fault counters wrong: %v", fd.Counters)
 	}
 
@@ -196,9 +180,18 @@ func TestDomainProbePublishTo(t *testing.T) {
 	if tree := findDomain(t, md, "tree"); tree.Histograms["detection_latency_seconds"].Count != 1 {
 		t.Errorf("tree detection histogram = %+v", tree.Histograms)
 	}
+
+	// Without a span, as for a probe that summed several runs, the
+	// utilization gauge is omitted.
+	reg = NewRegistry()
+	p.PublishTo(reg.Scope("EX"), 0)
+	pk = findDomain(t, findDomain(t, reg.Snapshot().Scopes[0], "network"), "packet")
+	if got, ok := pk.Gauges["utilization"]; ok {
+		t.Errorf("utilization = %g published without a span", got)
+	}
 }
 
-// TestObserverDomainPlumbing drives the full provider path: a suite
+// TestObserverDomainPlumbing drives the full attachment path: a suite
 // observer binds a spec, the spec builds model objects through their
 // public constructors, and the registry ends up with the domain
 // sections — without the spec ever naming a probe.
@@ -209,7 +202,7 @@ func TestObserverDomainPlumbing(t *testing.T) {
 	o.Begin(1, 1)
 	so := o.StartAttempt("EX", "domain plumbing", 0)
 
-	// Network: a fabric built through the constructor gets the probe.
+	// Network: a fabric built on an observed kernel gets its probe.
 	k := sim.New(1)
 	f := network.NewLogGP(k, network.Myrinet2000(), 2)
 	f.Send(0, 1, 4096, nil, nil)
@@ -249,22 +242,18 @@ func TestObserverDomainPlumbing(t *testing.T) {
 		t.Errorf("fault failures = %v, want 5 (one per replication)", fd.Counters)
 	}
 	if hb := findDomain(t, findDomain(t, ex, "mgmt"), "flat").Counters["heartbeats_sent"]; hb == 0 {
-		t.Error("no heartbeats recorded through the provider")
+		t.Error("no heartbeats recorded through the kernel")
+	}
+	if _, ok := findDomain(t, findDomain(t, ex, "network"), "loggp").Gauges["utilization"]; ok {
+		t.Error("the observer published a utilization gauge for a spec")
+	}
+	// Model telemetry stays in the registry: the trace holds the worker
+	// track's name and the spec's span, all on host time.
+	if evs := traceEventsOf(t, tr); len(evs) != 2 || evs[0].Phase != "M" || evs[1].Phase != "X" {
+		t.Errorf("trace = %+v, want the worker name and one span", evs)
 	}
 
-	// The fault timeline must have landed on the virtual-time trace
-	// process as instants.
-	foundVirtual := false
-	for _, ev := range traceEventsOf(t, tr) {
-		if ev.PID == virtualPID && ev.Phase == "i" {
-			foundVirtual = true
-		}
-	}
-	if !foundVirtual {
-		t.Error("no virtual-time instants in trace despite fault events")
-	}
-
-	// After End, providers are removed: new model objects see no probe.
+	// After End, the hooks are removed: new model objects see no probe.
 	before := so.Domain().Messages(network.KindLogGP)
 	k2 := sim.New(1)
 	f2 := network.NewLogGP(k2, network.Myrinet2000(), 2)

@@ -1,9 +1,10 @@
 // Package obs is the observability layer for the simulation stack: a
-// kernel probe (KernelProbe, implementing sim.Probe), a metrics registry
-// with per-experiment scopes and stable JSON snapshots (Registry),
-// a Chrome trace_event writer loadable in Perfetto (Trace), and a suite
-// observer (SuiteObserver) that wires all three through the experiment
-// runner.
+// kernel probe (KernelProbe, implementing sim.Probe), a domain probe
+// (DomainProbe, implementing network.Probe, fault.Probe and mgmt.Probe),
+// a metrics registry with per-experiment scopes and stable JSON
+// snapshots (Registry), a Chrome trace_event writer loadable in Perfetto
+// (Trace), and a suite observer (SuiteObserver) that wires them through
+// the experiment runner.
 //
 // The layer costs nothing when disabled: an unobserved sim.Kernel holds a
 // nil probe behind a single nil-check per hook site, and the runner skips
@@ -11,17 +12,20 @@
 // rung.kernel_event and rung.kernel_event_probed time both the nil-probe
 // and attached-probe kernel to keep that claim honest.
 //
-// Attribution works by goroutine: each suite worker binds its experiment's
-// KernelProbe to its own goroutine id before calling the spec's Run
-// function, and a process-global sim.SetKernelHook attaches the bound
-// probe to every kernel the spec constructs, however deep inside
-// machine/network/sched code. Experiments run synchronously on their
-// worker goroutine, so the binding is exact: every count a SpecObs
-// publishes comes from its own bound probes, never from process-wide
-// state, so it does not depend on which specs run beside it. One
-// observed suite runs at a time (the hook is process-global);
-// SuiteObserver.Begin panics if a hook is already installed rather than
-// silently replacing it.
+// Attribution works by goroutine: each suite worker binds its
+// experiment's probe set — one KernelProbe and one DomainProbe — to its
+// own goroutine id before calling the spec's Run function, and a
+// process-global sim.SetKernelHook attaches the bound set to every
+// kernel the spec constructs, however deep inside machine/network/sched
+// code. Fabrics and monitoring simulations take their probe from their
+// kernel, so the same hook observes them; fault estimates ask the
+// fault package's provider, which returns the bound set. Experiments run
+// synchronously on their worker goroutine, so the binding is exact:
+// every count a SpecObs publishes comes from its own bound probes, never
+// from process-wide state, so it does not depend on which specs run
+// beside it. One observed suite runs at a time (the hook is
+// process-global); SuiteObserver.Begin panics if a hook is already
+// installed rather than silently replacing it.
 package obs
 
 import (
@@ -65,11 +69,21 @@ type SuiteObserver struct {
 
 // probeSet is one goroutine's bound probes: the kernel probe observing
 // the harness and the domain probe observing the simulated cluster.
-// They fork and merge together across pool goroutines.
+// The kernel hook attaches the set itself to each new kernel, so it
+// implements sim.Probe, network.Probe, mgmt.Probe and fault.Probe, and
+// the kernel's fabrics and monitors find the domain probe through it.
+// The two probes fork and merge together across pool goroutines.
 type probeSet struct {
-	kernel *KernelProbe
-	domain *DomainProbe
+	*KernelProbe
+	*DomainProbe
 }
+
+var (
+	_ sim.Probe     = (*probeSet)(nil)
+	_ network.Probe = (*probeSet)(nil)
+	_ mgmt.Probe    = (*probeSet)(nil)
+	_ fault.Probe   = (*probeSet)(nil)
+)
 
 // NewSuiteObserver returns an observer writing metrics into registry
 // (created fresh if nil), trace events into trace (may be nil), and live
@@ -88,8 +102,9 @@ func (o *SuiteObserver) Registry() *Registry { return o.registry }
 // Trace returns the observer's trace, or nil.
 func (o *SuiteObserver) Trace() *Trace { return o.trace }
 
-// Begin marks the suite start and installs the process-global kernel
-// hook. total is the number of specs, workers the pool size (used to name
+// Begin marks the suite start and installs the process-global hooks:
+// the kernel hook, the mc propagator and the fault probe provider.
+// total is the number of specs, workers the pool size (used to name
 // trace tracks). The runner calls Begin/End; callers only construct.
 //
 // Only one observed suite may run at a time: Begin panics if a kernel
@@ -108,44 +123,26 @@ func (o *SuiteObserver) Begin(total, workers int) {
 		panic("obs: SuiteObserver.Begin: a sim kernel hook is already installed; only one observed suite may run at a time")
 	}
 	mc.SetPropagator(o.forkProbe)
-	// The domain providers hand each model package the domain probe
-	// bound to the goroutine asking — nil for unobserved goroutines, so
-	// model hot paths stay on their nil-check fast path.
-	network.SetProbeProvider(func() network.Probe {
-		if d := o.boundDomain(); d != nil {
-			return d
-		}
-		return nil
-	})
 	fault.SetProbeProvider(func() fault.Probe {
-		if d := o.boundDomain(); d != nil {
-			return d
+		if ps := o.bound(); ps != nil {
+			return ps
 		}
-		return nil
-	})
-	mgmt.SetProbeProvider(func() mgmt.Probe {
-		if d := o.boundDomain(); d != nil {
-			return d
-		}
-		return nil
+		return nil // not ps: a nil *probeSet would make a non-nil Probe
 	})
 }
 
-// boundDomain returns the domain probe bound to the calling goroutine,
-// or nil.
-func (o *SuiteObserver) boundDomain() *DomainProbe {
+// bound returns the probe set bound to the calling goroutine, or nil.
+func (o *SuiteObserver) bound() *probeSet {
 	if ps, ok := o.binding.Load(goid()); ok {
-		return ps.(*probeSet).domain
+		return ps.(*probeSet)
 	}
 	return nil
 }
 
-// End removes the kernel hook and writes suite totals into the "suite"
-// scope (specs/events/failures/timeouts counters, host_seconds gauge).
+// End removes the hooks and writes suite totals into the "suite" scope
+// (specs/events/failures/timeouts counters, host_seconds gauge).
 func (o *SuiteObserver) End() {
-	network.SetProbeProvider(nil)
 	fault.SetProbeProvider(nil)
-	mgmt.SetProbeProvider(nil)
 	mc.SetPropagator(nil)
 	sim.SetKernelHook(nil)
 	o.mu.Lock()
@@ -161,11 +158,11 @@ func (o *SuiteObserver) End() {
 	s.Set("host_seconds", time.Since(o.start).Seconds())
 }
 
-// attach is the sim kernel hook: it gives each new kernel the probe bound
-// to the constructing goroutine, if any.
+// attach is the sim kernel hook: it gives each new kernel the probe set
+// bound to the constructing goroutine, if any.
 func (o *SuiteObserver) attach(k *sim.Kernel) {
-	if ps, ok := o.binding.Load(goid()); ok {
-		k.SetProbe(ps.(*probeSet).kernel)
+	if ps := o.bound(); ps != nil {
+		k.SetProbe(ps)
 	}
 }
 
@@ -182,14 +179,13 @@ func (o *SuiteObserver) attach(k *sim.Kernel) {
 // Do calls nest naturally: the inner Do's submitter is bound to an outer
 // child probe, which becomes the inner parent.
 func (o *SuiteObserver) forkProbe() func(task func()) {
-	parentAny, ok := o.binding.Load(goid())
-	if !ok {
+	parent := o.bound()
+	if parent == nil {
 		return nil // unobserved caller: nothing to attribute
 	}
-	parent := parentAny.(*probeSet)
 	var mu sync.Mutex
 	return func(task func()) {
-		child := &probeSet{kernel: NewKernelProbe(), domain: NewDomainProbe()}
+		child := &probeSet{NewKernelProbe(), NewDomainProbe()}
 		id := goid()
 		prev, hadPrev := o.binding.Load(id)
 		o.binding.Store(id, child)
@@ -200,8 +196,8 @@ func (o *SuiteObserver) forkProbe() func(task func()) {
 				o.binding.Delete(id)
 			}
 			mu.Lock()
-			parent.kernel.Merge(child.kernel)
-			parent.domain.Merge(child.domain)
+			parent.KernelProbe.Merge(child.KernelProbe)
+			parent.DomainProbe.Merge(child.DomainProbe)
 			mu.Unlock()
 		}()
 		task()
@@ -223,7 +219,7 @@ func (o *SuiteObserver) StartAttempt(id, title string, worker int) *SpecObs {
 		probe:  NewKernelProbe(),
 		domain: NewDomainProbe(),
 	}
-	o.binding.Store(goid(), &probeSet{kernel: so.probe, domain: so.domain})
+	o.binding.Store(goid(), &probeSet{so.probe, so.domain})
 	return so
 }
 
@@ -288,7 +284,6 @@ func (so *SpecObs) finish(err error, abandoned bool) {
 		scope.Add("failures", 1)
 	}
 	var fired, scheduled uint64
-	var timeline []FaultEvent
 	args := map[string]any{"failed": so.failed}
 	events, status := "-", "ok"
 	if abandoned {
@@ -299,9 +294,10 @@ func (so *SpecObs) finish(err error, abandoned bool) {
 		fired, scheduled = so.probe.Fired(), so.probe.Scheduled()
 		so.probe.PublishTo(scope)
 		if !so.domain.Empty() {
-			so.domain.PublishTo(scope, so.probe.LastVirtualTime().Seconds())
+			// No span: a spec's domain probe sums many kernel runs, so
+			// busy time over one run's span is no utilization.
+			so.domain.PublishTo(scope, 0)
 		}
-		timeline = so.domain.Timeline()
 		args["events_fired"] = fired
 		args["events_sched"] = scheduled
 		args["fastpath_hits"] = so.probe.FastPathHits()
@@ -317,14 +313,6 @@ func (so *SpecObs) finish(err error, abandoned bool) {
 
 	if o.trace != nil {
 		o.trace.Span(so.id+": "+so.title, so.worker, so.start, so.wall, args)
-		if len(timeline) > 0 {
-			// The fault timeline lands on the virtual-time process, one
-			// track per spec, timestamps in simulated seconds.
-			o.trace.NameVirtualTrack(so.worker, so.id+" fault timeline")
-			for _, ev := range timeline {
-				o.trace.VirtualInstant(so.id+" "+ev.Kind, so.worker, ev.At.Seconds(), nil)
-			}
-		}
 	}
 
 	// The progress line prints under o.mu: the writer need not be

@@ -19,10 +19,9 @@ import (
 // trace viewer's timeline has to be host time to show where the host
 // spent it.
 type Trace struct {
-	mu           sync.Mutex
-	start        time.Time
-	events       []TraceEvent
-	virtualNamed bool
+	mu     sync.Mutex
+	start  time.Time
+	events []TraceEvent
 }
 
 // TraceEvent is one entry of the traceEvents array. Fields follow the
@@ -38,14 +37,8 @@ type TraceEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// tracePID is the process id grouping the host-time tracks; virtualPID
-// groups the virtual-time tracks (fault timelines), whose timestamps
-// are simulated seconds, not host time — a separate trace process keeps
-// the two clock domains from sharing an axis in the viewer.
-const (
-	tracePID   = 1
-	virtualPID = 2
-)
+// tracePID is the process id grouping the tracks.
+const tracePID = 1
 
 // NewTrace returns a trace whose timestamps are relative to now.
 func NewTrace() *Trace {
@@ -95,46 +88,6 @@ func (t *Trace) NameThread(tid int, name string) {
 	})
 }
 
-// VirtualInstant records an instant on the virtual-time process (pid 2)
-// at the given simulated time in seconds, on track tid. The suite
-// observer emits each spec's fault timeline this way: failures and
-// restarts land on a simulated-seconds axis beside the host-time spans.
-func (t *Trace) VirtualInstant(name string, tid int, virtualSeconds float64, args map[string]any) {
-	t.add(TraceEvent{
-		Name:  name,
-		Cat:   "model",
-		Phase: "i",
-		TsUS:  virtualSeconds * 1e6,
-		PID:   virtualPID,
-		TID:   tid,
-		Args:  args,
-	})
-}
-
-// NameVirtualTrack names track tid of the virtual-time process and, on
-// first use, names that process itself so the viewer labels its axis.
-func (t *Trace) NameVirtualTrack(tid int, name string) {
-	t.mu.Lock()
-	named := t.virtualNamed
-	t.virtualNamed = true
-	t.mu.Unlock()
-	if !named {
-		t.add(TraceEvent{
-			Name:  "process_name",
-			Phase: "M",
-			PID:   virtualPID,
-			Args:  map[string]any{"name": "virtual time"},
-		})
-	}
-	t.add(TraceEvent{
-		Name:  "thread_name",
-		Phase: "M",
-		PID:   virtualPID,
-		TID:   tid,
-		Args:  map[string]any{"name": name},
-	})
-}
-
 func (t *Trace) add(ev TraceEvent) {
 	t.mu.Lock()
 	t.events = append(t.events, ev)
@@ -159,9 +112,6 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	t.mu.Unlock()
 
 	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].PID != events[j].PID {
-			return events[i].PID < events[j].PID
-		}
 		if events[i].TID != events[j].TID {
 			return events[i].TID < events[j].TID
 		}

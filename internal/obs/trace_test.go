@@ -69,41 +69,6 @@ func TestTraceJSONEscaping(t *testing.T) {
 	}
 }
 
-func TestTraceVirtualEvents(t *testing.T) {
-	tr := NewTrace()
-	tr.NameVirtualTrack(3, "E6 fault timeline")
-	tr.NameVirtualTrack(4, "E7 fault timeline") // process_name emitted once
-	tr.VirtualInstant("E6 failure", 3, 12.5, nil)
-
-	doc := decodeTrace(t, tr)
-	processNames := 0
-	var inst *TraceEvent
-	for i := range doc.TraceEvents {
-		ev := &doc.TraceEvents[i]
-		if ev.Phase == "M" && ev.Name == "process_name" {
-			processNames++
-			if ev.PID != virtualPID {
-				t.Errorf("process_name pid = %d, want %d", ev.PID, virtualPID)
-			}
-		}
-		if ev.Name == "E6 failure" {
-			inst = ev
-		}
-	}
-	if processNames != 1 {
-		t.Errorf("emitted %d virtual process_name records, want exactly 1", processNames)
-	}
-	if inst == nil {
-		t.Fatal("virtual instant missing from trace")
-	}
-	if inst.PID != virtualPID || inst.Phase != "i" || inst.Cat != "model" {
-		t.Errorf("virtual instant = %+v, want pid %d, phase i, cat model", inst, virtualPID)
-	}
-	if inst.TsUS != 12.5e6 {
-		t.Errorf("virtual instant ts = %g µs, want 12.5 s = 1.25e7", inst.TsUS)
-	}
-}
-
 func TestTraceConcurrentEmission(t *testing.T) {
 	tr := NewTrace()
 	const workers, perWorker = 8, 50
@@ -113,13 +78,10 @@ func TestTraceConcurrentEmission(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				switch i % 3 {
-				case 0:
+				if i%2 == 0 {
 					tr.Span(fmt.Sprintf("span %d/%d", w, i), w, tr.Start(), time.Microsecond, nil)
-				case 1:
+				} else {
 					tr.Instant(fmt.Sprintf("inst %d/%d", w, i), w, tr.Start(), nil)
-				default:
-					tr.VirtualInstant(fmt.Sprintf("virt %d/%d", w, i), w, float64(i), nil)
 				}
 			}
 		}(w)
@@ -133,11 +95,11 @@ func TestTraceConcurrentEmission(t *testing.T) {
 	if len(doc.TraceEvents) != workers*perWorker {
 		t.Fatalf("decoded %d events, want %d", len(doc.TraceEvents), workers*perWorker)
 	}
-	// WriteJSON sorts by (pid, tid, ts): verify the invariant held.
+	// WriteJSON sorts by (tid, ts): verify the invariant held.
 	for i := 1; i < len(doc.TraceEvents); i++ {
 		a, b := doc.TraceEvents[i-1], doc.TraceEvents[i]
-		if a.PID > b.PID || (a.PID == b.PID && a.TID > b.TID) {
-			t.Fatalf("events out of (pid, tid) order at %d: %+v before %+v", i, a, b)
+		if a.TID > b.TID || (a.TID == b.TID && a.TsUS > b.TsUS) {
+			t.Fatalf("events out of (tid, ts) order at %d: %+v before %+v", i, a, b)
 		}
 	}
 }

@@ -396,22 +396,6 @@ func TestKernelPoolReuse(t *testing.T) {
 	}
 }
 
-func BenchmarkKernelEventThroughput(b *testing.B) {
-	k := New(1)
-	rng := rand.New(rand.NewSource(7))
-	var fn func()
-	n := 0
-	fn = func() {
-		if n < b.N {
-			n++
-			k.After(Time(rng.Float64()), fn)
-		}
-	}
-	b.ReportAllocs()
-	k.After(0, fn)
-	k.Run()
-}
-
 // BenchmarkKernelSameTimeEvents exercises the After(0) fast path that
 // dominates proc handoff (Resume/Interrupt/Go).
 func BenchmarkKernelSameTimeEvents(b *testing.B) {
