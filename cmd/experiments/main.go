@@ -174,8 +174,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Budget the intra-experiment Monte Carlo pool against the suite
 	// workers: the two levels of parallelism share one CPU budget, so a
-	// -par that saturates the host leaves no shard helpers (and vice
-	// versa a sequential -par 1 hands the spare CPUs to the shard pool).
+	// -par that saturates the host leaves no pool helpers (and vice
+	// versa a sequential -par 1 hands the spare CPUs to the pool).
 	// Every Monte Carlo result is bit-identical for any pool size, so
 	// this only moves wall clock, never numbers.
 	suiteWorkers := *par

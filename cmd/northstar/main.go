@@ -28,6 +28,7 @@ import (
 	"northstar/internal/core"
 	"northstar/internal/fault"
 	"northstar/internal/machine"
+	"northstar/internal/mc"
 	"northstar/internal/msg"
 	"northstar/internal/network"
 	"northstar/internal/node"
@@ -330,7 +331,7 @@ func cmdFaults(args []string, stdout, stderr io.Writer) error {
 	}
 	young := fault.YoungInterval(c.Overhead, mtbf)
 	daly := fault.DalyInterval(c.Overhead, mtbf)
-	opt, res, err := c.OptimalInterval(200, 1)
+	opt, res, err := c.OptimalInterval(mc.Default(), 200, 1)
 	if err != nil {
 		return err
 	}

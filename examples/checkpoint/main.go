@@ -39,7 +39,7 @@ func main() {
 			Interval: northstar.Hour,
 		}
 		young := northstar.YoungInterval(c.Overhead, mtbf)
-		opt, res, err := c.OptimalInterval(150, 1)
+		opt, res, err := c.OptimalInterval(nil, 150, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -34,11 +34,11 @@ func testCheckpoint(mtbf sim.Time) fault.Checkpoint {
 
 func TestCheckpointSeedDeterminism(t *testing.T) {
 	c := testCheckpoint(40 * sim.Hour)
-	a, err := c.Simulate(200, 42)
+	a, err := c.Simulate(nil, 200, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Simulate(200, 42)
+	b, err := c.Simulate(nil, 200, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +53,12 @@ func TestCheckpointSeedDeterminism(t *testing.T) {
 // Monte Carlo noise).
 func TestCheckpointSeedTolerance(t *testing.T) {
 	c := testCheckpoint(40 * sim.Hour)
-	ref, err := c.Simulate(200, 1)
+	ref, err := c.Simulate(nil, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(2); seed <= 6; seed++ {
-		r, err := c.Simulate(200, seed)
+		r, err := c.Simulate(nil, 200, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestCheckpointSeedTolerance(t *testing.T) {
 func TestCheckpointScaleMonotonicity(t *testing.T) {
 	prev := fault.Result{UsefulFraction: math.Inf(1), MeanFailures: -1}
 	for _, mtbf := range []sim.Time{160 * sim.Hour, 80 * sim.Hour, 40 * sim.Hour, 20 * sim.Hour} {
-		r, err := testCheckpoint(mtbf).Simulate(300, 7)
+		r, err := testCheckpoint(mtbf).Simulate(nil, 300, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +126,11 @@ func TestSystemScaleMonotonicity(t *testing.T) {
 // within 15% of the analytic value at 2000 runs.
 func TestFirstFailureSeedAndAccuracy(t *testing.T) {
 	s := fault.System{Nodes: 64, Lifetime: stats.Exponential{Rate: 1 / float64(1000*sim.Day)}}
-	a := s.FirstFailureMean(2000, 9)
-	if b := s.FirstFailureMean(2000, 9); a != b {
+	a := s.FirstFailureMean(nil, 2000, 9)
+	if b := s.FirstFailureMean(nil, 2000, 9); a != b {
 		t.Errorf("same seed, different estimates: %v vs %v", a, b)
 	}
-	if c := s.FirstFailureMean(2000, 10); math.Abs(float64(c-a))/float64(a) > 0.15 {
+	if c := s.FirstFailureMean(nil, 2000, 10); math.Abs(float64(c-a))/float64(a) > 0.15 {
 		t.Errorf("seeds 9 and 10 disagree beyond tolerance: %v vs %v", a, c)
 	}
 	analytic := s.MTBF()

@@ -9,8 +9,7 @@
 // (-describe), the golden corpus and the internal/check invariants
 // attach to the spec's declared columns and sweep instead of parallel
 // hand-kept lists, and sweeps are data the mc pool can shard at any
-// axis. The JSON form is the wire format the future `northstar serve`
-// daemon accepts (ROADMAP item 1).
+// axis. The JSON form is the wire format `northstar serve` accepts.
 //
 // Migration state lives in scenarios.go (the spec inventory) and
 // EXPERIMENTS.md ("Scenario specs"): E1–E5, E5b, E6b, E7, E9, and E10
@@ -302,12 +301,14 @@ func (s *ScenarioSpec) expandTitle(params map[string]float64) string {
 }
 
 // scenarioEnv is the resolved view of a spec one interpretation runs
-// under: the mode's parameters plus accessors for axes and options.
-// Models read it; they never touch the raw spec maps.
+// under: the mode's parameters plus accessors for axes and options, and
+// the pool its Monte Carlo estimates run on. Models read it; they never
+// touch the raw spec maps.
 type scenarioEnv struct {
 	spec   *ScenarioSpec
 	quick  bool
 	params map[string]float64
+	pool   *mc.Pool
 }
 
 // param returns the resolved parameter. Validate guarantees presence for
@@ -424,16 +425,17 @@ func (s *ScenarioSpec) Run(quick bool) (*Table, error) {
 }
 
 // RunOn is Run on an explicit mc pool: the caller owns the CPU budget.
-// `northstar serve` uses this to run request-scoped interpretations on
-// a server-owned pool instead of the process default, so concurrent
-// requests share one bounded set of helpers. A nil pool runs rows
-// inline on the calling goroutine; the bytes are identical either way.
+// Every row and every Monte Carlo estimate runs on p, and a nil pool
+// runs all of it on the calling goroutine; the bytes are identical
+// either way. `northstar serve` uses this to run request-scoped
+// interpretations on a server-owned pool instead of the process
+// default, so concurrent requests share one bounded set of helpers.
 func (s *ScenarioSpec) RunOn(p *mc.Pool, quick bool) (*Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	m := scenarioModels[s.Model]
-	env := &scenarioEnv{spec: s, quick: quick, params: s.params(quick)}
+	env := &scenarioEnv{spec: s, quick: quick, params: s.params(quick), pool: p}
 	pts := s.points(quick)
 	t := &Table{
 		ID:      s.ID,

@@ -508,7 +508,7 @@ var scenarioModels = map[string]*scenarioModel{
 
 	// mtbf-scale reports system MTBF, Monte Carlo first-failure time, and
 	// all-up availability across a node-count sweep (E9). Rows run in
-	// sweep order; each row's Monte Carlo shards internally on the mc
+	// sweep order; each row's Monte Carlo runs on the interpretation's
 	// pool through FirstFailureMean's substream contract.
 	"mtbf-scale": {
 		axes: []axisDef{{name: "nodes", kind: kindInt, lo: 1, hi: 1e7}},
@@ -540,7 +540,7 @@ var scenarioModels = map[string]*scenarioModel{
 			return []any{
 				n,
 				expo.MTBF().String(),
-				weib.FirstFailureMean(runs, env.spec.Seed).String(),
+				weib.FirstFailureMean(env.pool, runs, env.spec.Seed).String(),
 				expo.AllUpAvailability(),
 			}, nil
 		},
@@ -548,7 +548,7 @@ var scenarioModels = map[string]*scenarioModel{
 
 	// checkpoint-opt compares the analytic checkpoint intervals (Young,
 	// Daly) against the simulated optimum as scale shrinks MTBF (E10).
-	// Rows run in sweep order; OptimalInterval shards its grid internally.
+	// Rows run in sweep order; OptimalInterval runs its grid on env.pool.
 	"checkpoint-opt": {
 		axes: []axisDef{{name: "nodes", kind: kindInt, lo: 1, hi: 1e7}},
 		params: []paramDef{
@@ -574,13 +574,13 @@ var scenarioModels = map[string]*scenarioModel{
 			}
 			young := fault.YoungInterval(c.Overhead, mtbf)
 			daly := fault.DalyInterval(c.Overhead, mtbf)
-			opt, optRes, err := c.OptimalInterval(runs, env.spec.Seed)
+			opt, optRes, err := c.OptimalInterval(env.pool, runs, env.spec.Seed)
 			if err != nil {
 				return nil, err
 			}
 			cy := c
 			cy.Interval = young
-			youngRes, err := cy.Simulate(runs, env.spec.Seed)
+			youngRes, err := cy.Simulate(env.pool, runs, env.spec.Seed)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -76,6 +77,55 @@ func TestScenarioGoldenAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunOnRunsFaultEstimatesOnItsPool: RunOn hands its pool to E9's and
+// E10's Monte Carlo estimates. With the default pool closed, so that an
+// estimate reaching for it panics, RunOn on an inline pool still returns
+// the reference tables in both modes.
+func TestRunOnRunsFaultEstimatesOnItsPool(t *testing.T) {
+	t.Cleanup(func() { mc.SetDefaultWorkers(runtime.GOMAXPROCS(0) - 1) })
+	mc.SetDefaultWorkers(1)
+	mc.Default().Close()
+	p := mc.NewPool(0)
+	for _, id := range []string{"E9", "E10"} {
+		sc, err := experiments.ScenarioByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, quick := range []bool{true, false} {
+			tab, err := sc.RunOn(p, quick)
+			if err != nil {
+				t.Fatalf("%s quick=%v: %v", id, quick, err)
+			}
+			if got, want := tab.String(), referenceTable(t, id, quick); got != want {
+				t.Errorf("%s quick=%v: differs from the reference at line %d", id, quick, diffLine(got, want))
+			}
+		}
+	}
+}
+
+// referenceTable returns id's committed table: the golden file in quick
+// mode, its section of results/full_output.txt in full mode.
+func referenceTable(t *testing.T, id string, quick bool) string {
+	t.Helper()
+	if quick {
+		want, err := os.ReadFile(goldenPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(want)
+	}
+	out, err := os.ReadFile(filepath.Join(resultsDir, "full_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(out)
+	i := strings.Index(s, "== "+id+": ")
+	if i < 0 {
+		t.Fatalf("%s has no table in results/full_output.txt", id)
+	}
+	return s[i : i+strings.Index(s[i:], "\n\n")+2]
 }
 
 // TestScenarioJSONRoundTrip proves the -describe wire format is

@@ -215,7 +215,7 @@ func X4CheckpointIO(quick bool) (*Table, error) {
 		}
 		young := fault.YoungInterval(delta, mtbf)
 		c.Interval = young
-		res, err := c.Simulate(runs, 17)
+		res, err := c.Simulate(mc.Default(), runs, 17)
 		if err != nil {
 			return nil, err
 		}

@@ -58,33 +58,24 @@ func (s System) MTBF() sim.Time {
 // starting on a freshly booted partition. For exponential lifetimes it
 // equals MTBF; for Weibull shape < 1 it is markedly shorter (infant
 // mortality).
-func (s System) FirstFailureMean(runs int, seed int64) sim.Time {
-	return s.FirstFailureMeanSharded(nil, runs, seed, 0)
-}
-
-// FirstFailureMeanSharded is FirstFailureMean with explicit control over
-// the worker pool and shard count (nil pool means mc.Default, shards <= 0
-// means one shard per pool worker). Replication r draws from the stream
-// seeded with stats.Substream(seed, r) and per-replication minima are
-// reduced in index order, so the result is bit-identical for every pool
-// size and shard count.
 //
-// Each replication samples the first-order statistic directly via
+// The runs replications run on p; a nil pool runs them on the caller.
+// Replication r draws from the stream seeded with
+// stats.Substream(seed, r) and per-replication minima are reduced in
+// index order, so the result is bit-identical on every pool. Each
+// replication samples the first-order statistic directly via
 // stats.MinOf(Lifetime, Nodes): one draw per replication instead of
 // Nodes draws for the closed-form families (Weibull, Exponential, …),
 // making the cost independent of system size.
-func (s System) FirstFailureMeanSharded(p *mc.Pool, runs int, seed int64, shards int) sim.Time {
+func (s System) FirstFailureMean(p *mc.Pool, runs int, seed int64) sim.Time {
 	if runs <= 0 {
 		// Matching Checkpoint.Simulate's runs check; without this the
 		// division below returns NaN and poisons every number downstream.
 		panic(fmt.Sprintf("fault: FirstFailureMean needs runs > 0, got %d", runs))
 	}
-	if p == nil {
-		p = mc.Default()
-	}
 	first := stats.MinOf(s.Lifetime, s.Nodes)
 	firsts := make([]float64, runs)
-	mc.Replicate(p, shards, runs, seed, func(r int, rng *rand.Rand) {
+	mc.Replicate(p, runs, seed, func(r int, rng *rand.Rand) {
 		firsts[r] = first.Sample(rng)
 	})
 	var sum float64
@@ -178,32 +169,23 @@ type Result struct {
 	Censored bool
 }
 
-// Simulate runs the checkpointed execution `runs` times and averages.
-func (c Checkpoint) Simulate(runs int, seed int64) (Result, error) {
-	return c.SimulateSharded(nil, runs, seed, 0)
-}
-
-// SimulateSharded is Simulate with explicit control over the worker pool
-// and shard count (nil pool means mc.Default, shards <= 0 means one
-// shard per pool worker). Replication r draws from the stream seeded
-// with stats.Substream(seed, r) and per-replication tallies are reduced
-// in index order, so the Result is bit-identical for every pool size and
-// shard count.
-func (c Checkpoint) SimulateSharded(p *mc.Pool, runs int, seed int64, shards int) (Result, error) {
+// Simulate runs the checkpointed execution `runs` times on p and
+// averages; a nil pool runs them on the caller. Replication r draws from
+// the stream seeded with stats.Substream(seed, r) and per-replication
+// tallies are reduced in index order, so the Result is bit-identical on
+// every pool.
+func (c Checkpoint) Simulate(p *mc.Pool, runs int, seed int64) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
 	if runs <= 0 {
 		return Result{}, fmt.Errorf("fault: runs must be positive")
 	}
-	if p == nil {
-		p = mc.Default()
-	}
-	return c.simulate(p, runs, seed, shards), nil
+	return c.simulate(p, runs, seed), nil
 }
 
 // oneRun holds the tallies of a single checkpointed execution, stored
-// per replication so the sharded reduction can run in index order.
+// per replication so the reduction can run in index order.
 type oneRun struct {
 	wall        float64
 	lost        float64
@@ -211,8 +193,8 @@ type oneRun struct {
 	checkpoints int
 }
 
-// simulate is the validated core of SimulateSharded.
-func (c Checkpoint) simulate(p *mc.Pool, runs int, seed int64, shards int) Result {
+// simulate is the validated core of Simulate.
+func (c Checkpoint) simulate(p *mc.Pool, runs int, seed int64) Result {
 	fail := stats.Exponential{Rate: 1 / float64(c.MTBF)}
 	wallCap := float64(c.Work) * 100
 	recs := make([]oneRun, runs)
@@ -222,7 +204,7 @@ func (c Checkpoint) simulate(p *mc.Pool, runs int, seed int64, shards int) Resul
 	// bias every mean. ReplicateCensored preserves the sequential
 	// break-at-first-cap semantics: only runs before the first capped one
 	// enter the statistics.
-	firstCapped := mc.ReplicateCensored(p, shards, runs, seed, func(r int, rng *rand.Rand) bool {
+	firstCapped := mc.ReplicateCensored(p, runs, seed, func(r int, rng *rand.Rand) bool {
 		t := 0.0    // wall clock
 		done := 0.0 // checkpointed useful work
 		runLost := 0.0
@@ -295,8 +277,10 @@ func (c Checkpoint) simulate(p *mc.Pool, runs int, seed int64, shards int) Resul
 
 // OptimalInterval searches a log-spaced grid of intervals for the one
 // minimizing simulated completion time, returning the interval and its
-// result. It is the empirical check on Young/Daly (experiment E10).
-func (c Checkpoint) OptimalInterval(runs int, seed int64) (sim.Time, Result, error) {
+// result. It is the empirical check on Young/Daly (experiment E10). The
+// grid and every grid point's estimate run on p; a nil pool runs them
+// on the caller.
+func (c Checkpoint) OptimalInterval(p *mc.Pool, runs int, seed int64) (sim.Time, Result, error) {
 	if err := c.Validate(); err != nil {
 		return 0, Result{}, err
 	}
@@ -318,21 +302,19 @@ func (c Checkpoint) OptimalInterval(runs int, seed int64) (sim.Time, Result, err
 	}
 	// Validate was checked once above; the grid below goes straight to
 	// the unvalidated core (only Interval varies, and every grid interval
-	// is positive by construction), and the whole grid shares one pool
-	// instead of spinning state per point. Grid points run concurrently;
-	// each point's simulation is itself sharded, and because sharded
-	// results are bit-identical for any shard count, the reduction below
-	// (in grid order) is deterministic.
-	pool := mc.Default()
+	// is positive by construction). Grid points run concurrently; each
+	// point's simulation is itself pooled, and because its result is
+	// bit-identical on any pool, the reduction below (in grid order) is
+	// deterministic.
 	const points = 40
 	results := make([]Result, points+1)
 	intervals := make([]sim.Time, points+1)
-	mc.ForEach(pool, points+1, func(i int) {
+	mc.ForEach(p, points+1, func(i int) {
 		ivl := sim.Time(lo * math.Pow(hi/lo, float64(i)/points))
 		trial := c
 		trial.Interval = ivl
 		intervals[i] = ivl
-		results[i] = trial.simulate(pool, runs, seed, 0)
+		results[i] = trial.simulate(p, runs, seed)
 	})
 	best := Result{MeanCompletion: sim.Forever}
 	var bestIvl sim.Time

@@ -38,7 +38,7 @@ func TestSystemMTBFScalesInversely(t *testing.T) {
 
 func TestFirstFailureMatchesAnalyticForExponential(t *testing.T) {
 	s := expSystem(64)
-	got := s.FirstFailureMean(4000, 1)
+	got := s.FirstFailureMean(nil, 4000, 1)
 	want := s.MTBF()
 	if math.Abs(float64(got-want)) > 0.05*float64(want) {
 		t.Errorf("first-failure mean %v, analytic %v", got, want)
@@ -51,8 +51,8 @@ func TestWeibullInfantMortalityShortensFirstFailure(t *testing.T) {
 	scale := float64(nodeMTBF1000d) / math.Gamma(1+1/0.7)
 	weib := System{Nodes: 64, Lifetime: stats.Weibull{Scale: scale, Shape: 0.7}}
 	expo := expSystem(64)
-	w := weib.FirstFailureMean(4000, 2)
-	e := expo.FirstFailureMean(4000, 2)
+	w := weib.FirstFailureMean(nil, 4000, 2)
+	e := expo.FirstFailureMean(nil, 4000, 2)
 	if float64(w) > 0.8*float64(e) {
 		t.Errorf("weibull(0.7) first failure %v, exponential %v; infant mortality should shorten it", w, e)
 	}
@@ -128,7 +128,7 @@ func TestCheckpointNoFailuresIsPureOverhead(t *testing.T) {
 		Restart:  10 * sim.Minute,
 		MTBF:     1e9 * sim.Hour, // effectively failure-free
 	}
-	res, err := c.Simulate(10, 1)
+	res, err := c.Simulate(nil, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCheckpointFailuresExtendRuntime(t *testing.T) {
 		Restart:  10 * sim.Minute,
 		MTBF:     6 * sim.Hour,
 	}
-	res, err := c.Simulate(400, 7)
+	res, err := c.Simulate(nil, 400, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCheckpointWithoutCheckpointsLosesEverything(t *testing.T) {
 		Restart:  5 * sim.Minute,
 		MTBF:     5 * sim.Hour,
 	}
-	res, err := c.Simulate(400, 3)
+	res, err := c.Simulate(nil, 400, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSimulatedOptimumNearYoung(t *testing.T) {
 		MTBF:     12 * sim.Hour,
 		Interval: sim.Hour, // placeholder; OptimalInterval sweeps
 	}
-	best, bestRes, err := c.OptimalInterval(120, 5)
+	best, bestRes, err := c.OptimalInterval(nil, 120, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSimulatedOptimumNearYoung(t *testing.T) {
 	for _, ivl := range []sim.Time{c.Overhead * 2, c.Work / 2} {
 		trial := c
 		trial.Interval = ivl
-		res, err := trial.Simulate(120, 5)
+		res, err := trial.Simulate(nil, 120, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,12 +226,12 @@ func TestCheckpointValidation(t *testing.T) {
 		{Work: 1, Interval: 1, MTBF: 1, Overhead: -1},
 	}
 	for i, c := range bad {
-		if _, err := c.Simulate(1, 1); err == nil {
+		if _, err := c.Simulate(nil, 1, 1); err == nil {
 			t.Errorf("case %d accepted: %+v", i, c)
 		}
 	}
 	good := Checkpoint{Work: 1, Interval: 1, MTBF: 1}
-	if _, err := good.Simulate(0, 1); err == nil {
+	if _, err := good.Simulate(nil, 0, 1); err == nil {
 		t.Error("zero runs accepted")
 	}
 }
@@ -248,13 +248,13 @@ func TestCheckpointMonotonicityProperty(t *testing.T) {
 			Restart:  8 * sim.Minute,
 			MTBF:     mtbf,
 		}
-		res, err := c.Simulate(60, seed)
+		res, err := c.Simulate(nil, 60, seed)
 		if err != nil || res.UsefulFraction <= 0 || res.UsefulFraction > 1 {
 			return false
 		}
 		better := c
 		better.MTBF = mtbf * 8
-		res2, err := better.Simulate(60, seed)
+		res2, err := better.Simulate(nil, 60, seed)
 		if err != nil {
 			return false
 		}
@@ -276,7 +276,7 @@ func BenchmarkCheckpointSimulate(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Simulate(10, int64(i)); err != nil {
+		if _, err := c.Simulate(nil, 10, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,14 +291,14 @@ func BenchmarkCheckpointSimulate(b *testing.B) {
 func TestSimulateCensoredRunExcludedFromMeans(t *testing.T) {
 	c := Checkpoint{Work: 1000, Interval: 100, Overhead: 1, Restart: 1, MTBF: 16}
 	const seed = 212
-	censored, err := c.Simulate(10, seed)
+	censored, err := c.Simulate(nil, 10, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !censored.Censored {
 		t.Fatal("expected run 10 to censor; the seed hunt went stale")
 	}
-	clean, err := c.Simulate(9, seed)
+	clean, err := c.Simulate(nil, 9, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestSimulateCensoredRunExcludedFromMeans(t *testing.T) {
 	}
 	// Extra runs past the censoring run change nothing: the loop stops at
 	// the first censored run.
-	again, err := c.Simulate(30, seed)
+	again, err := c.Simulate(nil, 30, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestSimulateCensoredRunExcludedFromMeans(t *testing.T) {
 // completed mean (pre-fix it returned the wall-clock cap as the "mean").
 func TestSimulateCensoredFirstRunReportsForever(t *testing.T) {
 	c := Checkpoint{Work: 1e6, Interval: 1e6, Overhead: 10, Restart: 10, MTBF: 100}
-	res, err := c.Simulate(5, 1)
+	res, err := c.Simulate(nil, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestSimulateNonCensoredPinned(t *testing.T) {
 		Restart:  600,
 		MTBF:     24 * 3600,
 	}
-	res, err := c.Simulate(200, 42)
+	res, err := c.Simulate(nil, 200, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +396,11 @@ func TestFirstFailureMeanRejectsNonPositiveRuns(t *testing.T) {
 					t.Errorf("FirstFailureMean(%d) panic message %q lacks guidance", runs, r)
 				}
 			}()
-			s.FirstFailureMean(runs, 1)
+			s.FirstFailureMean(nil, runs, 1)
 		}()
 	}
 	// The valid path still works and is finite.
-	got := s.FirstFailureMean(100, 1)
+	got := s.FirstFailureMean(nil, 100, 1)
 	if math.IsNaN(float64(got)) || got <= 0 {
 		t.Errorf("FirstFailureMean(100) = %v, want a positive finite time", got)
 	}

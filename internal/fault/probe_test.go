@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"northstar/internal/mc"
 	"northstar/internal/sim"
 	"northstar/internal/stats"
 )
@@ -33,20 +32,14 @@ func observe(t *testing.T) *recFaultProbe {
 	return rec
 }
 
-// probeShards are the shard counts the probe tests run at, on a pool
-// with helpers: the counts must not depend on how replications spread.
-var probeShards = []int{1, 4}
-
 func TestFirstFailureProbe(t *testing.T) {
 	s := System{Nodes: 100, Lifetime: stats.Exponential{Rate: 1.0 / 3600}}
-	p := mc.NewPool(3)
-	defer p.Close()
 	const runs = 50
-	for _, shards := range probeShards {
+	for _, p := range testPools(t) {
 		rec := observe(t)
-		s.FirstFailureMeanSharded(p, runs, 42, shards)
+		s.FirstFailureMean(p, runs, 42)
 		if want := (recFaultProbe{calls: 1, failures: runs}); *rec != want {
-			t.Errorf("shards=%d: probe recorded %+v, want %+v (one failure per replication)", shards, *rec, want)
+			t.Errorf("width %d: probe recorded %+v, want %+v (one failure per replication)", p.Workers(), *rec, want)
 		}
 	}
 }
@@ -59,12 +52,10 @@ func TestCheckpointProbe(t *testing.T) {
 		Restart:  30 * sim.Second,
 		MTBF:     2000 * sim.Second,
 	}
-	p := mc.NewPool(3)
-	defer p.Close()
 	const runs = 40
-	for _, shards := range probeShards {
+	for _, p := range testPools(t) {
 		rec := observe(t)
-		res, err := c.SimulateSharded(p, runs, 7, shards)
+		res, err := c.Simulate(p, runs, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +64,7 @@ func TestCheckpointProbe(t *testing.T) {
 		}
 		checkEstimate(t, rec, res, runs)
 		if rec.checkpoints == 0 {
-			t.Errorf("shards=%d: no checkpoints recorded despite multiple segments per run", shards)
+			t.Errorf("width %d: no checkpoints recorded despite multiple segments per run", p.Workers())
 		}
 	}
 }
@@ -81,7 +72,7 @@ func TestCheckpointProbe(t *testing.T) {
 // TestCensoredEstimateCountsOnlyAveragedRuns: segments five times the
 // MTBF make some run hit the wall-clock cap. The estimate averages only
 // the runs below the first capped one, and the probe must count exactly
-// those — not the capped run, nor runs above it that other shards
+// those — not the capped run, nor runs above it that other tasks
 // started before the cap was seen.
 func TestCensoredEstimateCountsOnlyAveragedRuns(t *testing.T) {
 	c := Checkpoint{
@@ -91,15 +82,13 @@ func TestCensoredEstimateCountsOnlyAveragedRuns(t *testing.T) {
 		Restart:  300 * sim.Second,
 		MTBF:     400 * sim.Second,
 	}
-	p := mc.NewPool(3)
-	defer p.Close()
 	const runs = 200
 	// Replication r draws the same stream whatever the run count, so the
 	// first capped replication is the smallest n whose n-run estimate is
 	// censored, less one.
 	completed := 0
 	for {
-		res, err := c.SimulateSharded(p, completed+1, 7, 1)
+		res, err := c.Simulate(nil, completed+1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,21 +106,21 @@ func TestCensoredEstimateCountsOnlyAveragedRuns(t *testing.T) {
 	// The uncensored estimate over the completed runs averages the same
 	// replications as the censored one.
 	want := observe(t)
-	if _, err := c.SimulateSharded(p, completed, 7, 1); err != nil {
+	if _, err := c.Simulate(nil, completed, 7); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range probeShards {
+	for _, p := range testPools(t) {
 		rec := observe(t)
-		res, err := c.SimulateSharded(p, runs, 7, shards)
+		res, err := c.Simulate(p, runs, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Censored {
-			t.Fatalf("shards=%d: estimate not censored", shards)
+			t.Fatalf("width %d: estimate not censored", p.Workers())
 		}
 		checkEstimate(t, rec, res, completed)
 		if *rec != *want {
-			t.Errorf("shards=%d: censored estimate recorded %+v, the %d runs it averages %+v", shards, *rec, completed, *want)
+			t.Errorf("width %d: censored estimate recorded %+v, the %d runs it averages %+v", p.Workers(), *rec, completed, *want)
 		}
 	}
 }
@@ -157,9 +146,7 @@ func TestProbeProviderRemoved(t *testing.T) {
 	SetProbeProvider(nil)
 
 	s := System{Nodes: 10, Lifetime: stats.Exponential{Rate: 1.0 / 3600}}
-	p := mc.NewPool(0)
-	defer p.Close()
-	s.FirstFailureMeanSharded(p, 10, 1, 1)
+	s.FirstFailureMean(nil, 10, 1)
 	if rec.calls != 0 {
 		t.Fatalf("probe called %d times after provider removal, want 0", rec.calls)
 	}

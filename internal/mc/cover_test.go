@@ -138,18 +138,11 @@ func TestDoStopsHandingOutTasksAfterPanic(t *testing.T) {
 	}
 }
 
-func TestShardsFloorAtOne(t *testing.T) {
-	// n <= 0 drives the clamp-to-n branch below 1; the floor restores it.
-	if got := Shards(nil, -1, 0); got != 1 {
-		t.Fatalf("Shards(nil, -1, 0) = %d, want 1", got)
-	}
-}
-
 func TestEmptyWorkEarlyReturns(t *testing.T) {
 	called := false
 	ForEach(nil, 0, func(int) { called = true })
-	Replicate(nil, 1, 0, 1, func(int, *rand.Rand) { called = true })
-	ReplicateCensored(nil, 1, -1, 1, func(int, *rand.Rand) bool { called = true; return false })
+	Replicate(nil, 0, 1, func(int, *rand.Rand) { called = true })
+	ReplicateCensored(nil, -1, 1, func(int, *rand.Rand) bool { called = true; return false })
 	if called {
 		t.Fatal("zero-size work invoked a body")
 	}

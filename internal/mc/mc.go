@@ -1,16 +1,16 @@
 // Package mc is the shared map-reduce engine for the repository's Monte
-// Carlo loops. It partitions replications into shards, runs the shards on
-// a bounded pool of helper goroutines, and leaves reduction to the
-// caller over per-replication storage — so a sharded run reduces in
-// replication order and is bit-identical to the sequential loop for any
-// shard count and any pool size.
+// Carlo loops. It runs replications on a bounded pool of helper
+// goroutines, handing them out in index order, and leaves reduction to
+// the caller over per-replication storage — so a parallel run reduces in
+// replication order and is bit-identical to the sequential loop on any
+// pool.
 //
 // Seeding contract: Replicate hands replication r a *rand.Rand seeded
 // with stats.Substream(seed, r). A replication's draws are therefore a
-// pure function of (seed, r) — never of which shard or goroutine ran it.
+// pure function of (seed, r) — never of which task or goroutine ran it.
 //
 // Budgeting: the pool is sized against the suite-level parallelism so
-// nested parallelism (suite workers × intra-experiment shards) cannot
+// nested parallelism (suite workers × intra-experiment tasks) cannot
 // oversubscribe the host; see SetDefaultWorkers.
 package mc
 
@@ -176,23 +176,6 @@ func SetDefaultWorkers(helpers int) {
 	}
 }
 
-// Shards resolves a requested shard count for n replications: requested
-// if positive, otherwise the pool's execution width, in both cases
-// clamped to [1, n].
-func Shards(p *Pool, requested, n int) int {
-	s := requested
-	if s <= 0 {
-		s = p.Workers()
-	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // ForEach runs fn(i) for every i in [0, n) on the pool, one task per
 // index. Unlike Replicate it imposes no seeding contract; use it for
 // sweeps whose iterations already own independent state. Iterations must
@@ -209,24 +192,25 @@ func ForEach(p *Pool, n int, fn func(i int)) {
 	p.Do(tasks)
 }
 
-// Replicate runs body(r, rng) for every replication r in [0, n),
-// partitioned into `shards` contiguous blocks (resolved via Shards). The
-// rng handed to body is seeded with stats.Substream(seed, r), so body's
-// draws depend only on (seed, r). body runs concurrently across shards:
-// it must write only to per-replication storage (e.g. out[r]); the
-// caller reduces in index order after Replicate returns, which makes the
-// reduction bit-identical for every shard count.
-func Replicate(p *Pool, shards, n int, seed int64, body func(r int, rng *rand.Rand)) {
+// Replicate runs body(r, rng) for every replication r in [0, n) on p.
+// It runs min(p.Workers(), n) tasks; each keeps one stream and takes the
+// next replication index from a shared counter, so replications begin in
+// index order. The rng handed to body is seeded with
+// stats.Substream(seed, r), so body's draws depend only on (seed, r).
+// body runs concurrently across tasks: it must write only to
+// per-replication storage (e.g. out[r]); the caller reduces in index
+// order after Replicate returns, which makes the reduction bit-identical
+// on every pool.
+func Replicate(p *Pool, n int, seed int64, body func(r int, rng *rand.Rand)) {
 	if n <= 0 {
 		return
 	}
-	shards = Shards(p, shards, n)
-	tasks := make([]func(), shards)
-	for s := range tasks {
-		lo, hi := s*n/shards, (s+1)*n/shards
-		tasks[s] = func() {
+	var next atomic.Int64
+	tasks := make([]func(), min(p.Workers(), n))
+	for i := range tasks {
+		tasks[i] = func() {
 			st := stats.NewStream()
-			for r := lo; r < hi; r++ {
+			for r := int(next.Add(1)) - 1; r < n; r = int(next.Add(1)) - 1 {
 				st.Reseed(stats.Substream(seed, uint64(r)))
 				body(r, st.Rand)
 			}
@@ -236,9 +220,9 @@ func Replicate(p *Pool, shards, n int, seed int64, body func(r int, rng *rand.Ra
 }
 
 // ReplicateCensored is Replicate for loops that stop at the first capped
-// replication, preserving the sequential break-at-first-cap semantics
-// under sharding. body reports whether replication r censored. It
-// returns the lowest censoring index, or n if none censored.
+// replication, preserving the sequential break-at-first-cap semantics on
+// any pool. body reports whether replication r censored. It returns the
+// lowest censoring index, or n if none censored.
 //
 // Short-circuit rule: a replication whose index exceeds the lowest
 // censoring index seen so far is skipped. This is deterministic even
@@ -246,14 +230,14 @@ func Replicate(p *Pool, shards, n int, seed int64, body func(r int, rng *rand.Ra
 // skipped r always exceeds the final minimum and would be excluded from
 // the reduction anyway, while every r below the final minimum is never
 // skipped and always executes. The caller must reduce exactly the
-// replications r < the returned index. With several shards in flight,
-// replications above it may already have run before the cap was seen,
-// and how many did depends on scheduling: anything a caller counts must
-// come from that reduction, not from body.
-func ReplicateCensored(p *Pool, shards, n int, seed int64, body func(r int, rng *rand.Rand) (censored bool)) int {
+// replications r < the returned index. Replications begin in index
+// order, but other tasks may begin replications above the cap before it
+// is seen, and how many they begin depends on scheduling: anything a
+// caller counts must come from that reduction, not from body.
+func ReplicateCensored(p *Pool, n int, seed int64, body func(r int, rng *rand.Rand) (censored bool)) int {
 	var first atomic.Int64
 	first.Store(int64(n))
-	Replicate(p, shards, n, seed, func(r int, rng *rand.Rand) {
+	Replicate(p, n, seed, func(r int, rng *rand.Rand) {
 		if int64(r) > first.Load() {
 			return
 		}

@@ -1,17 +1,20 @@
 package mc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"northstar/internal/stats"
 )
 
 // sequentialTally is the reference reduction: the plain sequential loop
-// every sharded run must reproduce.
+// every pooled run must reproduce.
 func sequentialTally(n int, seed int64) (intSum int64, floatSum float64) {
 	st := stats.NewStream()
 	for r := 0; r < n; r++ {
@@ -22,10 +25,10 @@ func sequentialTally(n int, seed int64) (intSum int64, floatSum float64) {
 	return
 }
 
-func shardedTally(p *Pool, shards, n int, seed int64) (intSum int64, floatSum float64) {
+func pooledTally(p *Pool, n int, seed int64) (intSum int64, floatSum float64) {
 	ints := make([]int64, n)
 	floats := make([]float64, n)
-	Replicate(p, shards, n, seed, func(r int, rng *rand.Rand) {
+	Replicate(p, n, seed, func(r int, rng *rand.Rand) {
 		ints[r] = int64(rng.Intn(1000))
 		floats[r] = rng.Float64()
 	})
@@ -36,36 +39,52 @@ func shardedTally(p *Pool, shards, n int, seed int64) (intSum int64, floatSum fl
 	return
 }
 
+// testPools returns pools of width 1 (nil), 2 and 8, closed when the
+// test ends.
+func testPools(t *testing.T) []*Pool {
+	pools := []*Pool{nil, NewPool(1), NewPool(7)}
+	t.Cleanup(func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	})
+	return pools
+}
+
 // TestReplicateShardReduceMatchesSequential is the reducer property
-// test: for arbitrary (n, seed, shards), shard-reduce equals the
-// sequential loop — exactly for integer tallies, and bit-identical (a
-// stronger guarantee than the 1-ulp tolerance the contract promises) for
-// float sums, because reduction happens in replication order.
+// test: for arbitrary (n, seed) and pool widths 1, 2 and 8, the pooled
+// reduction equals the sequential loop — exactly for integer tallies,
+// and bit-identical (a stronger guarantee than the 1-ulp tolerance the
+// contract promises) for float sums, because reduction happens in
+// replication order.
 func TestReplicateShardReduceMatchesSequential(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	prop := func(nRaw uint16, seed int64, shardsRaw uint8) bool {
+	pools := testPools(t)
+	prop := func(nRaw uint16, seed int64) bool {
 		n := int(nRaw%500) + 1
-		shards := int(shardsRaw%12) + 1
 		wantInt, wantFloat := sequentialTally(n, seed)
-		gotInt, gotFloat := shardedTally(p, shards, n, seed)
-		return gotInt == wantInt && math.Float64bits(gotFloat) == math.Float64bits(wantFloat)
+		for _, p := range pools {
+			gotInt, gotFloat := pooledTally(p, n, seed)
+			if gotInt != wantInt || math.Float64bits(gotFloat) != math.Float64bits(wantFloat) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestReplicateRaceShards8 exists for the race detector: shards=8 on an
-// 8-helper pool, all shards writing per-replication slots concurrently.
+// TestReplicateRaceShards8 exists for the race detector: an 8-wide
+// pool, all eight tasks writing per-replication slots concurrently.
 func TestReplicateRaceShards8(t *testing.T) {
-	p := NewPool(8)
+	p := NewPool(7)
 	defer p.Close()
 	for iter := 0; iter < 20; iter++ {
-		a, b := shardedTally(p, 8, 400, int64(iter))
+		a, b := pooledTally(p, 400, int64(iter))
 		c, d := sequentialTally(400, int64(iter))
 		if a != c || b != d {
-			t.Fatalf("iter %d: sharded (%d,%v) != sequential (%d,%v)", iter, a, b, c, d)
+			t.Fatalf("iter %d: pooled (%d,%v) != sequential (%d,%v)", iter, a, b, c, d)
 		}
 	}
 }
@@ -85,24 +104,24 @@ func TestReplicateCensoredMatchesSequentialBreak(t *testing.T) {
 		return n
 	}
 
-	p := NewPool(4)
-	defer p.Close()
-	prop := func(nRaw uint16, seed int64, shardsRaw uint8) bool {
+	pools := testPools(t)
+	prop := func(nRaw uint16, seed int64) bool {
 		n := int(nRaw%400) + 1
-		shards := int(shardsRaw%10) + 1
 		want := seqFirst(n, seed)
-		executed := make([]atomic.Bool, n)
-		got := ReplicateCensored(p, shards, n, seed, func(r int, rng *rand.Rand) bool {
-			executed[r].Store(true)
-			return censors(rng)
-		})
-		if got != want {
-			return false
-		}
-		// Every replication below the censor point must have executed.
-		for r := 0; r < got; r++ {
-			if !executed[r].Load() {
+		for _, p := range pools {
+			executed := make([]atomic.Bool, n)
+			got := ReplicateCensored(p, n, seed, func(r int, rng *rand.Rand) bool {
+				executed[r].Store(true)
+				return censors(rng)
+			})
+			if got != want {
 				return false
+			}
+			// Every replication below the censor point must have executed.
+			for r := 0; r < got; r++ {
+				if !executed[r].Load() {
+					return false
+				}
 			}
 		}
 		return true
@@ -117,10 +136,61 @@ func TestReplicateSeedsAreSubstreams(t *testing.T) {
 	// fresh rand seeded with Substream(seed, r).
 	const n, seed = 64, 99
 	got := make([]uint64, n)
-	Replicate(nil, 4, n, seed, func(r int, rng *rand.Rand) { got[r] = rng.Uint64() })
+	Replicate(nil, n, seed, func(r int, rng *rand.Rand) { got[r] = rng.Uint64() })
 	for r := 0; r < n; r++ {
 		if want := stats.NewRand(stats.Substream(seed, uint64(r))).Uint64(); got[r] != want {
 			t.Fatalf("replication %d: draw %d, want %d", r, got[r], want)
+		}
+	}
+}
+
+// TestReplicateHandsOutInIndexOrder: replications begin in index order
+// at any pool width. Replication 0 holds its task until another
+// replication has begun, so the pool's other tasks run beside it; when
+// any replication begins, the only lower ones that may not have begun
+// are those the other Workers()-1 tasks have taken and not yet started.
+// A block partition fails this: its second block starts while most of
+// the first has not begun.
+func TestReplicateHandsOutInIndexOrder(t *testing.T) {
+	const n = 64
+	for _, width := range []int{2, 4} {
+		p := NewPool(width - 1)
+		defer p.Close()
+		overlapped := false
+		// A helper that is not idle when Replicate hands out its tasks
+		// leaves them to the caller; retry until one ran beside it.
+		for attempt := 0; !overlapped; attempt++ {
+			if attempt == 1000 {
+				t.Fatalf("width %d: replication 0 never ran beside another", width)
+			}
+			var begun [n]atomic.Bool
+			var late atomic.Int64 // lower replications not begun, when over the bound
+			other := make(chan struct{})
+			var once sync.Once
+			Replicate(p, n, 1, func(r int, _ *rand.Rand) {
+				begun[r].Store(true)
+				notBegun := 0
+				for q := 0; q < r; q++ {
+					if !begun[q].Load() {
+						notBegun++
+					}
+				}
+				if notBegun > width-1 {
+					late.Store(int64(notBegun))
+				}
+				if r > 0 {
+					once.Do(func() { close(other) })
+					return
+				}
+				select {
+				case <-other:
+					overlapped = true
+				case <-time.After(10 * time.Millisecond):
+				}
+			})
+			if l := late.Load(); l > 0 {
+				t.Fatalf("width %d: a replication began while %d lower ones had not, want at most %d", width, l, width-1)
+			}
 		}
 	}
 }
@@ -162,29 +232,6 @@ func TestNilPoolRunsInline(t *testing.T) {
 		t.Fatalf("sum = %d, want 45", sum)
 	}
 	p.Close() // must not panic
-}
-
-func TestShardsResolution(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	cases := []struct {
-		requested, n, want int
-	}{
-		{0, 100, 4},  // auto: helpers+1
-		{0, 2, 2},    // auto clamped to n
-		{8, 100, 8},  // explicit
-		{8, 5, 5},    // explicit clamped to n
-		{1, 100, 1},  // explicit sequential
-		{-3, 100, 4}, // negative means auto
-	}
-	for _, c := range cases {
-		if got := Shards(p, c.requested, c.n); got != c.want {
-			t.Errorf("Shards(p, %d, %d) = %d, want %d", c.requested, c.n, got, c.want)
-		}
-	}
-	if got := Shards(nil, 0, 100); got != 1 {
-		t.Errorf("Shards(nil, 0, 100) = %d, want 1", got)
-	}
 }
 
 func TestSetDefaultWorkers(t *testing.T) {
@@ -243,19 +290,20 @@ func TestDoEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// BenchmarkShardReplicate measures ns/replication of the shard engine at
-// shards=1/2/4/8 on a moderately priced replication body (an exponential
-// draw plus float accumulation), the shape of the fault-model loops.
+// BenchmarkShardReplicate measures ns/replication of Replicate on pools
+// of width 1/2/4/8 on a moderately priced replication body (an
+// exponential draw plus float accumulation), the shape of the
+// fault-model loops.
 func BenchmarkShardReplicate(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(map[int]string{1: "shards=1", 2: "shards=2", 4: "shards=4", 8: "shards=8"}[shards], func(b *testing.B) {
-			p := NewPool(shards - 1)
+	for _, width := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			p := NewPool(width - 1)
 			defer p.Close()
 			const n = 4096
 			out := make([]float64, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Replicate(p, shards, n, 42, func(r int, rng *rand.Rand) {
+				Replicate(p, n, 42, func(r int, rng *rand.Rand) {
 					out[r] = rng.ExpFloat64()
 				})
 				var sum float64
@@ -269,9 +317,9 @@ func BenchmarkShardReplicate(b *testing.B) {
 	}
 }
 
-// BenchmarkShardSingleStreamBaseline is the pre-sharding reference: one
+// BenchmarkShardSingleStreamBaseline is the pre-pool reference: one
 // math/rand stream, no substream reseeding, no pool. The delta against
-// BenchmarkShardReplicate/shards=1 is the sharding overhead.
+// BenchmarkShardReplicate/width=1 is the engine's overhead.
 func BenchmarkShardSingleStreamBaseline(b *testing.B) {
 	const n = 4096
 	out := make([]float64, n)

@@ -19,7 +19,6 @@ import (
 // switching loses badly on small scattered messages (every new pairing
 // pays the setup) and wins on large or repeated bulk transfers.
 type Circuit struct {
-	Counters
 	k     *sim.Kernel
 	p     Preset
 	n     int
@@ -74,9 +73,8 @@ func (c *Circuit) NumEndpoints() int { return c.n }
 func (c *Circuit) Preset() Preset { return c.p }
 
 // Reset implements Fabric: all circuits torn down, lightpaths idle,
-// counters zeroed.
+// Reconfigs zeroed.
 func (c *Circuit) Reset() {
-	c.Counters.reset()
 	c.Reconfigs = 0
 	for i := range c.lastDst {
 		c.lastDst[i] = -1
@@ -96,8 +94,6 @@ func (c *Circuit) Send(src, dst int, bytes int64, onInjected, onDelivered func()
 	if src == dst {
 		panic("network: self-send must be handled above the fabric")
 	}
-	c.count(bytes)
-
 	now := c.k.Now()
 	start := now + c.p.Overhead
 	if c.egressFree[src] > start {

@@ -33,7 +33,6 @@ func SharedMemory(memBandwidth float64) Preset {
 // for one pair of NIC endpoints, exactly the serialization that makes
 // hybrid placement interesting.
 type Hierarchical struct {
-	Counters
 	intra        Fabric // one endpoint per rank
 	inter        Fabric // one endpoint per node
 	ranksPerNode int
@@ -90,7 +89,6 @@ func (h *Hierarchical) NodeOf(ep int) int { return ep / h.ranksPerNode }
 
 // Reset implements Fabric, resetting both levels.
 func (h *Hierarchical) Reset() {
-	h.Counters.reset()
 	h.intra.Reset()
 	h.inter.Reset()
 }
@@ -100,7 +98,6 @@ func (h *Hierarchical) Send(src, dst int, bytes int64, onInjected, onDelivered f
 	if src < 0 || src >= h.NumEndpoints() || dst < 0 || dst >= h.NumEndpoints() {
 		panic(fmt.Sprintf("network: endpoint out of range: %d->%d of %d", src, dst, h.NumEndpoints()))
 	}
-	h.count(bytes)
 	if h.probe != nil {
 		h.probe.MessageInjected(KindHierarchical, bytes, 1)
 	}

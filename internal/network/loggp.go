@@ -20,7 +20,6 @@ import (
 // Cross-validated against PacketNet in the contention-free regime (see
 // tests).
 type LogGP struct {
-	Counters
 	k           *sim.Kernel
 	p           Preset
 	n           int
@@ -65,7 +64,6 @@ func (f *LogGP) Preset() Preset { return f.p }
 // Send implements Fabric.
 func (f *LogGP) Send(src, dst int, bytes int64, onInjected, onDelivered func()) {
 	f.check(src, dst, bytes)
-	f.count(bytes)
 	now := f.k.Now()
 
 	occ := f.p.Gap
@@ -96,9 +94,8 @@ func (f *LogGP) Send(src, dst int, bytes int64, onInjected, onDelivered func()) 
 	}
 }
 
-// Reset implements Fabric: all NICs idle, counters zeroed.
+// Reset implements Fabric: all NICs idle.
 func (f *LogGP) Reset() {
-	f.Counters.reset()
 	for i := range f.egressFree {
 		f.egressFree[i] = 0
 		f.ingressFree[i] = 0

@@ -44,25 +44,12 @@ type Fabric interface {
 	// bytes must be >= 0; a 0-byte message still pays latency and
 	// overhead (it models a header-only control message).
 	Send(src, dst int, bytes int64, onInjected, onDelivered func())
-	// Reset returns the fabric to its just-built state (idle links,
-	// zeroed counters) so a machine can be reused across runs instead of
-	// rebuilt. Call it only when the fabric is quiescent — after the
-	// kernel has drained (no sends in flight).
+	// Reset returns the fabric to its just-built state (idle links, and
+	// outputs such as Circuit.Reconfigs zeroed) so a machine can be
+	// reused across runs instead of rebuilt. Call it only when the
+	// fabric is quiescent — after the kernel has drained (no sends in
+	// flight).
 	Reset()
-}
-
-// reset zeroes the embedded traffic counters.
-func (c *Counters) reset() { *c = Counters{} }
-
-// Counters tracks fabric traffic; every built-in fabric embeds one.
-type Counters struct {
-	Messages int64
-	Bytes    int64
-}
-
-func (c *Counters) count(bytes int64) {
-	c.Messages++
-	c.Bytes += bytes
 }
 
 // Preset is a named parameterization of a fabric: the user-level LogGP

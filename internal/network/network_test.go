@@ -144,17 +144,6 @@ func TestLogGPSelfSendPanics(t *testing.T) {
 	f.Send(1, 1, 10, nil, nil)
 }
 
-func TestLogGPCounters(t *testing.T) {
-	k := sim.New(1)
-	f := NewLogGP(k, GigabitEthernet(), 2)
-	f.Send(0, 1, 100, nil, nil)
-	f.Send(1, 0, 200, nil, nil)
-	k.Run()
-	if f.Messages != 2 || f.Bytes != 300 {
-		t.Fatalf("counters = %d msgs, %d bytes; want 2, 300", f.Messages, f.Bytes)
-	}
-}
-
 func TestPacketNetSingleMessagePipelines(t *testing.T) {
 	p := Myrinet2000()
 	k := sim.New(1)

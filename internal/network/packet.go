@@ -14,7 +14,6 @@ import (
 // spreading (via the topology's ECMP hash), and bisection limits — at
 // O(packets × hops) events per message.
 type PacketNet struct {
-	Counters
 	k   *sim.Kernel
 	p   Preset
 	g   *topology.Graph
@@ -22,9 +21,7 @@ type PacketNet struct {
 	// linkFree[2*edge+dir] is when that directed link finishes its
 	// current transmission. dir 0 = A->B.
 	linkFree []sim.Time
-	// HopsTraversed counts total packet-hops, for congestion metrics.
-	HopsTraversed int64
-	probe         Probe
+	probe    Probe
 	// Per-send routing scratch. Send is synchronous and never reentered,
 	// so one set of buffers serves every message without allocating.
 	scrEdges  []int
@@ -78,10 +75,8 @@ func (f *PacketNet) NumEndpoints() int { return len(f.eps) }
 // Graph returns the underlying topology.
 func (f *PacketNet) Graph() *topology.Graph { return f.g }
 
-// Reset implements Fabric: all links idle, counters zeroed.
+// Reset implements Fabric: all links idle.
 func (f *PacketNet) Reset() {
-	f.Counters.reset()
-	f.HopsTraversed = 0
 	for i := range f.linkFree {
 		f.linkFree[i] = 0
 	}
@@ -98,8 +93,6 @@ func (f *PacketNet) Send(src, dst int, bytes int64, onInjected, onDelivered func
 	if src == dst {
 		panic("network: self-send must be handled above the fabric")
 	}
-	f.count(bytes)
-
 	edges, verts := f.g.RouteAppend(f.eps[src], f.eps[dst], f.scrEdges, f.scrVerts)
 	// Directed link ids along the route.
 	dlinks := append(f.scrDlinks[:0], edges...)
@@ -152,7 +145,6 @@ func (f *PacketNet) Send(src, dst int, bytes int64, onInjected, onDelivered func
 			}
 			f.linkFree[dl] = dep + tx
 			t = dep + tx + f.p.PerHopDelay
-			f.HopsTraversed++
 			if h == 0 {
 				lastInject = dep + tx
 			}
@@ -184,7 +176,6 @@ func (f *PacketNet) Send(src, dst int, bytes int64, onInjected, onDelivered func
 				for _, dl := range dlinks {
 					f.linkFree[dl] += shift
 				}
-				f.HopsTraversed += r * int64(len(dlinks))
 				busy += shift * sim.Time(len(dlinks))
 				fastPkts += r
 				lastInject = f.linkFree[dlinks[0]]

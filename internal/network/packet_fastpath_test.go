@@ -118,9 +118,6 @@ func TestPacketFastPathMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			if fast.HopsTraversed == 0 {
-				t.Fatalf("%s/%s: no hops traversed", g.Name, p.Name)
-			}
 		}
 	}
 }

@@ -90,22 +90,6 @@ func TestFabricResetBitIdentical(t *testing.T) {
 	}
 }
 
-// Reset must zero the embedded traffic counters on every fabric.
-func TestFabricResetZeroesCounters(t *testing.T) {
-	k := sim.New(1)
-	f := NewLogGP(k, FastEthernet(), 2)
-	f.Send(0, 1, 4096, nil, nil)
-	k.Run()
-	if f.Messages != 1 || f.Bytes != 4096 {
-		t.Fatalf("counters before reset: %d msgs, %d bytes", f.Messages, f.Bytes)
-	}
-	k.Reset()
-	f.Reset()
-	if f.Messages != 0 || f.Bytes != 0 {
-		t.Fatalf("counters after reset: %d msgs, %d bytes", f.Messages, f.Bytes)
-	}
-}
-
 // TestWormholeResetReplays: under congestion — a seeded incast of 1–8
 // flows onto one hotspot plus a victim flow between two other
 // endpoints — a wormhole fat tree reused through Reset gives

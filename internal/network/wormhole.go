@@ -42,7 +42,6 @@ import (
 //   - every message starts Overhead after its Send, in Send order;
 //   - events due at equal times fire in the order they were scheduled.
 type WormholeNet struct {
-	Counters
 	k *sim.Kernel
 	p Preset
 	g *topology.Graph
@@ -146,10 +145,9 @@ func (f *WormholeNet) NumEndpoints() int { return len(f.eps) }
 func (f *WormholeNet) Graph() *topology.Graph { return f.g }
 
 // Reset implements Fabric: every link idle with a full credit pool and
-// empty queues, counters zeroed. Call only after a drained run; a
-// packet still in flight would resume against the refilled credits.
+// empty queues, Stalls zeroed. Call only after a drained run; a packet
+// still in flight would resume against the refilled credits.
 func (f *WormholeNet) Reset() {
-	f.Counters.reset()
 	f.Stalls = 0
 	f.starting.reset()
 	for i := range f.links {
@@ -173,8 +171,6 @@ func (f *WormholeNet) Send(src, dst int, bytes int64, onInjected, onDelivered fu
 	if src == dst {
 		panic("network: self-send must be handled above the fabric")
 	}
-	f.count(bytes)
-
 	m := f.newMsg()
 	edges, verts := f.g.RouteAppend(f.eps[src], f.eps[dst], f.scrEdges, f.scrVerts)
 	f.scrEdges, f.scrVerts = edges, verts

@@ -211,7 +211,7 @@ func TestObserverDomainPlumbing(t *testing.T) {
 	// Fault: a first-failure estimate on an inline pool.
 	pool := mc.NewPool(0)
 	sys := fault.System{Nodes: 16, Lifetime: stats.Exponential{Rate: 1.0 / 3600}}
-	sys.FirstFailureMeanSharded(pool, 5, 11, 1)
+	sys.FirstFailureMean(pool, 5, 11)
 	pool.Close()
 
 	// Mgmt: one detection simulation.

@@ -59,9 +59,10 @@ type Config struct {
 	// bodies; <= 0 means DefaultCacheBytes.
 	CacheBytes int64
 	// PoolWorkers is the execution width of the server-owned mc pool
-	// that request interpretations shard onto: 1 means sequential, n
-	// means n-1 helper goroutines, and <= 0 means GOMAXPROCS. Results
-	// are bit-identical at any width; this only budgets CPU.
+	// that request interpretations run on, their Monte Carlo estimates
+	// included: 1 means sequential, n means n-1 helper goroutines, and
+	// <= 0 means GOMAXPROCS. Results are bit-identical at any width;
+	// this only budgets CPU.
 	PoolWorkers int
 	// MaxBodyBytes caps request bodies; <= 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64

@@ -9,10 +9,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"northstar/internal/experiments"
+	"northstar/internal/mc"
 	"northstar/internal/obs"
 	"northstar/internal/serve"
 )
@@ -130,6 +132,52 @@ func TestServedTablesMatchGoldenCorpus(t *testing.T) {
 			t.Errorf("%s: key header drifted between cold and cached", id)
 		}
 	}
+}
+
+// TestFaultEstimatesRunOnTheServersPool: a served E9 or E10 runs its
+// Monte Carlo estimates on the server's pool. With the default pool
+// closed, so that an estimate reaching for it panics, a one-wide server
+// still answers both, quick and full, with the reference tables.
+func TestFaultEstimatesRunOnTheServersPool(t *testing.T) {
+	t.Cleanup(func() { mc.SetDefaultWorkers(runtime.GOMAXPROCS(0) - 1) })
+	mc.SetDefaultWorkers(1)
+	mc.Default().Close()
+	_, ts := newServer(t, serve.Config{PoolWorkers: 1})
+	for _, id := range []string{"E9", "E10"} {
+		for _, quick := range []bool{true, false} {
+			resp, body := post(t, ts, fmt.Sprintf(`{"id":%q,"quick":%v}`, id, quick))
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s quick=%v: status %d: %s", id, quick, resp.StatusCode, body)
+				continue
+			}
+			if decodeResponse(t, body).Table != referenceTable(t, id, quick) {
+				t.Errorf("%s quick=%v: served table differs from the reference", id, quick)
+			}
+		}
+	}
+}
+
+// referenceTable returns id's committed table: the golden file in quick
+// mode, its section of results/full_output.txt in full mode.
+func referenceTable(t *testing.T, id string, quick bool) string {
+	t.Helper()
+	if quick {
+		want, err := os.ReadFile(goldenPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(want)
+	}
+	out, err := os.ReadFile(filepath.Join("..", "..", "results", "full_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(out)
+	i := strings.Index(s, "== "+id+": ")
+	if i < 0 {
+		t.Fatalf("%s has no table in results/full_output.txt", id)
+	}
+	return s[i : i+strings.Index(s[i:], "\n\n")+2]
 }
 
 // TestAPIContract pins every endpoint's status codes, content types,

@@ -312,10 +312,14 @@ func ScheduleGang(nodes int, jobs []*Job, cfg GangConfig) (SchedResult, error) {
 
 // ---- faults ----
 
-// FaultSystem describes an N-node cluster's failure behavior.
+// FaultSystem describes an N-node cluster's failure behavior. Its
+// FirstFailureMean estimate takes a Monte Carlo pool first; nil runs the
+// replications inline on the caller.
 type FaultSystem = fault.System
 
-// Checkpoint describes a checkpointed execution.
+// Checkpoint describes a checkpointed execution. Simulate and
+// OptimalInterval take a Monte Carlo pool first; nil runs the
+// replications inline on the caller.
 type Checkpoint = fault.Checkpoint
 
 // CheckpointResult summarizes checkpointed executions.

@@ -153,7 +153,7 @@ func TestFacadeFaultChain(t *testing.T) {
 		Work: 48 * northstar.Hour, Interval: young, Overhead: delta,
 		Restart: 5 * northstar.Minute, MTBF: sys.MTBF(),
 	}
-	res, err := c.Simulate(50, 1)
+	res, err := c.Simulate(nil, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
