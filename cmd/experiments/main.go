@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments                   # run everything, parallel across CPUs
-//	experiments -par 1            # sequential (same bytes, slower)
+//	experiments -par 1            # one at a time (same bytes, slower)
 //	experiments -par 4            # bounded worker pool
 //	experiments -quick            # CI-scale sweeps
 //	experiments -id E7            # one experiment
@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	id := fs.String("id", "", "run only this experiment (e.g. E7)")
 	describe := fs.String("describe", "", "print this experiment's ScenarioSpec as JSON and exit")
 	csvDir := fs.String("csv", "", "also write CSV files into this directory")
-	par := fs.Int("par", 0, "worker pool size; 0 = one per CPU, 1 = sequential")
+	par := fs.Int("par", 0, "worker pool size; 0 = one per CPU, 1 = one experiment at a time")
 	traceFile := fs.String("trace", "", "write a Chrome trace_event JSON trace to this file (open in Perfetto)")
 	metricsFile := fs.String("metrics", "", "write a metrics snapshot JSON to this file")
 	progress := fs.Bool("progress", false, "print live per-spec status lines to stderr")
@@ -175,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Budget the intra-experiment Monte Carlo pool against the suite
 	// workers: the two levels of parallelism share one CPU budget, so a
 	// -par that saturates the host leaves no pool helpers (and vice
-	// versa a sequential -par 1 hands the spare CPUs to the pool).
+	// versa -par 1 hands the spare CPUs to the pool).
 	// Every Monte Carlo result is bit-identical for any pool size, so
 	// this only moves wall clock, never numbers.
 	suiteWorkers := *par

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -32,8 +33,9 @@ func TestAllSpecsCarryCostHints(t *testing.T) {
 	}
 }
 
-// LPT dispatch must not perturb the output stream: a parallel run prints
-// in suite order regardless of the dispatch permutation.
+// LPT dispatch must not perturb the output stream: a run prints in
+// suite order regardless of the dispatch permutation, at one worker (which
+// runs the specs last-to-first here) and at four.
 func TestLPTDispatchKeepsOutputOrder(t *testing.T) {
 	mk := func(id string, cost float64) Spec {
 		return Spec{ID: id, Title: id, Cost: cost,
@@ -44,14 +46,17 @@ func TestLPTDispatchKeepsOutputOrder(t *testing.T) {
 			}}
 	}
 	specs := []Spec{mk("s1", 0.001), mk("s2", 9), mk("s3", 0.5), mk("s4", 3)}
-	var seq, par bytes.Buffer
-	if _, err := RunSpecs(&seq, specs, Options{Quick: true, Workers: 1}); err != nil {
+	var one, four bytes.Buffer
+	if _, err := RunSpecs(&one, specs, Options{Quick: true, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSpecs(&par, specs, Options{Quick: true, Workers: 4}); err != nil {
+	if _, err := RunSpecs(&four, specs, Options{Quick: true, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if seq.String() != par.String() {
-		t.Errorf("parallel LPT output differs from sequential:\n%s\nvs\n%s", par.String(), seq.String())
+	if want := "== s1"; !strings.HasPrefix(one.String(), want) {
+		t.Errorf("one-worker output does not start with %q:\n%s", want, one.String())
+	}
+	if one.String() != four.String() {
+		t.Errorf("four-worker output differs from one-worker output:\n%s\nvs\n%s", four.String(), one.String())
 	}
 }

@@ -16,8 +16,9 @@ import (
 type Options struct {
 	// Quick shrinks each experiment's sweeps to CI scale.
 	Quick bool
-	// Workers sets the pool size: <= 0 selects runtime.GOMAXPROCS(0),
-	// 1 runs the specs strictly one at a time (the sequential path).
+	// Workers sets the pool size: <= 0 selects runtime.GOMAXPROCS(0).
+	// Width 1 runs the specs one at a time, on the same pool and in the
+	// same longest-first order as any other width.
 	Workers int
 	// Observer, when non-nil, instruments the run: per-spec wall clock,
 	// kernel event counts, trace slices, and live progress lines. The
@@ -49,8 +50,9 @@ func RunSuite(w io.Writer, opts Options) ([]*Table, error) {
 // RunSpecs executes specs on a bounded worker pool and prints each table
 // to w in spec order as soon as it and all its predecessors are done.
 // Every experiment is independent — each builds its own kernels,
-// machines, and roadmaps — so the tables are byte-identical to a
-// sequential run; only host wall-clock changes.
+// machines, and roadmaps — so the tables are byte-identical at any
+// worker count; only host wall-clock changes. Every worker count, 1
+// included, runs the same pool, dispatching the specs longest-first.
 //
 // A failing spec does not drop the specs after it: all specs run to
 // completion, failed ones print nothing, and the returned slice holds
@@ -62,7 +64,6 @@ func RunSuite(w io.Writer, opts Options) ([]*Table, error) {
 func RunSpecs(w io.Writer, specs []Spec, opts Options) ([]*Table, error) {
 	tables := make([]*Table, len(specs))
 	errs := make([]error, len(specs))
-	specObs := make([]*obs.SpecObs, len(specs))
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -77,42 +78,11 @@ func RunSpecs(w io.Writer, specs []Spec, opts Options) ([]*Table, error) {
 		defer opts.Observer.End()
 	}
 
-	// runOne executes spec i on its own goroutine (runAttempt), so a
-	// panic or a hang is isolated to that spec: the worker always comes
-	// back to fill the result slot, close done[i], and pick up the next
-	// job.
-	runOne := func(i, worker int) {
-		var err error
-		tables[i], specObs[i], err = runAttempt(specs[i], worker, opts)
-		if err != nil {
-			errs[i] = fmt.Errorf("experiments: %s failed: %w", specs[i].ID, err)
-		}
-	}
-
-	// print streams table i if the writer is still healthy; after the
-	// first write error it stops printing but the remaining specs still
-	// run, so failures and metrics stay complete.
-	var werr error
-	print := func(i int) {
-		if tables[i] == nil || werr != nil {
-			return
-		}
-		if err := tables[i].Fprint(w); err != nil {
-			werr = fmt.Errorf("experiments: writing %s table: %w", specs[i].ID, err)
-		}
-	}
-
-	if workers == 1 {
-		for i := range specs {
-			runOne(i, 0)
-			print(i)
-		}
-		return tables, finish(specs, specObs, opts, errs, werr)
-	}
-
 	// Each spec gets a result slot and a done signal; workers fill slots
 	// in whatever order they finish, while this goroutine prints slots
 	// strictly in suite order, streaming output as the frontier advances.
+	// runAttempt isolates a panic or a hang to its spec, so a worker
+	// always comes back to fill the slot and pick up the next job.
 	done := make([]chan struct{}, len(specs))
 	for i := range done {
 		done[i] = make(chan struct{})
@@ -124,7 +94,11 @@ func RunSpecs(w io.Writer, specs []Spec, opts Options) ([]*Table, error) {
 		go func(worker int) {
 			defer wg.Done()
 			for i := range jobs {
-				runOne(i, worker)
+				var err error
+				tables[i], err = runAttempt(specs[i], worker, opts)
+				if err != nil {
+					errs[i] = fmt.Errorf("experiments: %s failed: %w", specs[i].ID, err)
+				}
 				close(done[i])
 			}
 		}(n)
@@ -138,13 +112,28 @@ func RunSpecs(w io.Writer, specs []Spec, opts Options) ([]*Table, error) {
 			jobs <- i
 		}
 		close(jobs)
-		wg.Wait()
 	}()
+
+	// After the first write error printing stops, but the remaining
+	// specs still run, so failures and metrics stay complete.
+	var werr error
 	for i := range specs {
 		<-done[i]
-		print(i)
+		if tables[i] == nil || werr != nil {
+			continue
+		}
+		if err := tables[i].Fprint(w); err != nil {
+			werr = fmt.Errorf("experiments: writing %s table: %w", specs[i].ID, err)
+		}
 	}
-	return tables, finish(specs, specObs, opts, errs, werr)
+	wg.Wait()
+
+	if opts.Observer != nil && opts.Summary != nil {
+		if err := summaryTable(specs, opts.Observer.Registry()).Fprint(opts.Summary); err != nil {
+			werr = errors.Join(werr, fmt.Errorf("experiments: writing summary table: %w", err))
+		}
+	}
+	return tables, errors.Join(errors.Join(errs...), werr)
 }
 
 // dispatchOrder returns spec indices sorted by descending Cost hint —
@@ -161,45 +150,28 @@ func dispatchOrder(specs []Spec) []int {
 	return order
 }
 
-// finish assembles the run's error and, when observing, appends the
-// suite-summary table after the ordered stream.
-func finish(specs []Spec, specObs []*obs.SpecObs, opts Options, errs []error, werr error) error {
-	if opts.Observer != nil && opts.Summary != nil {
-		if err := summaryTable(specs, specObs).Fprint(opts.Summary); err != nil {
-			werr = errors.Join(werr, fmt.Errorf("experiments: writing summary table: %w", err))
-		}
-	}
-	return errors.Join(errors.Join(errs...), werr)
-}
-
-// runAttempt executes spec s on a fresh goroutine and waits for either
-// its result or the watchdog deadline. Spawning lets a hung spec be
-// abandoned — the goroutine stays parked, the worker moves on — and
-// confines a panic to the spec. The observer binding is made on the
-// spawned goroutine (StartAttempt is per-goroutine), so kernel
-// attribution keeps working; the SpecObs is handed back over a buffered
-// channel so the watchdog can finalize it with Abandon. On failure the
-// table is nil.
-func runAttempt(s Spec, worker int, opts Options) (*Table, *obs.SpecObs, error) {
+// runAttempt executes spec s on a fresh goroutine and decides its
+// outcome, the one place the runner does: the spec's result, or a
+// *TimeoutError once the watchdog deadline passes with no result.
+// Spawning lets a hung spec be abandoned — the goroutine stays parked,
+// the worker moves on — and confines a panic to the spec. The spawned
+// goroutine runs the spec inside SpecObs.Run, so kernel attribution
+// follows it; the outcome is published once, here, with SpecObs.Finish.
+// Observed and unobserved attempts take the same path: without an
+// observer the SpecObs is nil and neither call observes anything. On
+// failure the table is nil.
+func runAttempt(s Spec, worker int, opts Options) (*Table, error) {
 	type result struct {
 		t   *Table
 		err error
 	}
-	obsCh := make(chan *obs.SpecObs, 1)
+	so := opts.Observer.Start(s.ID, s.Title, worker)
 	resCh := make(chan result, 1)
 	go func() {
-		var so *obs.SpecObs
-		if opts.Observer != nil {
-			so = opts.Observer.StartAttempt(s.ID, s.Title, worker)
-		}
-		obsCh <- so
-		t, err := runShielded(s, opts.Quick)
-		if so != nil {
-			so.Done(err)
-		}
-		resCh <- result{t, err}
+		var r result
+		so.Run(func() { r.t, r.err = runShielded(s, opts.Quick) })
+		resCh <- r
 	}()
-	so := <-obsCh
 
 	var deadline <-chan time.Time
 	if opts.SpecTimeout > 0 {
@@ -207,28 +179,22 @@ func runAttempt(s Spec, worker int, opts Options) (*Table, *obs.SpecObs, error) 
 		defer tm.Stop()
 		deadline = tm.C
 	}
+	var r result
+	timedOut := false
 	select {
-	case r := <-resCh:
-		return r.t, so, r.err
+	case r = <-resCh:
 	case <-deadline:
-		err := &TimeoutError{ID: s.ID, Timeout: opts.SpecTimeout, Stacks: allStacks()}
-		if so != nil && !so.Abandon(err) {
-			// The spec finished between the timer firing and the
-			// abandon: Done already published, so take the real result.
-			r := <-resCh
-			return r.t, so, r.err
+		// A result that landed as the timer fired is the outcome.
+		// Otherwise the spec is abandoned; its goroutine stays parked.
+		select {
+		case r = <-resCh:
+		default:
+			timedOut = true
+			r.err = &TimeoutError{ID: s.ID, Timeout: opts.SpecTimeout, Stacks: allStacks()}
 		}
-		if so == nil {
-			// Unobserved run: no CAS arbiter, so make a best-effort
-			// check for a result that beat the timer.
-			select {
-			case r := <-resCh:
-				return r.t, so, r.err
-			default:
-			}
-		}
-		return nil, so, err
 	}
+	so.Finish(r.err, timedOut)
+	return r.t, r.err
 }
 
 // runShielded calls s.Run with a panic shield: a panic becomes a
@@ -256,36 +222,35 @@ func runShielded(s Spec, quick bool) (t *Table, err error) {
 	return t, err
 }
 
-// summaryTable builds the suite-summary table from the per-spec
-// observations, one per spec: host wall clock, events fired, peak
-// pending queue depth, same-time fast-path share, and status. A
-// timed-out spec renders as TIMEOUT with no event counts — its abandoned
-// goroutine may still be writing to the probe, so the counters are not
-// safe to read.
-func summaryTable(specs []Spec, specObs []*obs.SpecObs) *Table {
+// summaryTable builds the suite-summary table from the metrics scope
+// the observer published for each spec: host wall clock, events fired,
+// peak pending queue depth, same-time fast-path share, and status. A
+// timed-out spec renders as TIMEOUT with no event counts — its probes
+// were never published, because its abandoned goroutine may still be
+// writing to them.
+func summaryTable(specs []Spec, reg *obs.Registry) *Table {
 	t := &Table{
 		ID:      "suite",
 		Title:   "observability summary",
 		Columns: []string{"id", "wall", "events", "peak pending", "fastpath %", "status"},
 	}
-	for i, s := range specs {
-		so := specObs[i]
-		wall := so.Wall().Round(time.Microsecond).String()
-		if so.Abandoned() {
+	for _, s := range specs {
+		sc := reg.Scope(s.ID)
+		wall := time.Duration(sc.Gauge("host_seconds") * float64(time.Second)).Round(time.Microsecond).String()
+		if sc.Counter("timeouts") > 0 {
 			t.AddRow(s.ID, wall, "-", "-", "-", "TIMEOUT")
 			continue
 		}
-		p := so.Probe()
 		fast := 0.0
-		if p.Scheduled() > 0 {
-			fast = 100 * float64(p.FastPathHits()) / float64(p.Scheduled())
+		if n := sc.Counter("events_scheduled"); n > 0 {
+			fast = 100 * float64(sc.Counter("fastpath_hits")) / float64(n)
 		}
 		status := "ok"
-		if so.Failed() {
+		if sc.Counter("failures") > 0 {
 			status = "FAILED"
 		}
-		t.AddRow(s.ID, wall, fmt.Sprintf("%d", p.Fired()), fmt.Sprintf("%d", p.PeakPending()),
-			fmt.Sprintf("%.1f", fast), status)
+		t.AddRow(s.ID, wall, fmt.Sprintf("%d", sc.Counter("events_fired")),
+			fmt.Sprintf("%.0f", sc.Gauge("peak_pending")), fmt.Sprintf("%.1f", fast), status)
 	}
 	return t
 }

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +62,7 @@ func TestByIDIndexCoversAll(t *testing.T) {
 // between worker counts is a real shared-state race or ordering bug —
 // and any difference from the committed golden corpus is table drift.
 // Diffing every worker count against the corpus (not only against the
-// sequential run) means a deterministic-but-wrong parallel refactor
+// one-worker run) means a deterministic-but-wrong parallel refactor
 // cannot pass by being consistently wrong.
 func TestRunSuiteDeterministic(t *testing.T) {
 	if testing.Short() {
@@ -82,7 +82,7 @@ func TestRunSuiteDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ref.Bytes(), golden.Bytes()) {
-		t.Fatalf("sequential quick output differs from the committed golden corpus")
+		t.Fatalf("one-worker quick output differs from the committed golden corpus")
 	}
 	for _, workers := range []int{1, 2, 8} {
 		var buf bytes.Buffer
@@ -94,7 +94,7 @@ func TestRunSuiteDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d: %d tables, want %d", workers, len(tabs), len(refTabs))
 		}
 		if !bytes.Equal(buf.Bytes(), ref.Bytes()) {
-			t.Fatalf("workers=%d output differs from sequential run", workers)
+			t.Fatalf("workers=%d output differs from the one-worker run", workers)
 		}
 	}
 }
@@ -249,7 +249,8 @@ func TestRunSpecsObservedOutputIdentical(t *testing.T) {
 }
 
 // The observer must attribute kernel events to the right spec even when
-// specs run concurrently on different workers.
+// specs run concurrently on different workers, and the summary table
+// must show what the registry holds.
 func TestRunSpecsObserverAttribution(t *testing.T) {
 	mkSim := func(id string, events int) Spec {
 		return Spec{ID: id, Title: id, Run: func(bool) (*Table, error) {
@@ -262,8 +263,8 @@ func TestRunSpecsObserverAttribution(t *testing.T) {
 	}
 	specs := []Spec{mkSim("S1", 100), mkSim("S2", 2000), mkSim("S3", 50)}
 	observer := obs.NewSuiteObserver(nil, nil, nil)
-	var buf bytes.Buffer
-	if _, err := RunSpecs(&buf, specs, Options{Workers: 3, Observer: observer}); err != nil {
+	var buf, summary bytes.Buffer
+	if _, err := RunSpecs(&buf, specs, Options{Workers: 3, Observer: observer, Summary: &summary}); err != nil {
 		t.Fatal(err)
 	}
 	reg := observer.Registry()
@@ -271,8 +272,14 @@ func TestRunSpecsObserverAttribution(t *testing.T) {
 		id     string
 		events int64
 	}{{"S1", 101}, {"S2", 2001}, {"S3", 51}} {
-		if got := reg.Scope(want.id).Counter("events_fired"); got != want.events {
+		got := reg.Scope(want.id).Counter("events_fired")
+		if got != want.events {
 			t.Errorf("scope %s events_fired = %d, want %d", want.id, got, want.events)
+		}
+		// Columns: id, wall, events, peak pending, fastpath %, status.
+		row := strings.Fields(summaryRow(t, summary.String(), want.id))
+		if len(row) != 6 || row[2] != strconv.FormatInt(got, 10) || row[5] != "ok" {
+			t.Errorf("summary row %v, want %d events and status ok", row, got)
 		}
 	}
 	if got := reg.Scope("suite").Counter("events_fired"); got != 101+2001+51 {
@@ -286,9 +293,8 @@ func TestRunSpecsObserverAttribution(t *testing.T) {
 // propagator forks child probes across helper goroutines and merges
 // them back, and on four suite workers with no helpers, so specs run
 // side by side. The two registries must agree scope by scope: every
-// counter and histogram exactly, every gauge but the wall-clock
-// host_seconds exactly, except link_busy_seconds — a float sum merged in
-// task-completion order — to 1e-9 relative.
+// counter, histogram and gauge exactly, except the wall-clock
+// host_seconds.
 func TestObservedMetricsIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
@@ -302,23 +308,23 @@ func TestObservedMetricsIndependentOfWorkers(t *testing.T) {
 		}
 		return o.Registry().Snapshot()
 	}
-	seq, par := observe(1, 3), observe(4, 0)
-	if len(seq.Scopes) != len(All())+1 || len(par.Scopes) != len(seq.Scopes) {
-		t.Fatalf("scopes: %d sequential, %d parallel, want one per spec plus suite (%d)",
-			len(seq.Scopes), len(par.Scopes), len(All())+1)
+	one, four := observe(1, 3), observe(4, 0)
+	if len(one.Scopes) != len(All())+1 || len(four.Scopes) != len(one.Scopes) {
+		t.Fatalf("scopes: %d at one worker, %d at four, want one per spec plus suite (%d)",
+			len(one.Scopes), len(four.Scopes), len(All())+1)
 	}
-	for i, a := range seq.Scopes {
-		b := par.Scopes[i]
+	for i, a := range one.Scopes {
+		b := four.Scopes[i]
 		if a.Name != b.Name {
-			t.Fatalf("scope %d: %q sequential, %q parallel", i, a.Name, b.Name)
+			t.Fatalf("scope %d: %q at one worker, %q at four", i, a.Name, b.Name)
 		}
 		diffScopes(t, a.Name, a, b)
 	}
 }
 
-// diffScopes reports where two snapshots of the scope at path disagree,
-// a from the run with pool helpers and b from the one without (see
-// TestObservedMetricsIndependentOfWorkers for the tolerances).
+// diffScopes reports where two snapshots of the scope at path disagree
+// in anything but host_seconds; a is from the run with pool helpers and
+// b from the one without.
 func diffScopes(t *testing.T, path string, a, b obs.ScopeSnapshot) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Counters, b.Counters) {
@@ -331,15 +337,10 @@ func diffScopes(t *testing.T, path string, a, b obs.ScopeSnapshot) {
 		t.Errorf("%s gauges differ:\n%v\n%v", path, a.Gauges, b.Gauges)
 	}
 	for name, va := range a.Gauges {
-		vb, ok := b.Gauges[name]
-		tol := 0.0
-		switch name {
-		case "host_seconds":
+		if name == "host_seconds" {
 			continue
-		case "link_busy_seconds":
-			tol = 1e-9 * math.Max(math.Abs(va), math.Abs(vb))
 		}
-		if !ok || math.Abs(va-vb) > tol {
+		if vb, ok := b.Gauges[name]; !ok || va != vb {
 			t.Errorf("%s gauge %s: %v vs %v", path, name, va, vb)
 		}
 	}

@@ -24,7 +24,7 @@ func okSpec(id string) Spec {
 // deadlocks, the surviving specs print byte-identically to a run without
 // the bad spec, and the error carries the panic value and stack. Runs at
 // workers 1, 2, and 8 so the ordered printer's close(done[i]) path is
-// exercised both sequentially and concurrently (and under -race in CI).
+// exercised with one worker and with several (and under -race in CI).
 func TestRunSpecsPanicIsolation(t *testing.T) {
 	healthy := []Spec{okSpec("P1"), okSpec("P2"), okSpec("P3"), okSpec("P4")}
 	var ref bytes.Buffer
@@ -103,12 +103,12 @@ func TestRunSpecsWatchdogTimeout(t *testing.T) {
 		}},
 		okSpec("W2"),
 	}
-	// Without an observer there is no Abandon to arbitrate: the watchdog
-	// decides alone.
+	// Observed or not, at one worker or several, the runner decides the
+	// outcome in the same place.
 	for _, tc := range []struct {
 		workers  int
 		observed bool
-	}{{1, true}, {3, true}, {1, false}} {
+	}{{1, true}, {3, true}, {1, false}, {3, false}} {
 		name := fmt.Sprintf("workers=%d observed=%t", tc.workers, tc.observed)
 		var buf, summary bytes.Buffer
 		opts := Options{Workers: tc.workers, SpecTimeout: 100 * time.Millisecond}

@@ -189,10 +189,10 @@ func (m *Machine) Run() sim.Time { return m.kernel.Run() }
 
 // Reset returns the machine to its just-built state — kernel clock at
 // zero with randomness replayed from the construction seed, fabric
-// links idle, traffic counters zeroed — so one machine can be reused
-// across a parameter sweep instead of rebuilt per point. Call it only
-// between completed runs (the kernel must be drained); a reset machine
-// behaves bit-identically to a freshly built one.
+// links idle — so one machine can be reused across a parameter sweep
+// instead of rebuilt per point. Call it only between completed runs
+// (the kernel must be drained); a reset machine behaves bit-identically
+// to a freshly built one.
 func (m *Machine) Reset() {
 	m.kernel.Reset()
 	m.fabric.Reset()

@@ -21,8 +21,8 @@ import (
 // bucket by float64 exponent, no math.Log on the hot path) and the
 // probe is written from one goroutine at a time; the suite observer
 // forks children across mc pool goroutines and folds them back with
-// Merge, which only sums, so merged counts do not depend on merge order
-// (see Merge for the one float sum).
+// Merge, which only adds integers, so merged totals do not depend on
+// merge order.
 type DomainProbe struct {
 	net      [network.NumFabricKinds]netKindStats
 	failures uint64
@@ -41,7 +41,7 @@ type netKindStats struct {
 	delivered uint64
 	bytesOut  uint64
 	fastPkts  uint64
-	busy      sim.Time
+	busyPS    int64 // link-busy time in whole picoseconds
 	latency   latencyHist
 }
 
@@ -141,9 +141,12 @@ func (p *DomainProbe) MessageDelivered(kind network.FabricKind, bytes int64, lat
 	st.latency.add(latency.Seconds())
 }
 
-// LinkBusy implements network.Probe.
+// LinkBusy implements network.Probe. Each report is rounded once to
+// whole picoseconds, so the busy total is an integer sum: exact, and the
+// same in any merge order. An int64 holds about 106 days of
+// picoseconds.
 func (p *DomainProbe) LinkBusy(kind network.FabricKind, busy sim.Time) {
-	p.net[kind].busy += busy
+	p.net[kind].busyPS += int64(math.Round(busy.Seconds() * 1e12))
 }
 
 // FastPath implements network.Probe.
@@ -181,12 +184,10 @@ func (p *DomainProbe) DetectionMeasured(tree bool, latency sim.Time) {
 
 // ---- aggregation ----
 
-// Merge folds q into p. Every field is a sum, so the integer counts and
-// histograms are independent of how work landed on pool goroutines. The
-// link-busy time is a float64 sum, and float addition is not
-// associative: merged in task-completion order, it (and the utilization
-// derived from it) can differ in the last bits from run to run. Not safe
-// for concurrent use — the suite observer serializes merges.
+// Merge folds q into p. Every field is an integer sum, so the merged
+// totals are independent of how work landed on pool goroutines and of
+// the order merges happen in. Not safe for concurrent use — the suite
+// observer serializes merges.
 func (p *DomainProbe) Merge(q *DomainProbe) {
 	for k := range p.net {
 		a, b := &p.net[k], &q.net[k]
@@ -198,7 +199,7 @@ func (p *DomainProbe) Merge(q *DomainProbe) {
 		a.delivered += b.delivered
 		a.bytesOut += b.bytesOut
 		a.fastPkts += b.fastPkts
-		a.busy += b.busy
+		a.busyPS += b.busyPS
 		a.latency.merge(&b.latency)
 	}
 	p.failures += q.failures
@@ -270,9 +271,10 @@ func (p *DomainProbe) PublishTo(s *Scope, virtualSeconds float64) {
 		if st.fastPkts > 0 {
 			d.Add("fastpath_packets", int64(st.fastPkts))
 		}
-		d.Set("link_busy_seconds", st.busy.Seconds())
+		busy := float64(st.busyPS) / 1e12
+		d.Set("link_busy_seconds", busy)
 		if st.links > 0 && virtualSeconds > 0 {
-			d.Set("utilization", st.busy.Seconds()/(float64(st.links)*virtualSeconds))
+			d.Set("utilization", busy/(float64(st.links)*virtualSeconds))
 		}
 		if st.latency.n > 0 {
 			d.PutHistogram("message_latency_seconds", st.latency.histogram())

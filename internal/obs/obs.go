@@ -7,25 +7,27 @@
 // the experiment runner.
 //
 // The layer costs nothing when disabled: an unobserved sim.Kernel holds a
-// nil probe behind a single nil-check per hook site, and the runner skips
-// every observer call when no observer is configured. The benchmark's
-// rung.kernel_event and rung.kernel_event_probed time both the nil-probe
-// and attached-probe kernel to keep that claim honest.
+// nil probe behind a single nil-check per hook site, and a nil
+// SuiteObserver starts a nil SpecObs, whose Run only calls its function
+// and whose Finish does nothing. The benchmark's rung.kernel_event and
+// rung.kernel_event_probed time both the nil-probe and attached-probe
+// kernel to keep that claim honest.
 //
-// Attribution works by goroutine: each suite worker binds its
-// experiment's probe set — one KernelProbe and one DomainProbe — to its
-// own goroutine id before calling the spec's Run function, and a
-// process-global sim.SetKernelHook attaches the bound set to every
-// kernel the spec constructs, however deep inside machine/network/sched
-// code. Fabrics and monitoring simulations take their probe from their
-// kernel, so the same hook observes them; fault estimates ask the
-// fault package's provider, which returns the bound set. Experiments run
-// synchronously on their worker goroutine, so the binding is exact:
-// every count a SpecObs publishes comes from its own bound probes, never
-// from process-wide state, so it does not depend on which specs run
-// beside it. One observed suite runs at a time (the hook is
-// process-global); SuiteObserver.Begin panics if a hook is already
-// installed rather than silently replacing it.
+// Attribution works by goroutine: SpecObs.Run binds the experiment's
+// probe set — one KernelProbe and one DomainProbe — to the goroutine
+// that runs the spec, and a process-global sim.SetKernelHook attaches
+// the bound set to every kernel the spec constructs, however deep inside
+// machine/network/sched code. Fabrics and monitoring simulations take
+// their probe from their kernel, so the same hook observes them; fault
+// estimates ask the fault package's provider, which returns the bound
+// set. Experiments run synchronously on the goroutine Run binds, so the
+// binding is exact: every count a SpecObs publishes comes from its own
+// bound probes, never from process-wide state, so it does not depend on
+// which specs run beside it. The suite runner decides each attempt's
+// outcome and publishes it once with SpecObs.Finish. One observed suite
+// runs at a time (the hook is process-global); SuiteObserver.Begin
+// panics if a hook is already installed rather than silently replacing
+// it.
 package obs
 
 import (
@@ -34,7 +36,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"northstar/internal/fault"
@@ -173,11 +174,11 @@ func (o *SuiteObserver) attach(k *sim.Kernel) {
 // executes it (saving and restoring that goroutine's previous binding,
 // so inline execution on the submitter works too), and the child's
 // counters are merged into the submitter's probe when the task returns.
-// Merges serialize on a per-Do mutex and only sum and max, so the merged
-// counts do not depend on how tasks land on goroutines (only
-// DomainProbe's float link-busy sum may differ in its last bits). Nested
-// Do calls nest naturally: the inner Do's submitter is bound to an outer
-// child probe, which becomes the inner parent.
+// Merges serialize on a per-Do mutex and only add integers and take
+// maxima, so the merged totals do not depend on how tasks land on
+// goroutines or in which order they finish. Nested Do calls nest
+// naturally: the inner Do's submitter is bound to an outer child probe,
+// which becomes the inner parent.
 func (o *SuiteObserver) forkProbe() func(task func()) {
 	parent := o.bound()
 	if parent == nil {
@@ -204,107 +205,98 @@ func (o *SuiteObserver) forkProbe() func(task func()) {
 	}
 }
 
-// StartAttempt begins observing one experiment. It must be called on the
-// goroutine that will run the spec (the binding is per-goroutine), with
-// the worker index that goroutine represents. The returned SpecObs must
-// be closed with Done on the same goroutine, or with Abandon from a
-// watchdog.
-func (o *SuiteObserver) StartAttempt(id, title string, worker int) *SpecObs {
-	so := &SpecObs{
+// Start begins observing one experiment attempt; worker is the index of
+// the suite worker that waits for it, whose trace track gets the span.
+// Start binds nothing: SpecObs.Run binds the goroutine that runs the
+// spec. On a nil observer Start returns nil, and the nil SpecObs runs its
+// function unobserved and publishes nothing, so callers need not branch
+// on whether a run is observed.
+func (o *SuiteObserver) Start(id, title string, worker int) *SpecObs {
+	if o == nil {
+		return nil
+	}
+	return &SpecObs{
 		o:      o,
 		id:     id,
 		title:  title,
 		worker: worker,
 		start:  time.Now(),
-		probe:  NewKernelProbe(),
-		domain: NewDomainProbe(),
+		probes: &probeSet{NewKernelProbe(), NewDomainProbe()},
 	}
-	o.binding.Store(goid(), &probeSet{so.probe, so.domain})
-	return so
 }
 
-// SpecObs observes one experiment attempt. Exactly one of Done or Abandon
-// finalizes it; whichever loses the race is a no-op, so a spec completing
-// just as its watchdog fires cannot double-publish.
+// SpecObs observes one experiment attempt: Run binds the goroutine that
+// runs the spec to the attempt's probe set, and Finish publishes the
+// outcome the suite runner decided, once.
 type SpecObs struct {
-	o         *SuiteObserver
-	id        string
-	title     string
-	worker    int
-	start     time.Time
-	finished  atomic.Bool
-	wall      time.Duration
-	failed    bool
-	abandoned bool
-	probe     *KernelProbe
-	domain    *DomainProbe
+	o      *SuiteObserver
+	id     string
+	title  string
+	worker int
+	start  time.Time
+	probes *probeSet
 }
 
-// Done finishes the observation on the spec's goroutine: it unbinds the
-// probes from the goroutine and publishes the result (see finish). err
-// is the spec's failure, nil on success. If the attempt was already
-// abandoned by a watchdog, Done only unbinds: the suite has moved on,
-// and a late result must not perturb its metrics.
-func (so *SpecObs) Done(err error) {
-	so.o.binding.Delete(goid())
-	if so.finished.CompareAndSwap(false, true) {
-		so.finish(err, false)
+// Run calls fn with the calling goroutine bound to the attempt's probe
+// set, so every kernel fn constructs, and every mc pool task and fault
+// estimate it starts, reports to the attempt. The binding ends when fn
+// returns. On a nil SpecObs, Run just calls fn.
+func (so *SpecObs) Run(fn func()) {
+	if so == nil {
+		fn()
+		return
 	}
+	id := goid()
+	so.o.binding.Store(id, so.probes)
+	defer so.o.binding.Delete(id)
+	fn()
 }
 
-// Abandon finalizes a hung attempt from outside its goroutine (the
-// runner's watchdog); err is the timeout. It reports whether it won the
-// finalization race: false means Done already ran — the spec finished
-// just under the wire — and the caller should use the real result
-// instead.
-func (so *SpecObs) Abandon(err error) bool {
-	if !so.finished.CompareAndSwap(false, true) {
-		return false
+// Finish publishes the attempt once: the scope named by the spec id gets
+// host_seconds and a failures counter, the trace a slice on the worker's
+// track, the progress stream one line, and the suite its totals. err is
+// the attempt's failure, nil on success. A finished attempt also
+// publishes its probes' counters; a timed-out one leaves them unread —
+// the abandoned goroutine may still be writing to them — and counts a
+// timeout instead. The caller must not call Finish until Run has
+// returned, unless timedOut is set. On a nil SpecObs, Finish does
+// nothing.
+func (so *SpecObs) Finish(err error, timedOut bool) {
+	if so == nil {
+		return
 	}
-	so.finish(err, true)
-	return true
-}
-
-// finish publishes the attempt once, for whichever of Done and Abandon
-// won the race: the scope named by the spec id gets host_seconds and a
-// failures counter, the trace a slice on the worker's track, the
-// progress stream one line, and the suite its totals. A finished attempt
-// also publishes its probes' counters. An abandoned one leaves them
-// unread — the hung goroutine may still be writing to them — and counts
-// a timeout instead.
-func (so *SpecObs) finish(err error, abandoned bool) {
 	o := so.o
-	so.wall = time.Since(so.start)
-	so.failed = err != nil
-	so.abandoned = abandoned
+	wall := time.Since(so.start)
+	failed := err != nil
 
 	scope := o.registry.Scope(so.id)
-	scope.Set("host_seconds", so.wall.Seconds())
-	if so.failed {
+	scope.Set("host_seconds", wall.Seconds())
+	if failed {
 		scope.Add("failures", 1)
 	}
 	var fired, scheduled uint64
-	args := map[string]any{"failed": so.failed}
+	args := map[string]any{"failed": failed}
 	events, status := "-", "ok"
-	if abandoned {
+	if timedOut {
 		scope.Add("timeouts", 1)
 		args["timeout"] = true
 		status = "TIMEOUT: " + firstLine(err.Error())
 	} else {
-		fired, scheduled = so.probe.Fired(), so.probe.Scheduled()
-		so.probe.PublishTo(scope)
-		if !so.domain.Empty() {
+		p := so.probes.KernelProbe
+		fired, scheduled = p.Fired(), p.Scheduled()
+		p.PublishTo(scope)
+		if !so.probes.DomainProbe.Empty() {
 			// No span: a spec's domain probe sums many kernel runs, so
 			// busy time over one run's span is no utilization.
-			so.domain.PublishTo(scope, 0)
+			so.probes.DomainProbe.PublishTo(scope, 0)
 		}
 		args["events_fired"] = fired
 		args["events_sched"] = scheduled
-		args["fastpath_hits"] = so.probe.FastPathHits()
-		args["peak_pending"] = so.probe.PeakPending()
-		args["virtual_seconds"] = so.probe.LastVirtualTime().Seconds()
+		args["fastpath_hits"] = p.FastPathHits()
+		args["peak_pending"] = p.PeakPending()
+		args["virtual_seconds"] = p.LastVirtualTime().Seconds()
 		events = strconv.FormatUint(fired, 10)
-		if so.failed {
+		if failed {
 			// A panic error carries a multi-line stack; the progress
 			// stream gets the headline, the suite error the full text.
 			status = "FAILED: " + firstLine(err.Error())
@@ -312,7 +304,7 @@ func (so *SpecObs) finish(err error, abandoned bool) {
 	}
 
 	if o.trace != nil {
-		o.trace.Span(so.id+": "+so.title, so.worker, so.start, so.wall, args)
+		o.trace.Span(so.id+": "+so.title, so.worker, so.start, wall, args)
 	}
 
 	// The progress line prints under o.mu: the writer need not be
@@ -321,16 +313,16 @@ func (so *SpecObs) finish(err error, abandoned bool) {
 	o.done++
 	o.totalFired += fired
 	o.totalEvents += scheduled
-	if so.failed {
+	if failed {
 		o.totalFailures++
 	}
-	if abandoned {
+	if timedOut {
 		o.totalTimeouts++
 	}
 	if o.progress != nil {
 		fmt.Fprintf(o.progress, "[%2d/%d] %-4s %-42s %10s %12s events  %s\n",
 			o.done, o.total, so.id, so.title,
-			so.wall.Round(time.Microsecond), events, status)
+			wall.Round(time.Microsecond), events, status)
 	}
 	o.mu.Unlock()
 }
@@ -342,24 +334,3 @@ func firstLine(s string) string {
 	}
 	return s
 }
-
-// Wall returns the spec's host wall-clock duration (valid after Done or
-// Abandon).
-func (so *SpecObs) Wall() time.Duration { return so.wall }
-
-// Failed reports whether the spec returned an error (valid after Done or
-// Abandon).
-func (so *SpecObs) Failed() bool { return so.failed }
-
-// Abandoned reports whether the attempt was finalized by a watchdog
-// rather than by its own Done. An abandoned attempt's probe counters are
-// not safe to read: its goroutine may still be running.
-func (so *SpecObs) Abandoned() bool { return so.abandoned }
-
-// Probe returns the spec's kernel probe with its accumulated counters.
-// Do not read it for an Abandoned observation.
-func (so *SpecObs) Probe() *KernelProbe { return so.probe }
-
-// Domain returns the spec's domain probe with its accumulated model
-// telemetry. Do not read it for an Abandoned observation.
-func (so *SpecObs) Domain() *DomainProbe { return so.domain }

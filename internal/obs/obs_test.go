@@ -219,15 +219,16 @@ func TestSuiteObserverBindsPerGoroutine(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			so := o.StartAttempt([]string{"A", "B"}[w], "spec", w)
-			k := sim.New(1) // hook must attach this goroutine's probe
-			if k.Probe() == nil {
-				t.Errorf("worker %d: kernel got no probe", w)
-				so.Done(nil)
-				return
-			}
-			runChain(k, counts[w])
-			so.Done(nil)
+			so := o.Start([]string{"A", "B"}[w], "spec", w)
+			so.Run(func() {
+				k := sim.New(1) // hook must attach this goroutine's probe
+				if k.Probe() == nil {
+					t.Errorf("worker %d: kernel got no probe", w)
+					return
+				}
+				runChain(k, counts[w])
+			})
+			so.Finish(nil, false)
 		}(w)
 	}
 	wg.Wait()
@@ -252,6 +253,43 @@ func TestSuiteObserverBindsPerGoroutine(t *testing.T) {
 	}
 }
 
+// Run binds only while its function runs: a kernel built on the same
+// goroutine before or after it stays unobserved.
+func TestSpecObsRunBindsOnlyInside(t *testing.T) {
+	o := NewSuiteObserver(nil, nil, nil)
+	o.Begin(1, 1)
+	defer o.End()
+	so := o.Start("A", "spec", 0)
+	if sim.New(1).Probe() != nil {
+		t.Error("Start bound the calling goroutine")
+	}
+	so.Run(func() {
+		if sim.New(1).Probe() == nil {
+			t.Error("kernel built inside Run got no probe")
+		}
+	})
+	if sim.New(1).Probe() != nil {
+		t.Error("binding outlived Run")
+	}
+	so.Finish(nil, false)
+}
+
+// A nil observer starts a nil SpecObs: Run still runs its function,
+// and Finish publishes nothing.
+func TestNilSpecObs(t *testing.T) {
+	var o *SuiteObserver
+	so := o.Start("A", "spec", 0)
+	if so != nil {
+		t.Fatalf("nil observer started %v, want nil", so)
+	}
+	ran := false
+	so.Run(func() { ran = true })
+	if !ran {
+		t.Error("nil SpecObs did not run its function")
+	}
+	so.Finish(errors.New("boom"), true)
+}
+
 func TestSuiteObserverBeginPanicsIfHookInstalled(t *testing.T) {
 	sim.SetKernelHook(func(*sim.Kernel) {})
 	defer sim.SetKernelHook(nil)
@@ -263,9 +301,10 @@ func TestSuiteObserverBeginPanicsIfHookInstalled(t *testing.T) {
 	NewSuiteObserver(nil, nil, nil).Begin(1, 1)
 }
 
-// TestProgressLinesSerializedAndOrdered drives Done from many goroutines
-// into a plain bytes.Buffer: under -race this proves progress writes are
-// serialized, and the [n/total] prefixes must come out monotonic.
+// TestProgressLinesSerializedAndOrdered drives Finish from many
+// goroutines into a plain bytes.Buffer: under -race this proves progress
+// writes are serialized, and the [n/total] prefixes must come out
+// monotonic.
 func TestProgressLinesSerializedAndOrdered(t *testing.T) {
 	var buf bytes.Buffer
 	o := NewSuiteObserver(nil, nil, &buf)
@@ -275,8 +314,7 @@ func TestProgressLinesSerializedAndOrdered(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			so := o.StartAttempt(string(rune('A'+w)), "spec", w%4)
-			so.Done(nil)
+			o.Start(string(rune('A'+w)), "spec", w%4).Finish(nil, false)
 		}(w)
 	}
 	wg.Wait()
@@ -309,33 +347,27 @@ func TestGoidStablePerGoroutine(t *testing.T) {
 	}
 }
 
-// Abandon and Done race for the same attempt; exactly one wins. The
-// winner publishes, the loser is a no-op, so a spec finishing just as
-// its watchdog fires cannot double-count into the registry.
-func TestSpecObsAbandonThenLateDone(t *testing.T) {
+// A timed-out attempt publishes the timeout, not its probes: the kernel
+// it ran inside Run counts no events_fired, because the runner never
+// reads an abandoned spec's probes.
+func TestSpecObsTimedOutPublishesNoProbe(t *testing.T) {
 	var progress bytes.Buffer
 	o := NewSuiteObserver(nil, NewTrace(), &progress)
 	o.Begin(1, 1)
-	so := o.StartAttempt("A", "hangs", 0)
-	if !so.Abandon(errors.New("deadline")) {
-		t.Fatal("Abandon on a live attempt returned false")
-	}
-	// The hung goroutine eventually returns and calls Done: no-op.
-	so.Done(nil)
+	so := o.Start("A", "hangs", 0)
+	so.Run(func() { runChain(sim.New(1), 10) })
+	so.Finish(errors.New("deadline"), true)
 	o.End()
 
-	if !so.Abandoned() || !so.Failed() {
-		t.Error("abandoned attempt not marked abandoned+failed")
-	}
 	scope := o.Registry().Scope("A")
 	if got := scope.Counter("timeouts"); got != 1 {
 		t.Errorf("timeouts = %d, want 1", got)
 	}
 	if got := scope.Counter("failures"); got != 1 {
-		t.Errorf("failures = %d, want 1 (late Done must not flip or double-count)", got)
+		t.Errorf("failures = %d, want 1", got)
 	}
 	if got := scope.Counter("events_fired"); got != 0 {
-		t.Errorf("events_fired = %d, want 0 (late Done must not publish the probe)", got)
+		t.Errorf("events_fired = %d, want 0 (a timed-out attempt publishes no probe)", got)
 	}
 	if got := o.Registry().Scope("suite").Counter("timeouts"); got != 1 {
 		t.Errorf("suite timeouts = %d, want 1", got)
@@ -344,25 +376,7 @@ func TestSpecObsAbandonThenLateDone(t *testing.T) {
 		t.Errorf("progress line missing TIMEOUT: %q", progress.String())
 	}
 	if got := strings.Count(progress.String(), "\n"); got != 1 {
-		t.Errorf("progress lines = %d, want 1 (late Done must not print)", got)
-	}
-}
-
-// Done before Abandon: the real result wins and Abandon reports it lost.
-func TestSpecObsDoneBeatsAbandon(t *testing.T) {
-	o := NewSuiteObserver(nil, nil, nil)
-	o.Begin(1, 1)
-	so := o.StartAttempt("A", "fast", 0)
-	so.Done(nil)
-	if so.Abandon(errors.New("deadline")) {
-		t.Fatal("Abandon after Done returned true")
-	}
-	o.End()
-	if so.Abandoned() || so.Failed() {
-		t.Error("completed attempt wrongly marked abandoned or failed")
-	}
-	if got := o.Registry().Scope("A").Counter("timeouts"); got != 0 {
-		t.Errorf("timeouts = %d, want 0", got)
+		t.Errorf("progress lines = %d, want 1", got)
 	}
 }
 
@@ -372,8 +386,7 @@ func TestProgressTruncatesMultilineErrors(t *testing.T) {
 	var progress bytes.Buffer
 	o := NewSuiteObserver(nil, nil, &progress)
 	o.Begin(1, 1)
-	so := o.StartAttempt("A", "panics", 0)
-	so.Done(errors.New("boom\ngoroutine 7 [running]:\nmain.explode()"))
+	o.Start("A", "panics", 0).Finish(errors.New("boom\ngoroutine 7 [running]:\nmain.explode()"), false)
 	o.End()
 	if got := strings.Count(progress.String(), "\n"); got != 1 {
 		t.Fatalf("progress lines = %d, want 1:\n%s", got, progress.String())

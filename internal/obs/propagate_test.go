@@ -48,22 +48,24 @@ func TestKernelProbeMerge(t *testing.T) {
 // tasks count into the spec's probe, deterministically, however the
 // tasks are scheduled.
 func TestForkProbeAttributesPoolWork(t *testing.T) {
-	runOnce := func(helpers int) uint64 {
+	runOnce := func(helpers int) int64 {
 		o := NewSuiteObserver(nil, nil, nil)
 		o.Begin(1, 1)
 		defer o.End()
-		so := o.StartAttempt("T1", "propagation probe", 0)
+		so := o.Start("T1", "propagation probe", 0)
 		p := mc.NewPool(helpers)
 		defer p.Close()
-		mc.ForEach(p, 12, func(i int) {
-			k := sim.New(1)
-			for e := 0; e <= i; e++ {
-				k.After(sim.Time(e), func() {})
-			}
-			k.RunUntil(1000)
+		so.Run(func() {
+			mc.ForEach(p, 12, func(i int) {
+				k := sim.New(1)
+				for e := 0; e <= i; e++ {
+					k.After(sim.Time(e), func() {})
+				}
+				k.RunUntil(1000)
+			})
 		})
-		so.Done(nil)
-		return so.Probe().Fired()
+		so.Finish(nil, false)
+		return o.Registry().Scope("T1").Counter("events_fired")
 	}
 	// 12 tasks firing 1..12 events each = 78 fired, whether inline or
 	// spread over 8 helpers.
@@ -100,18 +102,20 @@ func TestForkProbeNestedDo(t *testing.T) {
 	o := NewSuiteObserver(nil, nil, nil)
 	o.Begin(1, 1)
 	defer o.End()
-	so := o.StartAttempt("T2", "nested", 0)
+	so := o.Start("T2", "nested", 0)
 	p := mc.NewPool(3)
 	defer p.Close()
-	mc.ForEach(p, 3, func(i int) {
-		mc.ForEach(p, 4, func(j int) {
-			k := sim.New(1)
-			k.After(1, func() {})
-			k.RunUntil(10)
+	so.Run(func() {
+		mc.ForEach(p, 3, func(i int) {
+			mc.ForEach(p, 4, func(j int) {
+				k := sim.New(1)
+				k.After(1, func() {})
+				k.RunUntil(10)
+			})
 		})
 	})
-	so.Done(nil)
-	if got := so.Probe().Fired(); got != 12 {
+	so.Finish(nil, false)
+	if got := o.Registry().Scope("T2").Counter("events_fired"); got != 12 {
 		t.Errorf("probe fired %d events, want 12 (3x4 nested tasks)", got)
 	}
 }

@@ -476,8 +476,9 @@ type ExperimentTable = experiments.Table
 // Experiments returns the full E1-E12 suite.
 func Experiments() []experiments.Spec { return experiments.All() }
 
-// RunExperiments executes the whole suite sequentially, printing tables
-// to w. It is RunExperimentsParallel with one worker.
+// RunExperiments executes the whole suite one experiment at a time,
+// printing tables to w in suite order. It is RunExperimentsParallel with
+// one worker.
 func RunExperiments(w io.Writer, quick bool) ([]*ExperimentTable, error) {
 	return experiments.RunSuite(w, experiments.Options{Quick: quick, Workers: 1})
 }
