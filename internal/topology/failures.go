@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Link-failure support: edges can be disabled (a failed cable, switch
 // port, or — by disabling all of a switch's edges — a whole switch).
@@ -8,7 +11,7 @@ import "fmt"
 // operational behavior that multi-path topologies such as fat trees and
 // tori were designed for.
 //
-// Mutators publish a fresh immutable (disabled set, tree cache)
+// Mutators publish a fresh immutable (failure table, tree cache)
 // snapshot instead of editing in place, so they are safe to run
 // concurrently with Dist/Route/Reachable: a reader that raced with
 // DisableEdge walks either the old failure set's trees or the new
@@ -22,16 +25,10 @@ func (g *Graph) DisableEdge(e int) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	old := g.routing.Load()
-	if old.disabled[e] {
+	if g.routing.Load().down.has(e) {
 		return fmt.Errorf("topology: edge %d already disabled", e)
 	}
-	disabled := make(map[int]bool, len(old.disabled)+1)
-	for k := range old.disabled {
-		disabled[k] = true
-	}
-	disabled[e] = true
-	g.publish(disabled)
+	g.setDown(e, true)
 	return nil
 }
 
@@ -39,28 +36,30 @@ func (g *Graph) DisableEdge(e int) error {
 func (g *Graph) EnableEdge(e int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	old := g.routing.Load()
-	if !old.disabled[e] {
+	if !g.routing.Load().down.has(e) {
 		return fmt.Errorf("topology: edge %d is not disabled", e)
 	}
-	var disabled map[int]bool
-	if len(old.disabled) > 1 {
-		disabled = make(map[int]bool, len(old.disabled)-1)
-		for k := range old.disabled {
-			if k != e {
-				disabled[k] = true
-			}
-		}
-	}
-	g.publish(disabled)
+	g.setDown(e, false)
 	return nil
+}
+
+// setDown publishes a copy of the failure table, one entry per edge,
+// with edge e marked down or up; a table with no edge down is nil.
+// Callers hold g.mu.
+func (g *Graph) setDown(e int, isDown bool) {
+	down := make(edgeSet, len(g.edges))
+	copy(down, g.routing.Load().down)
+	down[e] = isDown
+	if !slices.Contains(down, true) {
+		down = nil
+	}
+	g.publish(down)
 }
 
 // publish swaps in a new routing snapshot with an empty tree slot per
 // vertex. Callers hold g.mu.
-func (g *Graph) publish(disabled map[int]bool) {
-	g.routing.Store(&routeState{disabled: disabled, trees: make([]treeEntry, len(g.verts))})
-	g.numDisabled.Store(int64(len(disabled)))
+func (g *Graph) publish(down edgeSet) {
+	g.routing.Store(&routeState{down: down, trees: make([]treeEntry, len(g.verts))})
 }
 
 // DisableVertex disables every edge at vertex v (a failed switch or
@@ -72,7 +71,7 @@ func (g *Graph) DisableVertex(v int) ([]int, error) {
 	}
 	var out []int
 	for _, he := range g.adj[v] {
-		if !g.routing.Load().disabled[he.edge] {
+		if !g.routing.Load().down.has(he.edge) {
 			if err := g.DisableEdge(he.edge); err != nil {
 				return out, err
 			}
@@ -105,15 +104,20 @@ func (g *Graph) FailCoreLinks(n int) int {
 }
 
 // DisabledEdges returns the number of currently disabled edges.
-func (g *Graph) DisabledEdges() int { return int(g.numDisabled.Load()) }
+func (g *Graph) DisabledEdges() int {
+	n := 0
+	for _, d := range g.routing.Load().down {
+		if d {
+			n++
+		}
+	}
+	return n
+}
 
 // Reachable reports whether dst can be reached from src through enabled
 // edges.
 func (g *Graph) Reachable(src, dst int) bool {
-	if src == dst {
-		return true
-	}
-	return len(g.tree(dst).next(src)) > 0
+	return src == dst || g.tree(g.routing.Load(), dst).rank[src] >= 0
 }
 
 // AllEndpointsConnected reports whether every endpoint pair remains
@@ -123,9 +127,9 @@ func (g *Graph) AllEndpointsConnected() bool {
 	if len(g.endpoints) == 0 {
 		return false
 	}
-	t := g.tree(g.endpoints[0])
+	t := g.tree(g.routing.Load(), g.endpoints[0])
 	for _, ep := range g.endpoints {
-		if ep != g.endpoints[0] && len(t.next(ep)) == 0 {
+		if t.rank[ep] < 0 {
 			return false
 		}
 	}

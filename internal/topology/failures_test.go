@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -88,8 +89,13 @@ func TestFailCoreLinks(t *testing.T) {
 	if got := g.FailCoreLinks(3); got != 3 {
 		t.Fatalf("FailCoreLinks(3) = %d", got)
 	}
-	disabled := g.routing.Load().disabled
-	if len(disabled) != 3 || !disabled[16] || !disabled[17] || !disabled[18] {
+	var disabled []int
+	for e, d := range g.routing.Load().down {
+		if d {
+			disabled = append(disabled, e)
+		}
+	}
+	if !slices.Equal(disabled, []int{16, 17, 18}) {
 		t.Fatalf("disabled %v, want the first three core links 16, 17, 18", disabled)
 	}
 	if got := Crossbar(4).FailCoreLinks(2); got != 0 {

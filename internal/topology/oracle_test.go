@@ -49,11 +49,17 @@ func referenceNextHops(g *Graph, dst int, disabled map[int]bool) (next [][]int, 
 }
 
 // nextHops returns the edge ids g's cached tree for dst offers at v, in
-// candidate order.
+// candidate order: none at dst and where dst is unreachable.
 func nextHops(g *Graph, v, dst int) []int {
+	st := g.routing.Load()
+	t := g.tree(st, dst)
+	d := t.dist(v)
+	if d <= 0 {
+		return nil
+	}
 	var out []int
-	for _, e := range g.tree(dst).next(v) {
-		out = append(out, int(e))
+	for _, c := range t.next(g.adj[v], d, st.down, nil) {
+		out = append(out, g.adj[v][uint32(c)].edge)
 	}
 	return out
 }
@@ -65,7 +71,12 @@ func nextHops(g *Graph, v, dst int) []int {
 // instead of sending a walk round a cycle.
 func checkTreesMatchReference(t *testing.T, g *Graph) {
 	t.Helper()
-	disabled := g.routing.Load().disabled
+	disabled := map[int]bool{}
+	for e, d := range g.routing.Load().down {
+		if d {
+			disabled[e] = true
+		}
+	}
 	for dst := 0; dst < g.Vertices(); dst++ {
 		next, dist := referenceNextHops(g, dst, disabled)
 		for v := 0; v < g.Vertices(); v++ {
@@ -103,8 +114,12 @@ func checkTreesMatchReference(t *testing.T, g *Graph) {
 
 // TestTreesMatchReference pins every candidate list, in order, on small
 // instances of every builder, healthy and with core links failed, and on
-// a hand-built graph with parallel links: Route picks
-// cands[pathHash % len], so any reordering moves packets.
+// two hand-built graphs, one with parallel links and one with a vertex
+// holding 12 equal-cost hops: Route picks cands[pathHash % len], so any
+// reordering moves packets. Torus3D(4,4,4) ties in every dimension, so a
+// router there holds up to 6 equal-cost hops, and the ring Torus2D(1,70)
+// is 37 hops across, deeper than the distances buildTree keeps on its
+// stack.
 func TestTreesMatchReference(t *testing.T) {
 	builders := []func() *Graph{
 		func() *Graph { return Crossbar(5) },
@@ -112,10 +127,13 @@ func TestTreesMatchReference(t *testing.T) {
 		func() *Graph { return FatTree(4, 2) },
 		func() *Graph { return Torus2D(2, 5) },
 		func() *Graph { return Torus2D(4, 3) },
+		func() *Graph { return Torus2D(1, 70) },
 		func() *Graph { return Torus3D(2, 3, 4) },
 		func() *Graph { return Torus3D(3, 3, 3) },
+		func() *Graph { return Torus3D(4, 4, 4) },
 		func() *Graph { return Hypercube(4) },
 		parallelLinks,
+		twelveWay,
 	}
 	for _, build := range builders {
 		g := build()
@@ -145,6 +163,30 @@ func parallelLinks() *Graph {
 	return g
 }
 
+// twelveWay joins two hub switches through 12 middle switches, each hub
+// carrying two endpoints, so a hub holds 12 equal-cost hops toward the
+// other hub's endpoints. The middles' links to the second hub are added
+// in a shuffled order, so the order the search reaches the middles is
+// not their links' edge-id order at either hub.
+func twelveWay() *Graph {
+	g := NewGraph("twelve-way")
+	h0, h1 := g.AddVertex(Vertex{}), g.AddVertex(Vertex{})
+	for i := 0; i < 2; i++ {
+		g.AddEdge(h0, g.AddVertex(Vertex{Endpoint: true}))
+		g.AddEdge(h1, g.AddVertex(Vertex{Endpoint: true}))
+	}
+	mid := make([]int, 12)
+	for i := range mid {
+		mid[i] = g.AddVertex(Vertex{})
+		g.AddEdge(h0, mid[i])
+	}
+	for i := range mid {
+		g.AddEdge(mid[i*5%len(mid)], h1)
+	}
+	mustFinalize(g)
+	return g
+}
+
 // FuzzTreeMatchesReference checks random multigraphs of up to 16
 // vertices with random links down against the reference BFS. data[0]
 // picks the vertex count and whether the failures land before or after
@@ -156,6 +198,10 @@ func FuzzTreeMatchesReference(f *testing.F) {
 	f.Add([]byte{0x85, 0, 1, 0, 1, 2, 1, 2, 3, 0, 3, 4, 0, 4, 0, 0, 0, 2, 0})
 	f.Add([]byte{15, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0, 5, 6, 0, 6, 7, 0, 7, 8, 0, 8, 9, 0,
 		9, 10, 0, 10, 11, 0, 11, 12, 0, 12, 13, 0, 13, 14, 0, 14, 15, 0, 15, 0, 0, 0, 8, 1, 4, 12, 0})
+	// Two hubs, 0 and 1, joined through middles 2..13, one link down:
+	// vertex 0 holds 11 equal-cost hops toward 1.
+	f.Add([]byte{13, 0, 2, 1, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 6, 0, 0, 7, 0, 0, 8, 0, 0, 9, 0, 0, 10, 0, 0, 11, 0, 0, 12, 0, 0, 13, 0,
+		7, 1, 0, 12, 1, 0, 5, 1, 0, 10, 1, 0, 3, 1, 0, 8, 1, 0, 13, 1, 0, 6, 1, 0, 11, 1, 0, 4, 1, 0, 9, 1, 0, 2, 1, 0})
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -1,7 +1,11 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -198,4 +202,86 @@ func TestReachableSelfAndEmpty(t *testing.T) {
 	if empty.AllEndpointsConnected() {
 		t.Error("graph with no endpoints reports connected")
 	}
+}
+
+// TestRoutesPinned hashes the edge and vertex sequence of every Route
+// over 20,000 seeded endpoint pairs of Torus3D(11,11,11), the 1,024-rank
+// collectives machine's graph, and over every ordered endpoint pair of
+// FatTree(4,3), Hypercube(7) and Torus2D(8,8), healthy and after
+// FailCoreLinks(3). The reference oracle only reaches small instances;
+// these digests catch a candidate-order slip that shows only at scale.
+func TestRoutesPinned(t *testing.T) {
+	cases := []struct {
+		build         func() *Graph
+		healthy, fail string
+	}{
+		{func() *Graph { return Torus3D(11, 11, 11) },
+			"29b4941a5746fb72c52966b7a1bd619f27f3b1a954974d58bc3f1bf65f7da0ee",
+			"c6f940f6aef351240450f092ecc6a70ea0e097492e673d1953c998a12f1f6bf5"},
+		{func() *Graph { return FatTree(4, 3) },
+			"b13ab507d264a9d6bf42057300e6be457768f4dc0f2adb29847a716fc1c16ed5",
+			"7272f776909a6af18cf3c8bdb72b661e703ed74d514a89cdc00dece08179c606"},
+		{func() *Graph { return Hypercube(7) },
+			"b1d28719b4d863e21024524f6e4dfdf973079ea0093deafab613da0452ec3eac",
+			"75e1bcf4f452d3da8f418d54f2558dda527c3102ac3fc5bff7e9caf1863f71f8"},
+		{func() *Graph { return Torus2D(8, 8) },
+			"993aedf6f4d7e258372767d29eeae234dae09f8b34364589d3ba64efeee79e74",
+			"6f52da2e61f8b3aa432a4617a77593d206573782f14152d4f9c242a674a622ae"},
+	}
+	for _, c := range cases {
+		for _, failed := range []bool{false, true} {
+			g := c.build()
+			want := c.healthy
+			if failed {
+				if n := g.FailCoreLinks(3); n != 3 {
+					t.Fatalf("%s: FailCoreLinks(3) = %d", g.Name, n)
+				}
+				want = c.fail
+			}
+			if got := routeDigest(g); got != want {
+				t.Errorf("%s (failed=%v): route digest %s, want %s", g.Name, failed, got, want)
+			}
+		}
+	}
+}
+
+// routeDigest is the sha256 of g's routes in TestRoutesPinned's order:
+// per pair, the route's hop count, then its edge ids, then its vertex
+// ids, each as a little-endian uint32. Graphs with more than 256
+// endpoints take 20,000 pairs from a fixed seed instead of every pair.
+func routeDigest(g *Graph) string {
+	eps := g.Endpoints()
+	var pairs [][2]int
+	if len(eps) > 256 {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 20000; i++ {
+			pairs = append(pairs, [2]int{eps[rng.Intn(len(eps))], eps[rng.Intn(len(eps))]})
+		}
+	} else {
+		for _, src := range eps {
+			for _, dst := range eps {
+				if src != dst {
+					pairs = append(pairs, [2]int{src, dst})
+				}
+			}
+		}
+	}
+	h := sha256.New()
+	var buf [4]byte
+	put := func(x int) {
+		binary.LittleEndian.PutUint32(buf[:], uint32(x))
+		h.Write(buf[:])
+	}
+	var edges, verts []int
+	for _, p := range pairs {
+		edges, verts = g.RouteAppend(p[0], p[1], edges, verts)
+		put(len(edges))
+		for _, e := range edges {
+			put(e)
+		}
+		for _, v := range verts {
+			put(v)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -14,15 +14,21 @@
 // failure set is empty; everything else is served from lazily built,
 // once-initialized per-destination BFS trees.
 //
-// A tree is a flat next-hop table: a per-vertex offset into one slice of
-// next-hop edge ids, both int32, listed in the order the BFS reached
-// them. Each failure-set snapshot carries one tree slot per destination
-// vertex, so a lookup is a slice index with no lock, and while the
-// fabric is healthy the builder never consults the failure set.
+// A tree keeps only what the search from its destination produced: each
+// vertex's rank, the position at which the BFS reached it, and the first
+// rank at each distance. The next hops from v, at distance d, are v's
+// enabled links whose far end was reached at distance d−1, ordered by
+// the far end's rank and then by edge id. That is the order in which a
+// multi-parent BFS, scanning every vertex's links by ascending edge id,
+// discovers them; any other router must list them in this order to keep
+// the same routes. Each snapshot of the failure set, a per-edge table
+// that is nil while the fabric is healthy, carries one tree slot per
+// destination vertex, so finding a tree is a slice index with no lock.
 package topology
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -81,39 +87,82 @@ type Graph struct {
 	// routing holds the failure set and the per-destination BFS tree
 	// cache as one immutable snapshot; DisableEdge/EnableEdge publish a
 	// replacement snapshot instead of mutating in place, so concurrent
-	// readers always see a consistent (disabled set, trees) pair.
+	// readers always see a consistent (failure set, trees) pair.
 	routing atomic.Pointer[routeState]
-	// numDisabled mirrors len(routing.disabled) for the lock-free
-	// analytic fast path.
-	numDisabled atomic.Int64
 	// mu serializes the mutators (DisableEdge/EnableEdge, Finalize).
 	mu sync.Mutex
+	// queue is the search queue buildTree borrows, so that a build
+	// allocates nothing but its tree.
+	queue atomic.Pointer[[]int32]
 }
 
-// routeState is one immutable-failure-set snapshot: the disabled map is
+// routeState is one immutable-failure-set snapshot: the failure table is
 // never written after publication, and trees holds one entry per
 // destination vertex, each built exactly once behind its sync.Once.
 type routeState struct {
-	disabled map[int]bool // nil means no failures
-	trees    []treeEntry
+	down  edgeSet // nil while no edge is disabled
+	trees []treeEntry
 }
+
+// edgeSet marks edges by id: s[e] reports that edge e is in the set.
+// Ids past its end are not in it, since failures applied before
+// Finalize may precede the last AddEdge.
+type edgeSet []bool
+
+func (s edgeSet) has(e int) bool { return uint(e) < uint(len(s)) && s[e] }
 
 type treeEntry struct {
 	once sync.Once
 	tree tree
 }
 
-// tree is one destination's multi-parent BFS tree, flattened: the next
-// hops from v toward the destination are the edge ids
-// hops[off[v]:off[v+1]], in the order the BFS discovered them.
+// tree is one destination's BFS, kept as the search order itself:
+// rank[v] is the position at which the search reached v (-1 if it never
+// did), and level[d] is the first position at distance d, so the
+// vertices at distance d hold the ranks [level[d], level[d+1]), the
+// farthest ones every rank from its level start on.
 type tree struct {
-	off  []int32
-	hops []int32
+	rank  []int32
+	level []int32
 }
 
-// next returns the edge ids leaving v on a shortest path to the tree's
-// destination; empty at the destination and where it is unreachable.
-func (t *tree) next(v int) []int32 { return t.hops[t.off[v]:t.off[v+1]] }
+// dist returns v's hop count to the tree's destination, or -1 if v
+// cannot reach it.
+func (t *tree) dist(v int) int {
+	r := t.rank[v]
+	if r < 0 {
+		return -1
+	}
+	d, found := slices.BinarySearch(t.level, r)
+	if !found {
+		d--
+	}
+	return d
+}
+
+// next appends to buf the next hops from a vertex with links adj at
+// distance d ≥ 1 from the tree's destination: the links not down whose
+// far end the search reached at distance d−1. Each hop is one key, the
+// far end's rank in the high 32 bits and the link's index in adj in the
+// low 32, and buf is kept sorted, so the hops come out ordered by rank
+// and then, since adj is in edge-id order, by edge id.
+func (t *tree) next(adj []halfEdge, d int, down edgeSet, buf []uint64) []uint64 {
+	lo, hi := t.level[d-1], t.level[d]
+	for i, he := range adj {
+		r := t.rank[he.to]
+		if r < lo || r >= hi || down.has(he.edge) {
+			continue
+		}
+		key := uint64(r)<<32 | uint64(i)
+		j := len(buf)
+		buf = append(buf, key)
+		for ; j > 0 && buf[j-1] > key; j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = key
+	}
+	return buf
+}
 
 // NewGraph returns an empty graph with the given name.
 func NewGraph(name string) *Graph {
@@ -162,15 +211,15 @@ func (g *Graph) Finalize() error {
 	// The first snapshot with a tree slot per vertex, keeping any
 	// failures applied before Finalize.
 	g.mu.Lock()
-	g.publish(g.routing.Load().disabled)
+	g.publish(g.routing.Load().down)
 	g.mu.Unlock()
 	if len(g.endpoints) == 0 {
 		return fmt.Errorf("topology: graph %q has no endpoints", g.Name)
 	}
 	// Verify every endpoint can reach endpoint 0.
-	t := g.tree(g.endpoints[0])
+	t := g.tree(g.routing.Load(), g.endpoints[0])
 	for _, ep := range g.endpoints {
-		if ep != g.endpoints[0] && len(t.next(ep)) == 0 {
+		if t.rank[ep] < 0 {
 			return fmt.Errorf("topology: graph %q is disconnected at endpoint %d", g.Name, ep)
 		}
 	}
@@ -199,78 +248,58 @@ func (g *Graph) NumEndpoints() int { return len(g.endpoints) }
 // Degree returns the number of links at vertex v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// tree returns (building if needed) the multi-parent BFS tree rooted at
-// dst. Neighbors are explored in adjacency order, which is deterministic
-// by construction. Safe for concurrent callers: the snapshot holds one
-// entry per destination, and every caller that raced on the same
-// destination blocks on the same sync.Once and then reads the same
+// tree returns (building if needed) the BFS tree rooted at dst under
+// snapshot st's failure set. Safe for concurrent callers: the snapshot
+// holds one entry per destination, and every caller that raced on the
+// same destination blocks on the same sync.Once and then reads the same
 // immutable tree.
-func (g *Graph) tree(dst int) *tree {
+func (g *Graph) tree(st *routeState, dst int) *tree {
 	if !g.final {
 		panic("topology: routing before Finalize")
 	}
-	st := g.routing.Load()
 	e := &st.trees[dst]
-	e.once.Do(func() { e.tree = g.buildTree(dst, st.disabled) })
+	e.once.Do(func() { e.tree = g.buildTree(dst, st.down) })
 	return &e.tree
 }
 
-// buildTree runs the multi-parent BFS for dst against one immutable
-// failure set. The first pass records the BFS order and each vertex's
-// distance and next-hop count; the second walks the same order again
-// and fills the hops, so each vertex lists its next hops in the order
-// the search reached them, parallel links included. A healthy fabric
-// never consults the failure set.
-func (g *Graph) buildTree(dst int, disabled map[int]bool) tree {
+// buildTree runs one breadth-first search from dst over the links not
+// down, scanning each vertex's links in adjacency (edge-id) order, and
+// keeps the order it reached the vertices in as ranks, with the rank at
+// which each distance begins. It borrows the graph's queue; a builder
+// that finds it taken by a concurrent one allocates its own.
+func (g *Graph) buildTree(dst int, down edgeSet) tree {
 	n := len(g.verts)
-	failures := len(disabled) > 0
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
+	rank := make([]int32, n)
+	for i := range rank {
+		rank[i] = -1
 	}
-	off := make([]int32, n+1)
-	order := make([]int32, 1, n)
-	order[0] = int32(dst)
-	dist[dst] = 0
-	for i := 0; i < len(order); i++ {
-		v := order[i]
-		d := dist[v] + 1
-		for _, he := range g.adj[v] {
-			if failures && disabled[he.edge] {
+	var levels [32]int32 // deeper searches spill to the heap
+	level := levels[:1]
+	q := g.queue.Swap(nil)
+	if q == nil {
+		q = new([]int32)
+		*q = make([]int32, 0, n)
+	}
+	order := append((*q)[:0], int32(dst))
+	rank[dst] = 0
+	for i, end := 0, 1; i < len(order); i++ {
+		if i == end {
+			// Every vertex at the previous distance has been scanned,
+			// so the ones found since are exactly the next distance.
+			level = append(level, int32(i))
+			end = len(order)
+		}
+		for _, he := range g.adj[order[i]] {
+			if rank[he.to] >= 0 || down.has(he.edge) {
 				continue
 			}
-			switch dist[he.to] {
-			case -1:
-				dist[he.to] = d
-				order = append(order, int32(he.to))
-				off[he.to+1]++
-			case d:
-				// Another equal-cost next hop toward dst.
-				off[he.to+1]++
-			}
+			rank[he.to] = int32(len(order))
+			order = append(order, int32(he.to))
 		}
 	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	// Fill with off[v] as v's cursor. It stops at v's end, which is
-	// v+1's start, so one shift afterwards restores the offsets.
-	hops := make([]int32, off[n])
-	for _, v := range order {
-		d := dist[v] + 1
-		for _, he := range g.adj[v] {
-			if failures && disabled[he.edge] {
-				continue
-			}
-			if dist[he.to] == d {
-				hops[off[he.to]] = int32(he.edge)
-				off[he.to]++
-			}
-		}
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
-	return tree{off: off, hops: hops}
+	*q = order
+	g.queue.Store(q)
+	return tree{rank: rank, level: slices.Clone(level)}
 }
 
 // Route returns the shortest path from endpoint src to endpoint dst as a
@@ -287,22 +316,34 @@ func (g *Graph) Route(src, dst int) (edges []int, verts []int) {
 // RouteAppend is Route appending into caller-provided slices (reset to
 // length zero first), so per-message routing on a hot send path can reuse
 // scratch buffers instead of allocating. It returns the filled slices.
+//
+// It reads src's distance from dst's tree once; at each hop it lists
+// the next hops as the package doc orders them and takes
+// cands[pathHash(src, dst, hop) % len(cands)]. The tree and the failure
+// table come from one snapshot, so a concurrent DisableEdge cannot pair
+// a new failure set with an old tree.
 func (g *Graph) RouteAppend(src, dst int, edges, verts []int) ([]int, []int) {
 	edges, verts = edges[:0], verts[:0]
 	if src == dst {
 		return edges, append(verts, src)
 	}
-	t := g.tree(dst)
+	st := g.routing.Load()
+	t := g.tree(st, dst)
+	d := t.dist(src)
+	if d < 0 {
+		panic(fmt.Sprintf("topology: no route %d->%d in %q", src, dst, g.Name))
+	}
+	// Eight holds every candidate set of a torus, a fat tree of arity up
+	// to 8 and a hypercube of up to 8 dimensions; a wider set spills to
+	// the heap.
+	var scratch [8]uint64
 	verts = append(verts, src)
-	v := src
-	for hop := 0; v != dst; hop++ {
-		cands := t.next(v)
-		if len(cands) == 0 {
-			panic(fmt.Sprintf("topology: no route %d->%d in %q", src, dst, g.Name))
-		}
-		e := int(cands[pathHash(src, dst, hop)%uint64(len(cands))])
-		v = g.edges[e].Other(v)
-		edges = append(edges, e)
+	for v, hop := src, 0; d > 0; hop, d = hop+1, d-1 {
+		adj := g.adj[v]
+		cands := t.next(adj, d, st.down, scratch[:0])
+		he := adj[uint32(cands[pathHash(src, dst, hop)%uint64(len(cands))])]
+		v = he.to
+		edges = append(edges, he.edge)
 		verts = append(verts, v)
 	}
 	return edges, verts
@@ -311,24 +352,16 @@ func (g *Graph) RouteAppend(src, dst int, edges, verts []int) ([]int, []int) {
 // Dist returns the hop count of the shortest path between two vertices,
 // or -1 if unreachable. On the regular topologies (crossbar, torus,
 // hypercube) with no disabled edges it is O(1) coordinate arithmetic;
-// otherwise it walks the first next hops of the cached BFS tree for dst.
+// otherwise it finds src's distance among the levels of dst's tree.
 func (g *Graph) Dist(src, dst int) int {
 	if src == dst {
 		return 0
 	}
-	if g.analytic != nil && g.numDisabled.Load() == 0 {
+	st := g.routing.Load()
+	if g.analytic != nil && st.down == nil {
 		return g.analytic.dist(src, dst)
 	}
-	t := g.tree(dst)
-	d := 0
-	for v := src; v != dst; d++ {
-		cands := t.next(v)
-		if len(cands) == 0 {
-			return -1
-		}
-		v = g.edges[cands[0]].Other(v)
-	}
-	return d
+	return g.tree(st, dst).dist(src)
 }
 
 // SumDist returns the sum of Dist(verts[i], verts[j]) over every pair
@@ -340,7 +373,7 @@ func (g *Graph) SumDist(verts []int) int {
 	sum := 0
 	a := g.analytic
 	var table []uint8
-	if a != nil && g.numDisabled.Load() == 0 {
+	if a != nil && g.routing.Load().down == nil {
 		table = a.denseTable()
 	}
 	if table == nil {

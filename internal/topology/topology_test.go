@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -296,6 +297,46 @@ func TestFatTreeLarge(t *testing.T) {
 	checkRoute(t, g, 100, 350)
 	if d := g.Dist(0, 7); d != 2 {
 		t.Fatalf("same-leaf distance = %d, want 2", d)
+	}
+}
+
+// TestRouteAppendAllocationFree pins that a warm RouteAppend into
+// reused slices allocates nothing on every graph the suite, the
+// benchmark and the cmd/northstar goldens route over: the candidate
+// scratch lives on the stack.
+func TestRouteAppendAllocationFree(t *testing.T) {
+	graphs := []*Graph{
+		Crossbar(64), FatTree(4, 2), FatTree(4, 3), Torus2D(8, 8),
+		Torus3D(4, 4, 4), Torus3D(11, 11, 11), Hypercube(6),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range graphs {
+		eps := g.Endpoints()
+		src, dst := make([]int, 200), make([]int, 200)
+		for i := range src {
+			src[i], dst[i] = eps[rng.Intn(len(eps))], eps[rng.Intn(len(eps))]
+		}
+		var edges, verts []int
+		route := func() {
+			for i := range src {
+				edges, verts = g.RouteAppend(src[i], dst[i], edges, verts)
+			}
+		}
+		route()
+		if allocs := testing.AllocsPerRun(3, route); allocs != 0 {
+			t.Errorf("%s: %v allocations per 200 warm routes", g.Name, allocs)
+		}
+	}
+}
+
+// A tree build allocates the tree alone, its rank and level slices: the
+// search queue is the graph's, borrowed and handed back.
+func TestBuildTreeAllocatesOnlyTheTree(t *testing.T) {
+	g := Torus3D(4, 4, 4)
+	down := g.routing.Load().down
+	g.buildTree(0, down) // the first build allocates the queue
+	if allocs := testing.AllocsPerRun(20, func() { g.buildTree(0, down) }); allocs != 2 {
+		t.Errorf("%v allocations per tree build, want 2", allocs)
 	}
 }
 
