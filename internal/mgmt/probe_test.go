@@ -39,8 +39,6 @@ type kernelOnly struct{}
 
 func (kernelOnly) EventScheduled(sim.Time, int, bool) {}
 func (kernelOnly) EventFired(sim.Time, int)           {}
-func (kernelOnly) EventCancelled(sim.Time, int)       {}
-func (kernelOnly) HeapCompacted(sim.Time, int, int)   {}
 
 // attach installs a kernel hook giving every new kernel p, until the
 // test ends.

@@ -273,7 +273,7 @@ func (req *Request) complete(bytes int64) {
 	req.bytes = bytes
 	if req.waiting {
 		req.waiting = false
-		req.rank.proc.Resume(nil)
+		req.rank.proc.Resume()
 	}
 }
 

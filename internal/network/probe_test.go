@@ -54,8 +54,6 @@ type kernelOnly struct{}
 
 func (kernelOnly) EventScheduled(sim.Time, int, bool) {}
 func (kernelOnly) EventFired(sim.Time, int)           {}
-func (kernelOnly) EventCancelled(sim.Time, int)       {}
-func (kernelOnly) HeapCompacted(sim.Time, int, int)   {}
 
 // kernelRec is a kernel probe that also records fabric events, the way
 // the suite observer's probe set does: fabrics built on its kernel

@@ -8,16 +8,14 @@ import (
 	"northstar/internal/stats"
 )
 
-// KernelProbe implements sim.Probe with plain counters: events scheduled,
-// fired, and cancelled, same-time-FIFO fast-path hits, queue compactions,
-// peak queue depth, and a power-of-two histogram of queue depth sampled
-// at every schedule. Depth here is the kernel's live count — events that
-// will actually fire — so lazily-cancelled entries awaiting drain or
-// compaction never inflate the gauge or the histogram. One probe may
-// observe many kernels as long as they
-// are driven one at a time from one goroutine — exactly the shape of an
-// experiment that builds a kernel per sweep point; the counters then
-// aggregate across the experiment's kernels.
+// KernelProbe implements sim.Probe with plain counters: events scheduled
+// and fired, same-time-FIFO fast-path hits, peak queue depth, and a
+// power-of-two histogram of queue depth sampled at every schedule. Depth
+// is the kernel's pending count, every event of which will fire. One
+// probe may observe many kernels as long as they are driven one at a
+// time from one goroutine — exactly the shape of an experiment that
+// builds a kernel per sweep point; the counters then aggregate across
+// the experiment's kernels.
 //
 // Methods never allocate, so the overhead of an attached probe is a
 // handful of increments plus a bits.Len bucket index per scheduled event
@@ -26,10 +24,7 @@ import (
 type KernelProbe struct {
 	scheduled   uint64
 	fired       uint64
-	cancelled   uint64
 	fastPath    uint64
-	compactions uint64
-	compacted   uint64 // dead entries removed across all compactions
 	peakPending int
 	lastVT      sim.Time // latest virtual timestamp seen firing
 	// depthCounts[i] counts schedules that saw a queue depth in
@@ -47,17 +42,17 @@ func NewKernelProbe() *KernelProbe {
 
 var _ sim.Probe = (*KernelProbe)(nil)
 
-// EventScheduled implements sim.Probe. live is the kernel's live event
-// count (sim.Kernel.Live) at the sample.
-func (p *KernelProbe) EventScheduled(at sim.Time, live int, fastPath bool) {
+// EventScheduled implements sim.Probe. pending is the kernel's pending
+// event count (sim.Kernel.Pending) at the sample.
+func (p *KernelProbe) EventScheduled(at sim.Time, pending int, fastPath bool) {
 	p.scheduled++
 	if fastPath {
 		p.fastPath++
 	}
-	if live > p.peakPending {
-		p.peakPending = live
+	if pending > p.peakPending {
+		p.peakPending = pending
 	}
-	i := bits.Len64(uint64(live)) - 1 // live >= 1 after a schedule
+	i := bits.Len64(uint64(pending)) - 1 // pending >= 1 after a schedule
 	if i > depthBuckets {
 		i = depthBuckets
 	}
@@ -65,22 +60,11 @@ func (p *KernelProbe) EventScheduled(at sim.Time, live int, fastPath bool) {
 }
 
 // EventFired implements sim.Probe.
-func (p *KernelProbe) EventFired(now sim.Time, live int) {
+func (p *KernelProbe) EventFired(now sim.Time, pending int) {
 	p.fired++
 	if now > p.lastVT {
 		p.lastVT = now
 	}
-}
-
-// EventCancelled implements sim.Probe.
-func (p *KernelProbe) EventCancelled(now sim.Time, live int) {
-	p.cancelled++
-}
-
-// HeapCompacted implements sim.Probe.
-func (p *KernelProbe) HeapCompacted(now sim.Time, removed, live int) {
-	p.compactions++
-	p.compacted += uint64(removed)
 }
 
 // Merge folds q's counters into p. The suite observer uses it to fold
@@ -92,10 +76,7 @@ func (p *KernelProbe) HeapCompacted(now sim.Time, removed, live int) {
 func (p *KernelProbe) Merge(q *KernelProbe) {
 	p.scheduled += q.scheduled
 	p.fired += q.fired
-	p.cancelled += q.cancelled
 	p.fastPath += q.fastPath
-	p.compactions += q.compactions
-	p.compacted += q.compacted
 	if q.peakPending > p.peakPending {
 		p.peakPending = q.peakPending
 	}
@@ -112,9 +93,6 @@ func (p *KernelProbe) Scheduled() uint64 { return p.scheduled }
 
 // Fired returns the number of events fired.
 func (p *KernelProbe) Fired() uint64 { return p.fired }
-
-// Cancelled returns the number of events cancelled before firing.
-func (p *KernelProbe) Cancelled() uint64 { return p.cancelled }
 
 // FastPathHits returns how many schedules took the same-time FIFO.
 func (p *KernelProbe) FastPathHits() uint64 { return p.fastPath }
@@ -143,16 +121,12 @@ func (p *KernelProbe) DepthHistogram() *stats.Histogram {
 }
 
 // PublishTo writes the probe's totals into scope s using stable metric
-// names (events_scheduled, events_fired, events_cancelled, fastpath_hits,
-// heap_compactions, heap_compacted_entries counters; peak_pending and
-// virtual_seconds gauges; queue_depth histogram).
+// names (events_scheduled, events_fired and fastpath_hits counters;
+// peak_pending and virtual_seconds gauges; queue_depth histogram).
 func (p *KernelProbe) PublishTo(s *Scope) {
 	s.Add("events_scheduled", int64(p.scheduled))
 	s.Add("events_fired", int64(p.fired))
-	s.Add("events_cancelled", int64(p.cancelled))
 	s.Add("fastpath_hits", int64(p.fastPath))
-	s.Add("heap_compactions", int64(p.compactions))
-	s.Add("heap_compacted_entries", int64(p.compacted))
 	s.Max("peak_pending", float64(p.peakPending))
 	s.Max("virtual_seconds", p.lastVT.Seconds())
 	s.PutHistogram("queue_depth", p.DepthHistogram())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -46,72 +47,32 @@ func TestKernelProbeCounts(t *testing.T) {
 	}
 }
 
-// TestKernelProbeDepthExcludesCancelled is the regression test for the
-// depth gauge counting lazily-cancelled entries: the kernel deletes
-// cancelled events lazily, so its raw Pending count includes corpses
-// awaiting drain or compaction. The probe's depth arguments are the live
-// count, so schedules after a cancellation storm must report the shallow
-// live queue — not the carcass-inflated one.
-func TestKernelProbeDepthExcludesCancelled(t *testing.T) {
-	k := sim.New(1)
-	p := NewKernelProbe()
-	k.SetProbe(p)
-
-	// 20 live events: every depth sample so far is <= 20.
-	handles := make([]sim.Handle, 0, 20)
-	for i := 1; i <= 20; i++ {
-		handles = append(handles, k.At(sim.Time(i), func() {}))
-	}
-	// Cancel all but two. The entries stay queued (lazy deletion; below
-	// the compaction threshold), so Pending still reports ~20 while only
-	// 2 events will actually fire.
-	for _, h := range handles[:18] {
-		h.Cancel()
-	}
-	if k.Pending() <= k.Live() {
-		t.Fatalf("test premise broken: Pending()=%d not above Live()=%d after lazy cancels",
-			k.Pending(), k.Live())
-	}
-	// Ten more schedules: each sees a live depth of 3..12. A probe fed
-	// raw Pending would see 21..30 here and push the peak past 20.
-	for i := 21; i <= 30; i++ {
-		k.At(sim.Time(i), func() {})
-	}
-	if got := p.PeakPending(); got != 20 {
-		t.Fatalf("peakPending = %d after cancel storm, want 20 (live), not a Pending-inflated value", got)
-	}
-	// The ten post-cancel samples all belong in the [8,16) and [4,8)
-	// doubling buckets (depths 3..12); a Pending-fed histogram would put
-	// them in [16,32).
-	h := p.DepthHistogram()
-	if n := h.Count(); n != 30 {
-		t.Fatalf("depth histogram count = %d, want 30", n)
-	}
-	k.Run()
-	if p.Fired() != 12 || p.Cancelled() != 18 {
-		t.Fatalf("fired=%d cancelled=%d, want 12 and 18", p.Fired(), p.Cancelled())
-	}
-}
-
+// TestKernelProbePublishTo pins what a kernel probe publishes: exactly
+// three counters and two gauges, plus the queue-depth histogram.
 func TestKernelProbePublishTo(t *testing.T) {
 	k := sim.New(1)
 	p := NewKernelProbe()
 	k.SetProbe(p)
-	h := k.At(5, func() {})
-	h.Cancel()
+	k.At(5, func() {})
 	runChain(k, 10)
 
 	reg := NewRegistry()
-	scope := reg.Scope("T1")
-	p.PublishTo(scope)
-	if got := scope.Counter("events_fired"); got != 11 {
-		t.Errorf("events_fired = %d, want 11", got)
+	p.PublishTo(reg.Scope("T1"))
+	snap := reg.Snapshot().Scopes[0]
+	wantCounters := map[string]int64{
+		"events_scheduled": 12,
+		"events_fired":     12,
+		"fastpath_hits":    1, // the chain's seed After(0)
 	}
-	if got := scope.Counter("events_cancelled"); got != 1 {
-		t.Errorf("events_cancelled = %d, want 1", got)
+	if !reflect.DeepEqual(snap.Counters, wantCounters) {
+		t.Errorf("counters = %v, want %v", snap.Counters, wantCounters)
 	}
-	if got := scope.Gauge("peak_pending"); got < 1 {
-		t.Errorf("peak_pending = %g, want >= 1", got)
+	wantGauges := map[string]float64{"peak_pending": 2, "virtual_seconds": 5}
+	if !reflect.DeepEqual(snap.Gauges, wantGauges) {
+		t.Errorf("gauges = %v, want %v", snap.Gauges, wantGauges)
+	}
+	if n := snap.Histograms["queue_depth"].Count; n != 12 {
+		t.Errorf("queue_depth histogram holds %d samples, want 12", n)
 	}
 }
 

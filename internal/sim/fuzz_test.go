@@ -19,9 +19,9 @@ type opsResult struct {
 // through the fuzzed op stream and checks it against a trivially correct
 // reference model: a flat slice of (time, scheduling-index) pairs sorted
 // stably. The kernel promises events fire in (time, seq) order with FIFO
-// ties, cancelled events never fire, Cancel/Pending report the truth, and
-// the clock never runs backwards; any queue bug that breaks one of those
-// shows up as an order or bookkeeping diff.
+// ties, every scheduled event fires exactly once, Pending counts exactly
+// the events not yet fired, and the clock never runs backwards; any queue
+// bug that breaks one of those shows up as an order or bookkeeping diff.
 //
 // The op stream executes *inside* kernel events (a driver chain), so
 // scheduling happens both before the clock reaches an event's time (queue
@@ -29,35 +29,46 @@ type opsResult struct {
 //
 // Ops (op = byte%8, arg = next byte):
 //
-//	0, 1: schedule one payload arg microseconds out (near cluster)
-//	2:    schedule an 8-payload monotone burst at +arg..+arg+7 µs
-//	      (density — drives calendar bucket growth)
-//	3:    schedule one payload arg*16 milliseconds out (far tail —
-//	      bimodal with 0-2, drives calendar overflow and promotion)
-//	4, 5: cancel the arg-th payload (lazy deletion, compaction)
-//	6:    check the arg-th payload's Pending against the model
-//	7:    advance the driver clock arg microseconds
+//	0, 1:  schedule one payload arg microseconds out (near cluster)
+//	2:     schedule an 8-payload monotone burst at +arg..+arg+7 µs
+//	       (density — drives calendar bucket growth)
+//	3:     schedule one payload arg*16 milliseconds out (far tail —
+//	       bimodal with 0-2, drives calendar overflow and promotion)
+//	4-6:   schedule one payload at the current time, on the same-time
+//	       FIFO ahead of the driver's next step; arg is unused
+//	7:     advance the driver clock arg microseconds
 func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 	t.Helper()
 	k := NewOnQueue(1, kind)
 
 	type payload struct {
-		id        int
-		at        Time
-		h         Handle
-		cancelled bool
-		fired     bool
+		id    int
+		at    Time
+		fired bool
 	}
 	var model []*payload
 	var fired []int
 	lastNow := k.Now()
+	driving := true // the driver has a step pending or running
 
+	checkPending := func(want int) {
+		if got := k.Pending(); got != want {
+			t.Fatalf("[%v] Pending() = %d, model says %d", kind, got, want)
+		}
+	}
 	schedule := func(d Time) {
 		p := &payload{id: len(model), at: k.Now() + d}
-		p.h = k.After(d, func() {
-			if p.fired || p.cancelled {
-				t.Fatalf("[%v] payload %d fired twice or after cancel", kind, p.id)
+		k.After(d, func() {
+			if p.fired {
+				t.Fatalf("[%v] payload %d fired twice", kind, p.id)
 			}
+			// Pending: every other unfired payload, and the driver's
+			// next step while the op stream lasts.
+			want := len(model) - len(fired) - 1
+			if driving {
+				want++
+			}
+			checkPending(want)
 			p.fired = true
 			fired = append(fired, p.id)
 		})
@@ -71,10 +82,11 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 			t.Fatalf("[%v] clock ran backwards: %v after %v", kind, k.Now(), lastNow)
 		}
 		lastNow = k.Now()
-		if live := k.Live(); live < 0 || live > k.Pending() {
-			t.Fatalf("[%v] Live() = %d outside [0, Pending()=%d]", kind, live, k.Pending())
-		}
+		// The driver's own event has fired, so every pending event is
+		// a payload.
+		checkPending(len(model) - len(fired))
 		if i+1 >= len(data) {
+			driving = false
 			return
 		}
 		op, arg := data[i]%8, int(data[i+1])
@@ -89,27 +101,8 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 			}
 		case 3: // far tail: arg*16 ms out (calendar overflow territory)
 			schedule(Time(arg) * 16 * Millisecond)
-		case 4, 5: // cancel the arg-th payload; Cancel must tell the truth
-			if len(model) == 0 {
-				break
-			}
-			p := model[arg%len(model)]
-			want := !p.fired && !p.cancelled
-			if got := p.h.Cancel(); got != want {
-				t.Fatalf("[%v] payload %d: Cancel() = %v, model says %v (fired=%v cancelled=%v)",
-					kind, p.id, got, want, p.fired, p.cancelled)
-			}
-			if want {
-				p.cancelled = true
-			}
-		case 6: // Pending must agree with the model
-			if len(model) == 0 {
-				break
-			}
-			p := model[arg%len(model)]
-			if want := !p.fired && !p.cancelled; p.h.Pending() != want {
-				t.Fatalf("[%v] payload %d: Pending() = %v, model says %v", kind, p.id, p.h.Pending(), want)
-			}
+		case 4, 5, 6: // now: the same-time FIFO
+			schedule(0)
 		case 7: // advance the driver clock
 			next = Time(arg) * Microsecond
 		}
@@ -118,14 +111,8 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 	k.After(0, step)
 	final := k.Run()
 
-	// Every live payload fired in (time, scheduling order); nothing
-	// cancelled fired; nothing fired twice.
-	var want []*payload
-	for _, p := range model {
-		if !p.cancelled {
-			want = append(want, p)
-		}
-	}
+	// Every payload fired once, in (time, scheduling order).
+	want := append([]*payload(nil), model...)
 	sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
 	if len(fired) != len(want) {
 		t.Fatalf("[%v] %d payloads fired, model expects %d", kind, len(fired), len(want))
@@ -138,18 +125,6 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 	if k.Pending() != 0 {
 		t.Fatalf("[%v] %d events still pending after Run drained everything", kind, k.Pending())
 	}
-	if k.Live() != 0 {
-		t.Fatalf("[%v] Live() = %d after Run drained everything", kind, k.Live())
-	}
-	// A handle whose event fired or was cancelled must stay dead.
-	for _, p := range model {
-		if p.h.Pending() {
-			t.Fatalf("[%v] payload %d still Pending after the run", kind, p.id)
-		}
-		if p.h.Cancel() {
-			t.Fatalf("[%v] payload %d: Cancel succeeded after the run", kind, p.id)
-		}
-	}
 	return opsResult{fired: fired, count: k.Fired(), pending: k.Pending(), final: final}
 }
 
@@ -160,8 +135,8 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 // (at, seq), so nothing about the backend may leak into fire order,
 // Fired/Pending accounting, or the final clock.
 func FuzzKernelOps(f *testing.F) {
-	// Seeds: pure same-time scheduling, a cancel-heavy stream (drives
-	// compaction), mixed deltas, time advances between bursts.
+	// Seeds: pure near scheduling, then streams that mix near, burst and
+	// same-time schedules (ops 4-6) with time advances between them.
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0, 5, 1, 3, 4, 0, 0, 2, 4, 1, 4, 2})
 	f.Add([]byte{0, 10, 7, 4, 0, 0, 7, 9, 2, 200, 4, 0, 6, 1})
@@ -176,15 +151,16 @@ func FuzzKernelOps(f *testing.F) {
 	far = append(far, 0, 2, 0, 2, 7, 50)
 	f.Add(far)
 	// Density stream: ~70 monotone bursts (≈560 resident events) with
-	// sparse cancels — exercises the calendar's density-driven bucket
-	// resize, then drains through a far advance.
+	// two same-time schedules — exercises the calendar's density-driven
+	// bucket resize, then drains through a far advance.
 	dense := []byte{}
 	for j := 0; j < 70; j++ {
 		dense = append(dense, 2, byte(j*3))
 	}
 	dense = append(dense, 4, 17, 4, 130, 7, 255, 7, 255)
 	f.Add(dense)
-	// Bimodal near/far interleave with cancels landing on both modes.
+	// Bimodal near/far interleave, each pair followed by a same-time
+	// schedule.
 	bimodal := []byte{}
 	for j := 0; j < 16; j++ {
 		bimodal = append(bimodal, 0, byte(j), 3, byte(200-j*5), 4, byte(j*7))

@@ -5,6 +5,11 @@
 // batch scheduler, and the fault/checkpoint simulator all advance a shared
 // virtual clock by scheduling events on a Kernel.
 //
+// The kernel only schedules and fires. At and After queue a handler;
+// Step, Run and RunUntil fire handlers in order; a Proc is a coroutine
+// that blocks in Wait or Suspend and is woken by its timer or by Resume.
+// A scheduled event always fires: there is no cancellation.
+//
 // Determinism: events that fire at the same virtual time are executed in
 // the order they were scheduled (a monotonic sequence number breaks ties),
 // and all randomness flows from a caller-supplied seed. Two runs with the
@@ -14,17 +19,15 @@
 // so the choice of backend never changes simulation output.
 //
 // Performance: the event queue is the hot path of every simulation, so it
-// avoids allocating on it. Scheduling pushes a value-type entry onto a
-// hand-rolled 4-ary min-heap, event payloads are recycled through a free
-// list, cancelled events are deleted lazily with the queue compacted once
-// dead entries outnumber live ones, and events scheduled at the current
-// virtual time — the dominant case for process handoff — bypass the queue
-// entirely via a FIFO. A Proc binds its wake handlers once when Go
-// spawns it, so a proc handoff (Wait, Resume, Interrupt) schedules a
-// long-lived func value and allocates nothing. A calendar-queue backend
-// (bucketed sliding time window, see queue_calendar.go) is available
-// through NewOnQueue for benchmarking and differential testing; New
-// always builds the heap.
+// avoids allocating on it. Scheduling pushes a value-type entry holding
+// the handler onto a hand-rolled 4-ary min-heap, and events scheduled at
+// the current virtual time — the dominant case for process handoff —
+// bypass the heap entirely via a FIFO of handlers. A Proc binds its wake
+// handler once when Go spawns it, so a proc handoff (Wait, Resume)
+// schedules a long-lived func value and allocates nothing. A
+// calendar-queue backend (bucketed sliding time window, see
+// queue_calendar.go) is available through NewOnQueue for benchmarking
+// and differential testing; New always builds the heap.
 package sim
 
 import (
@@ -80,66 +83,16 @@ func (t Time) String() string {
 	}
 }
 
-// event is the pooled payload of one scheduled event. Queue entries point
-// at an event; after it fires or its cancellation is drained, the payload
-// returns to the kernel's free list with its generation bumped, which
-// invalidates any Handle still referring to it.
-type event struct {
-	fn    func()
-	gen   uint32
-	inNow bool // queued on the same-time fast path, not the future queue
-}
-
-// Handle identifies a scheduled event and allows cancelling it before it
-// fires. The zero Handle is invalid.
-type Handle struct {
-	k   *Kernel
-	ev  *event
-	gen uint32
-}
-
-// Cancel removes the event from the schedule. Cancelling an event that has
-// already fired or been cancelled is a no-op. Cancel reports whether the
-// event was still pending.
-func (h Handle) Cancel() bool {
-	if h.ev == nil || h.gen != h.ev.gen || h.ev.fn == nil {
-		return false
-	}
-	h.ev.fn = nil // lazy deletion; the queue entry stays until drained
-	k := h.k
-	if h.ev.inNow {
-		k.nowDead++
-	} else {
-		k.dead++
-	}
-	if k.probe != nil {
-		k.probe.EventCancelled(k.now, k.Live())
-	}
-	if !h.ev.inNow && k.dead*2 > k.qsize() && k.qsize() >= compactMin {
-		k.compactQueue()
-	}
-	return true
-}
-
-// Pending reports whether the event has not yet fired or been cancelled.
-func (h Handle) Pending() bool {
-	return h.ev != nil && h.gen == h.ev.gen && h.ev.fn != nil
-}
-
 // entry is one queued future event, ordered by (at, seq).
 type entry struct {
 	at  Time
 	seq uint64
-	ev  *event
+	fn  func()
 }
 
 func entryLess(a, b entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-
-// compactMin is the minimum queue size at which cancellation-driven
-// compaction kicks in; below it, lazy draining is cheap enough.
-const compactMin = 64
 
 // QueueKind selects the event-queue backend of a Kernel.
 type QueueKind uint8
@@ -173,17 +126,14 @@ type Kernel struct {
 	qh    *heapQueue
 	qc    *calendarQueue
 	onCal bool
-	dead  int // cancelled future events still occupying queue slots
 
 	// nowq is the fast path for events scheduled at the current virtual
 	// time: they cannot be preceded by anything except earlier-scheduled
 	// events also due now, so FIFO order is (at, seq) order and no queue
-	// insert is needed. qhead indexes the first undrained entry.
-	nowq    []*event
-	qhead   int
-	nowDead int // cancelled nowq entries not yet drained
+	// insert is needed. qhead indexes the first unfired handler.
+	nowq  []func()
+	qhead int
 
-	free    []*event // payload free list; bounded by peak pending events
 	seq     uint64
 	seed    int64      // construction seed, replayed by Reset
 	rng     *rand.Rand // built from seed by the first Rand call
@@ -194,8 +144,6 @@ type Kernel struct {
 	// Every call site is guarded by one nil-check so the unobserved hot
 	// path is unchanged.
 	probe Probe
-
-	procs int // Proc id allocator (see proc.go)
 }
 
 // New returns a Kernel with its clock at zero and randomness seeded from
@@ -223,24 +171,23 @@ func NewOnQueue(seed int64, kind QueueKind) *Kernel {
 // runs instead of reconstructed. Reset panics if events are still
 // pending: it is for reusing a kernel after a drained Run, not for
 // aborting one (a Proc parked in Suspend would likewise outlive the
-// reset — finish or interrupt procs first). The event free list and
-// queue storage survive, so the reused kernel also skips its warm-up
-// allocations.
+// reset — finish procs first). The queues keep their storage, so the
+// reused kernel also skips its warm-up allocations.
 func (k *Kernel) Reset() {
-	k.drainDead()
-	if k.Pending() > 0 {
-		panic(fmt.Sprintf("sim: Reset with %d events still pending", k.Pending()))
+	if n := k.Pending(); n > 0 {
+		panic(fmt.Sprintf("sim: Reset with %d events still pending", n))
 	}
 	k.now = 0
-	k.activeQueue().reset()
+	if k.onCal {
+		k.qc.reset()
+	} else {
+		k.qh.reset()
+	}
 	k.nowq = k.nowq[:0]
 	k.qhead = 0
-	k.dead = 0
-	k.nowDead = 0
 	k.seq = 0
 	k.fired = 0
 	k.stopped = false
-	k.procs = 0
 	k.rng = nil
 }
 
@@ -260,14 +207,10 @@ func (k *Kernel) Rand() *rand.Rand {
 // Fired reports how many events have executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// Pending reports how many events are scheduled, including lazily
-// cancelled entries not yet drained. For queue-depth telemetry use Live,
-// which excludes them.
+// Pending reports how many events are scheduled and not yet fired, on
+// the future queue and the same-time FIFO together. Every one of them
+// will fire.
 func (k *Kernel) Pending() int { return k.qsize() + len(k.nowq) - k.qhead }
-
-// Live reports how many scheduled events will actually fire: Pending
-// minus entries cancelled but not yet drained from either queue.
-func (k *Kernel) Live() int { return k.Pending() - k.dead - k.nowDead }
 
 // ---- queue dispatch ----
 
@@ -300,47 +243,36 @@ func (k *Kernel) qpush(e entry) {
 	k.qh.push(e)
 }
 
-// activeQueue returns the live backend behind the eventQueue interface,
-// for cold paths and tests.
-func (k *Kernel) activeQueue() eventQueue {
-	if k.onCal {
-		return k.qc
-	}
-	return k.qh
-}
-
 // ---- scheduling ----
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past (or at a NaN time) panics: a discrete-event simulation must never
 // travel backwards.
-func (k *Kernel) At(t Time, fn func()) Handle {
+func (k *Kernel) At(t Time, fn func()) {
 	if !(t >= k.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := k.newEvent(fn)
 	k.seq++
-	if t == k.now {
+	fast := t == k.now
+	if fast {
 		// Same-time fast path. Any queued entry due at t was scheduled
 		// before the clock reached t, so it carries a smaller seq than
 		// this event and Step drains the queue first; among nowq entries
 		// FIFO order equals seq order.
-		ev.inNow = true
-		k.nowq = append(k.nowq, ev)
+		k.nowq = append(k.nowq, fn)
 	} else {
-		k.qpush(entry{at: t, seq: k.seq, ev: ev})
+		k.qpush(entry{at: t, seq: k.seq, fn: fn})
 	}
 	if k.probe != nil {
-		k.probe.EventScheduled(t, k.Live(), ev.inNow)
+		k.probe.EventScheduled(t, k.Pending(), fast)
 	}
-	return Handle{k: k, ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
-func (k *Kernel) After(d Time, fn func()) Handle { return k.At(k.now+d, fn) }
+func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
 // Stop makes Run return after the current event completes. Pending events
 // remain scheduled; Run may be called again to continue.
@@ -349,22 +281,19 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	k.drainDead()
-	var ev *event
+	var fn func()
 	if m := k.qmin(); m != nil && (m.at == k.now || k.qhead == len(k.nowq)) {
 		e := k.qpop()
 		k.now = e.at
-		ev = e.ev
+		fn = e.fn
 	} else if k.qhead < len(k.nowq) {
-		ev = k.popNow()
+		fn = k.popNow()
 	} else {
 		return false
 	}
-	fn := ev.fn
-	k.recycle(ev)
 	k.fired++
 	if k.probe != nil {
-		k.probe.EventFired(k.now, k.Live())
+		k.probe.EventFired(k.now, k.Pending())
 	}
 	fn()
 	return true
@@ -397,9 +326,8 @@ func (k *Kernel) RunUntil(t Time) Time {
 	return k.now
 }
 
-// peek returns the timestamp of the next live event.
+// peek returns the timestamp of the next pending event.
 func (k *Kernel) peek() (Time, bool) {
-	k.drainDead()
 	if k.qhead < len(k.nowq) {
 		return k.now, true
 	}
@@ -409,68 +337,14 @@ func (k *Kernel) peek() (Time, bool) {
 	return 0, false
 }
 
-// NextEventAt returns the time of the next pending event, if any.
-func (k *Kernel) NextEventAt() (Time, bool) { return k.peek() }
-
-// ---- event pool ----
-
-func (k *Kernel) newEvent(fn func()) *event {
-	if n := len(k.free); n > 0 {
-		ev := k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		ev.fn = fn
-		ev.inNow = false
-		return ev
-	}
-	return &event{fn: fn}
-}
-
-// recycle returns a drained payload to the free list. Bumping the
-// generation invalidates outstanding Handles before the payload is reused.
-func (k *Kernel) recycle(ev *event) {
-	ev.fn = nil
-	ev.gen++
-	k.free = append(k.free, ev)
-}
-
-// ---- queues ----
-
-// drainDead recycles cancelled entries sitting at the front of either
-// queue so Step and peek see a live minimum.
-func (k *Kernel) drainDead() {
-	for k.dead > 0 {
-		m := k.qmin()
-		if m == nil || m.ev.fn != nil {
-			break
-		}
-		k.recycle(k.qpop().ev)
-		k.dead--
-	}
-	for k.qhead < len(k.nowq) && k.nowq[k.qhead].fn == nil {
-		k.recycle(k.popNow())
-		k.nowDead--
-	}
-}
-
-// popNow removes and returns the front of the same-time queue.
-func (k *Kernel) popNow() *event {
-	ev := k.nowq[k.qhead]
+// popNow removes and returns the front of the same-time FIFO.
+func (k *Kernel) popNow() func() {
+	fn := k.nowq[k.qhead]
 	k.nowq[k.qhead] = nil
 	k.qhead++
 	if k.qhead == len(k.nowq) {
 		k.nowq = k.nowq[:0]
 		k.qhead = 0
 	}
-	return ev
-}
-
-// compactQueue removes all cancelled entries from the future queue.
-// Triggered from Cancel once dead entries outnumber live ones.
-func (k *Kernel) compactQueue() {
-	removed := k.activeQueue().compact(k.recycle)
-	k.dead = 0
-	if k.probe != nil {
-		k.probe.HeapCompacted(k.now, removed, k.qsize())
-	}
+	return fn
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -69,28 +68,6 @@ func TestKernelPastSchedulingPanics(t *testing.T) {
 		k.At(5, func() {})
 	})
 	k.Run()
-}
-
-func TestKernelCancel(t *testing.T) {
-	k := New(1)
-	fired := false
-	h := k.At(1, func() { fired = true })
-	if !h.Pending() {
-		t.Fatal("handle not pending after schedule")
-	}
-	if !h.Cancel() {
-		t.Fatal("first cancel reported false")
-	}
-	if h.Cancel() {
-		t.Fatal("second cancel reported true")
-	}
-	k.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if k.Fired() != 0 {
-		t.Fatalf("Fired = %d, want 0", k.Fired())
-	}
 }
 
 func TestKernelStopAndContinue(t *testing.T) {
@@ -201,36 +178,6 @@ func TestKernelOrderingProperty(t *testing.T) {
 	}
 }
 
-// Property: cancelling a random subset of events fires exactly the others.
-func TestKernelCancelProperty(t *testing.T) {
-	prop := func(offsets []uint8, mask []bool) bool {
-		k := New(1)
-		fired := make(map[int]bool)
-		handles := make([]Handle, len(offsets))
-		for i, off := range offsets {
-			i := i
-			handles[i] = k.At(Time(off), func() { fired[i] = true })
-		}
-		cancelled := make(map[int]bool)
-		for i := range handles {
-			if i < len(mask) && mask[i] {
-				handles[i].Cancel()
-				cancelled[i] = true
-			}
-		}
-		k.Run()
-		for i := range offsets {
-			if fired[i] == cancelled[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		in   Time
@@ -251,71 +198,6 @@ func TestTimeString(t *testing.T) {
 			t.Errorf("Time(%g).String() = %q, want %q", float64(c.in), got, c.want)
 		}
 	}
-}
-
-// Handles must not leak across payload reuse: after an event fires and
-// its pooled payload is recycled into a new event, the stale handle must
-// report not-pending and refuse to cancel the new event.
-func TestKernelStaleHandleAfterReuse(t *testing.T) {
-	k := New(1)
-	h1 := k.At(1, func() {})
-	k.Run()
-	if h1.Pending() {
-		t.Fatal("handle pending after event fired")
-	}
-	if h1.Cancel() {
-		t.Fatal("cancel of fired event reported true")
-	}
-	// The pool now holds h1's payload; this schedule reuses it.
-	fired := false
-	h2 := k.At(2, func() { fired = true })
-	if h1.Cancel() {
-		t.Fatal("stale handle cancelled a reused payload")
-	}
-	if h1.Pending() {
-		t.Fatal("stale handle reports pending for reused payload")
-	}
-	k.Run()
-	if !fired {
-		t.Fatal("event cancelled through a stale handle")
-	}
-	if h2.Pending() {
-		t.Fatal("fired handle still pending")
-	}
-}
-
-// Cancelling the majority of a large heap triggers compaction; the
-// remaining events must still fire in order and the heap must shrink.
-func TestKernelCompaction(t *testing.T) {
-	k := New(1)
-	const n = 1000
-	handles := make([]Handle, n)
-	for i := 0; i < n; i++ {
-		i := i
-		handles[i] = k.At(Time(i+1), func() {})
-	}
-	for i := 0; i < n; i++ {
-		if i%10 != 0 {
-			handles[i].Cancel()
-		}
-	}
-	if got := k.Pending(); got > n/10+compactMin {
-		t.Fatalf("heap not compacted: %d entries pending for %d live", got, n/10)
-	}
-	var fired []Time
-	prev := Time(-1)
-	k.At(0, func() {}) // anchor so Run starts at 0
-	for k.Step() {
-		if k.Now() < prev {
-			t.Fatalf("time went backwards after compaction: %v < %v", k.Now(), prev)
-		}
-		prev = k.Now()
-		fired = append(fired, k.Now())
-	}
-	if int(k.Fired()) != n/10+1 {
-		t.Fatalf("fired %d events, want %d survivors", k.Fired(), n/10+1)
-	}
-	_ = fired
 }
 
 // Events scheduled at the current time (the After(0) fast path) must fire
@@ -340,25 +222,6 @@ func TestKernelSameTimeFastPathOrdering(t *testing.T) {
 	}
 }
 
-// Cancelling a fast-path (same-time) event must prevent it firing.
-func TestKernelCancelFastPathEvent(t *testing.T) {
-	k := New(1)
-	fired := false
-	k.At(5, func() {
-		h := k.After(0, func() { fired = true })
-		if !h.Cancel() {
-			t.Error("cancel of fast-path event reported false")
-		}
-	})
-	k.Run()
-	if fired {
-		t.Fatal("cancelled fast-path event fired")
-	}
-	if k.Fired() != 1 {
-		t.Fatalf("Fired = %d, want 1", k.Fired())
-	}
-}
-
 // RunUntil must honour fast-path events queued at the boundary time.
 func TestKernelRunUntilWithFastPath(t *testing.T) {
 	k := New(1)
@@ -377,27 +240,8 @@ func TestKernelRunUntilWithFastPath(t *testing.T) {
 	}
 }
 
-// The event pool must not grow with total events, only with peak
-// concurrency: a long chain of one-pending-event steps allocates O(1).
-func TestKernelPoolReuse(t *testing.T) {
-	k := New(1)
-	n := 0
-	var fn func()
-	fn = func() {
-		n++
-		if n < 10000 {
-			k.After(1, fn)
-		}
-	}
-	k.After(1, fn)
-	k.Run()
-	if len(k.free) > 4 {
-		t.Fatalf("free list has %d payloads for a 1-deep chain", len(k.free))
-	}
-}
-
 // BenchmarkKernelSameTimeEvents exercises the After(0) fast path that
-// dominates proc handoff (Resume/Interrupt/Go).
+// dominates proc handoff (Go, Resume).
 func BenchmarkKernelSameTimeEvents(b *testing.B) {
 	k := New(1)
 	n := 0
@@ -406,27 +250,6 @@ func BenchmarkKernelSameTimeEvents(b *testing.B) {
 		if n < b.N {
 			n++
 			k.After(0, fn)
-		}
-	}
-	b.ReportAllocs()
-	k.After(0, fn)
-	k.Run()
-}
-
-// BenchmarkKernelCancelHeavy models timeout-style workloads where most
-// scheduled events are cancelled before firing, exercising lazy deletion
-// and compaction.
-func BenchmarkKernelCancelHeavy(b *testing.B) {
-	k := New(1)
-	rng := rand.New(rand.NewSource(7))
-	n := 0
-	var fn func()
-	fn = func() {
-		if n < b.N {
-			n++
-			h := k.After(Time(1+rng.Float64()), func() {}) // timeout, usually cancelled
-			k.After(Time(rng.Float64()), fn)
-			h.Cancel()
 		}
 	}
 	b.ReportAllocs()

@@ -2,35 +2,28 @@ package sim
 
 import "sync/atomic"
 
-// Probe observes kernel internals: event scheduling, firing, cancellation,
-// and heap maintenance. A probe is attached with (*Kernel).SetProbe; the
-// kernel holds nil by default and every hook site is guarded by a single
+// Probe observes the kernel's two actions: scheduling an event and
+// firing one. A probe is attached with (*Kernel).SetProbe; the kernel
+// holds nil by default and every hook site is guarded by a single
 // nil-check, so an unobserved kernel pays nothing on its hot path.
 //
 // All methods are called synchronously from whichever goroutine is driving
 // the kernel (the Run caller or, transitively, a Proc holding the control
 // token), so implementations need no locking of their own as long as one
 // probe instance observes kernels driven from one goroutine at a time.
-// Probe calls must not schedule or cancel events: they observe the engine,
-// they are not part of the simulation.
+// Probe calls must not schedule events: they observe the engine, they
+// are not part of the simulation.
 type Probe interface {
 	// EventScheduled is called after an event is queued. at is its due
-	// time, live the queue depth including the new event (future queue
-	// plus same-time FIFO, excluding lazily-cancelled entries — see
-	// Kernel.Live), and fastPath reports whether the event bypassed the
-	// future queue via the same-time FIFO.
-	EventScheduled(at Time, live int, fastPath bool)
+	// time, pending the queue depth including the new event (future
+	// queue plus same-time FIFO, see Kernel.Pending), and fastPath
+	// reports whether the event bypassed the future queue via the
+	// same-time FIFO.
+	EventScheduled(at Time, pending int, fastPath bool)
 	// EventFired is called immediately before an event handler executes,
-	// with the clock already advanced to the event's timestamp. live is
-	// the live queue depth after removing the fired event.
-	EventFired(now Time, live int)
-	// EventCancelled is called when Cancel removes a still-pending event,
-	// with the live depth after the cancellation.
-	EventCancelled(now Time, live int)
-	// HeapCompacted is called after cancellation-driven compaction,
-	// with the number of dead entries removed and live entries kept. It
-	// fires on both queue backends; the name is historical.
-	HeapCompacted(now Time, removed, live int)
+	// with the clock already advanced to the event's timestamp. pending
+	// is the queue depth after removing the fired event.
+	EventFired(now Time, pending int)
 }
 
 // SetProbe attaches p to the kernel (nil detaches). Attaching or swapping

@@ -4,10 +4,9 @@ import "testing"
 
 // countProbe records every probe callback.
 type countProbe struct {
-	scheduled, fired, cancelled int
-	fastPath                    int
-	compactions, removed        int
-	maxPending                  int
+	scheduled, fired int
+	fastPath         int
+	maxPending       int
 }
 
 func (p *countProbe) EventScheduled(at Time, pending int, fastPath bool) {
@@ -20,15 +19,8 @@ func (p *countProbe) EventScheduled(at Time, pending int, fastPath bool) {
 	}
 }
 func (p *countProbe) EventFired(now Time, pending int) { p.fired++ }
-func (p *countProbe) EventCancelled(now Time, pending int) {
-	p.cancelled++
-}
-func (p *countProbe) HeapCompacted(now Time, removed, live int) {
-	p.compactions++
-	p.removed += removed
-}
 
-func TestProbeObservesScheduleFireCancel(t *testing.T) {
+func TestProbeObservesScheduleFire(t *testing.T) {
 	k := New(1)
 	p := &countProbe{}
 	k.SetProbe(p)
@@ -37,7 +29,7 @@ func TestProbeObservesScheduleFireCancel(t *testing.T) {
 	}
 
 	k.At(1, func() {})
-	h := k.At(2, func() { t.Error("cancelled event fired") })
+	k.At(2, func() {})
 	k.At(0, func() {}) // same-time fast path
 	if p.scheduled != 3 || p.fastPath != 1 {
 		t.Fatalf("scheduled=%d fastPath=%d, want 3 and 1", p.scheduled, p.fastPath)
@@ -45,38 +37,10 @@ func TestProbeObservesScheduleFireCancel(t *testing.T) {
 	if p.maxPending != 3 {
 		t.Fatalf("maxPending=%d, want 3", p.maxPending)
 	}
-	if !h.Cancel() {
-		t.Fatal("cancel failed")
-	}
-	if p.cancelled != 1 {
-		t.Fatalf("cancelled=%d, want 1", p.cancelled)
-	}
 	k.Run()
-	if p.fired != 2 {
-		t.Fatalf("fired=%d, want 2 (cancelled event must not fire)", p.fired)
+	if p.fired != 3 {
+		t.Fatalf("fired=%d, want 3", p.fired)
 	}
-}
-
-func TestProbeObservesCompaction(t *testing.T) {
-	k := New(1)
-	p := &countProbe{}
-	k.SetProbe(p)
-	// Fill the heap past compactMin, then cancel until dead entries
-	// outnumber live ones.
-	handles := make([]Handle, 0, 2*compactMin)
-	for i := 0; i < 2*compactMin; i++ {
-		handles = append(handles, k.At(Time(i+1), func() {}))
-	}
-	for _, h := range handles[:compactMin+1] {
-		h.Cancel()
-	}
-	if p.compactions == 0 {
-		t.Fatal("no compaction observed")
-	}
-	if p.removed == 0 {
-		t.Fatal("compaction removed no entries")
-	}
-	k.Run()
 }
 
 func TestProbeDoesNotChangeEventOrder(t *testing.T) {

@@ -27,92 +27,63 @@ import (
 // a detached goroutine.
 //
 // Proc methods must be called only from the Proc's own coroutine, with
-// the exception of Resume and Interrupt which are called from event
-// handlers or other Procs.
+// the exception of Resume, which is called from event handlers or other
+// Procs.
 //
-// A handoff allocates nothing: Go binds the proc's three wake handlers
-// (timer, resume, interrupt) once, and Wait, Resume and Interrupt
-// schedule those bound handlers instead of a fresh closure per event.
-// Resume parks its payload on the Proc until the wake fires.
+// A handoff allocates nothing: Go binds the proc's one wake handler
+// once, and Go's start event, Wait's timer and Resume all schedule that
+// bound handler instead of a fresh closure per event.
 type Proc struct {
 	k         *Kernel
-	id        int
 	next      func() (struct{}, bool) // kernel side: hand the token to the proc
 	yield     func(struct{}) bool     // proc side: hand the token back
-	sig       procSignal              // wake payload, set before next
-	payload   any                     // Resume's payload until its wake fires
-	waking    bool                    // a Resume or Interrupt is already in flight
+	wake      func()                  // p.deliver, bound once by Go
+	waking    bool                    // a Resume is already in flight
 	suspended bool                    // parked in Suspend (the only state Resume may wake)
 	done      bool
-
-	// Wake handlers, bound once by Go.
-	onTimer, onResume, onInterrupt func()
-}
-
-type procSignal struct {
-	interrupted bool
-	payload     any
 }
 
 // Go spawns fn as a simulated process, runnable immediately (at the
 // current virtual time, after already-scheduled events at that time).
-// It returns the Proc, which the caller may use to Resume or Interrupt it.
+// It returns the Proc, which the caller may use to Resume it.
 func (k *Kernel) Go(fn func(p *Proc)) *Proc {
-	k.procs++
-	p := &Proc{k: k, id: k.procs}
-	p.onTimer, p.onResume, p.onInterrupt = p.timerFired, p.resumeFired, p.interruptFired
+	p := &Proc{k: k}
+	p.wake = p.deliver
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		fn(p)
 	})
-	k.After(0, p.onTimer)
+	k.After(0, p.wake)
 	return p
 }
-
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// ID returns a small integer unique among Procs of this kernel.
-func (p *Proc) ID() int { return p.id }
-
 // Wait advances the process's virtual time by d seconds. Other events and
-// processes run in the meantime. Wait panics on negative d. It reports
-// whether the wait completed without interruption (an Interrupt delivered
-// while waiting cancels the remaining delay).
-func (p *Proc) Wait(d Time) bool {
+// processes run in the meantime. Wait panics on negative d.
+func (p *Proc) Wait(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative wait %v", d))
 	}
-	h := p.k.After(d, p.onTimer)
-	sig := p.block()
-	if sig.interrupted {
-		h.Cancel()
-		return false
-	}
-	return true
+	p.k.After(d, p.wake)
+	p.block()
 }
 
-// Suspend blocks the process until another party calls Resume or
-// Interrupt. It returns the payload passed to Resume (nil for Interrupt)
-// and whether the wake was a normal Resume.
-func (p *Proc) Suspend() (payload any, resumed bool) {
+// Suspend blocks the process until another party calls Resume.
+func (p *Proc) Suspend() {
 	p.suspended = true
-	sig := p.block()
+	p.block()
 	p.suspended = false
-	return sig.payload, !sig.interrupted
 }
 
-// Resume wakes a process blocked in Suspend, handing it payload. The wake
-// is scheduled as an event at the current virtual time, preserving
-// deterministic ordering. Resuming a process that is not parked in
-// Suspend (finished, not yet started, or in Wait) or that already has a
-// wake in flight panics: it indicates a protocol bug in the caller, and
-// silently dropping, queueing or misdirecting wakes would corrupt
-// virtual-time bookkeeping.
-func (p *Proc) Resume(payload any) {
+// Resume wakes a process blocked in Suspend. The wake is scheduled as an
+// event at the current virtual time, preserving deterministic ordering.
+// Resuming a process that is not parked in Suspend (finished, not yet
+// started, or in Wait) or that already has a wake in flight panics: it
+// indicates a protocol bug in the caller, and silently dropping, queueing
+// or misdirecting wakes would corrupt virtual-time bookkeeping.
+func (p *Proc) Resume() {
 	if p.done {
 		panic("sim: Resume of finished proc")
 	}
@@ -123,56 +94,24 @@ func (p *Proc) Resume(payload any) {
 		panic("sim: Resume of proc not parked in Suspend")
 	}
 	p.waking = true
-	p.payload = payload
-	p.k.After(0, p.onResume)
-}
-
-// Interrupt wakes a process blocked in Wait or Suspend with an
-// interruption signal (Wait returns false; Suspend returns resumed=false).
-// Interrupting a finished process is a no-op.
-func (p *Proc) Interrupt() {
-	if p.done || p.waking {
-		return
-	}
-	p.waking = true
-	p.k.After(0, p.onInterrupt)
-}
-
-// timerFired is the wake of Go's start event and of Wait's timer.
-func (p *Proc) timerFired() { p.deliver(procSignal{}) }
-
-// resumeFired is the wake Resume schedules.
-func (p *Proc) resumeFired() {
-	payload := p.payload
-	p.payload = nil
-	p.deliver(procSignal{payload: payload})
-}
-
-// interruptFired is the wake Interrupt schedules.
-func (p *Proc) interruptFired() {
-	if p.done {
-		return
-	}
-	p.deliver(procSignal{interrupted: true})
+	p.k.After(0, p.wake)
 }
 
 // deliver hands the control token to the proc; it returns when the proc
 // blocks again or finishes.
-func (p *Proc) deliver(sig procSignal) {
+func (p *Proc) deliver() {
 	p.waking = false
-	p.sig = sig
 	if _, ok := p.next(); !ok {
 		p.done = true
 	}
 }
 
 // block parks the proc's coroutine, returning the control token to the
-// kernel, until a wake signal arrives.
-func (p *Proc) block() procSignal {
+// kernel, until its wake fires.
+func (p *Proc) block() {
 	if !p.yield(struct{}{}) {
 		// The pull side was stopped; no wake will ever arrive. Unwind the
-		// coroutine rather than return garbage.
+		// coroutine rather than return into a dead simulation.
 		panic("sim: proc resumed after kernel stopped it")
 	}
-	return p.sig
 }

@@ -57,55 +57,24 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestProcSuspendResumePayload(t *testing.T) {
+// TestProcSuspendResumeWakeTime: a suspended proc wakes at the virtual
+// time its Resume was called.
+func TestProcSuspendResumeWakeTime(t *testing.T) {
 	k := New(1)
-	var got any
+	var at Time
 	var waiter *Proc
 	waiter = k.Go(func(p *Proc) {
-		payload, resumed := p.Suspend()
-		if !resumed {
-			t.Error("suspend reported interrupted")
-		}
-		got = payload
-	})
-	k.Go(func(p *Proc) {
-		p.Wait(2)
-		waiter.Resume("hello")
-	})
-	k.Run()
-	if got != "hello" {
-		t.Fatalf("payload = %v, want hello", got)
-	}
-}
-
-func TestProcInterruptCancelsWait(t *testing.T) {
-	k := New(1)
-	var completed bool
-	var at Time
-	var sleeper *Proc
-	sleeper = k.Go(func(p *Proc) {
-		completed = p.Wait(100)
+		p.Suspend()
 		at = p.Now()
 	})
 	k.Go(func(p *Proc) {
-		p.Wait(1)
-		sleeper.Interrupt()
+		p.Wait(2)
+		waiter.Resume()
 	})
 	k.Run()
-	if completed {
-		t.Fatal("interrupted wait reported completion")
+	if at != 2 {
+		t.Fatalf("woke at %v, want 2", at)
 	}
-	if at != 1 {
-		t.Fatalf("woke at %v, want 1", at)
-	}
-}
-
-func TestProcInterruptFinishedIsNoop(t *testing.T) {
-	k := New(1)
-	p := k.Go(func(p *Proc) {})
-	k.Run()
-	p.Interrupt() // must not panic or deadlock
-	k.Run()
 }
 
 func TestProcDoubleResumePanics(t *testing.T) {
@@ -114,69 +83,67 @@ func TestProcDoubleResumePanics(t *testing.T) {
 	target = k.Go(func(p *Proc) { p.Suspend() })
 	k.Go(func(p *Proc) {
 		p.Wait(1)
-		target.Resume(nil)
+		target.Resume()
 		defer func() {
 			if recover() == nil {
 				t.Error("second Resume did not panic")
 			}
 		}()
-		target.Resume(nil)
+		target.Resume()
 	})
 	k.Run()
 }
 
 // TestProcResumeDuringWaitPanics: Resume wakes only a proc parked in
 // Suspend. Resuming a proc that is in Wait panics and leaves the wait
-// running to its full length, where it once cut the wait short and
-// reported it completed.
+// running to its full length, where it once cut the wait short.
 func TestProcResumeDuringWaitPanics(t *testing.T) {
 	k := New(1)
-	var completed bool
 	var woke Time
 	sleeper := k.Go(func(p *Proc) {
-		completed = p.Wait(10)
+		p.Wait(10)
 		woke = p.Now()
 	})
 	var panicked bool
 	k.Go(func(p *Proc) {
 		p.Wait(1)
 		defer func() { panicked = recover() != nil }()
-		sleeper.Resume("early")
+		sleeper.Resume()
 	})
 	k.Run()
 	if !panicked {
 		t.Fatal("Resume of a proc in Wait did not panic")
 	}
-	if !completed || woke != 10 {
-		t.Fatalf("Wait returned %v at %v, want true at 10", completed, woke)
+	if woke != 10 {
+		t.Fatalf("Wait returned at %v, want 10", woke)
 	}
 }
 
 // TestProcSuspendAfterWaitNotWokenByStaleTimer: the proc's next Suspend
 // after a Wait is woken by the next Resume and nothing else. A Resume
 // that cut a Wait short once left the wait's timer scheduled, and that
-// stale timer woke the following Suspend with a nil payload.
+// stale timer woke the following Suspend early.
 func TestProcSuspendAfterWaitNotWokenByStaleTimer(t *testing.T) {
 	k := New(1)
-	var got any
-	var at Time
+	var waited, at Time
 	sleeper := k.Go(func(p *Proc) {
 		p.Wait(10)
-		got, _ = p.Suspend()
+		waited = p.Now()
+		p.Suspend()
 		at = p.Now()
 	})
 	k.Go(func(p *Proc) {
 		p.Wait(1)
 		func() {
 			defer func() { _ = recover() }()
-			sleeper.Resume("early")
+			sleeper.Resume() // panics: the sleeper is in Wait
 		}()
 		p.Wait(19)
-		sleeper.Resume("late")
+		sleeper.Resume()
 	})
 	k.Run()
-	if got != "late" || at != 20 {
-		t.Fatalf("Suspend returned %v at %v, want late at 20", got, at)
+	if waited != 10 || at != 20 {
+		t.Fatalf("Wait ended at %v and Suspend at %v, want 10 and 20", waited, at)
 	}
 }
 
@@ -192,8 +159,8 @@ func TestMisusePanics(t *testing.T) {
 		fn   func()
 	}{
 		{"nil event", func() { k.At(k.Now(), nil) }},
-		{"resume finished", func() { done.Resume(nil) }},
-		{"resume unstarted", func() { k.Go(func(p *Proc) {}).Resume(nil) }},
+		{"resume finished", func() { done.Resume() }},
+		{"resume unstarted", func() { k.Go(func(p *Proc) {}).Resume() }},
 		{"negative wait", func() { k.Go(func(p *Proc) { p.Wait(-1) }); k.Run() }},
 	} {
 		func() {
@@ -212,7 +179,7 @@ func TestProcSpawnsProc(t *testing.T) {
 	var childTime Time
 	k.Go(func(p *Proc) {
 		p.Wait(4)
-		p.Kernel().Go(func(c *Proc) {
+		k.Go(func(c *Proc) {
 			c.Wait(1)
 			childTime = c.Now()
 		})

@@ -34,7 +34,7 @@ type calendarQueue struct {
 	end     Time      // window end (exclusive): start + nb*width
 	scan    int       // lower bound for the first non-empty bucket
 
-	resident int       // entries in buckets, incl. lazily-cancelled
+	resident int       // entries in buckets
 	over     heapQueue // entries outside [start, end), plus spills
 	spilled  int       // in-window entries parked in over since last rebuild
 	deferred int       // beyond-window pushes parked in over since last rebuild
@@ -327,30 +327,6 @@ func (c *calendarQueue) rebuild() {
 	}
 	c.resident = len(sc)
 	c.scratch = sc[:0]
-}
-
-func (c *calendarQueue) compact(drop func(*event)) int {
-	removed := 0
-	for b := range c.buckets {
-		run := c.buckets[b]
-		live := run[:0]
-		for _, e := range run[c.heads[b]:] {
-			if e.ev.fn == nil {
-				drop(e.ev)
-				removed++
-			} else {
-				live = append(live, e)
-			}
-		}
-		for i := len(live); i < len(run); i++ {
-			run[i] = entry{}
-		}
-		c.buckets[b] = live
-		c.heads[b] = 0
-	}
-	c.resident -= removed
-	c.scan = 0
-	return removed + c.over.compact(drop)
 }
 
 func (c *calendarQueue) reset() {

@@ -166,38 +166,6 @@ func TestCalendarResetReplays(t *testing.T) {
 	}
 }
 
-// TestCalendarCancelAndCompact runs the cancel-heavy path on the calendar
-// backend: lazy deletion, compaction across buckets and overflow, and
-// truthful Pending/Live accounting.
-func TestCalendarCancelAndCompact(t *testing.T) {
-	k := NewOnQueue(1, QueueCalendar)
-	rng := rand.New(rand.NewSource(11))
-	handles := make([]Handle, 0, 600)
-	for i := 0; i < 500; i++ {
-		handles = append(handles, k.After(Time(rng.Float64())*Second, func() {}))
-	}
-	for i := 0; i < 100; i++ { // far tail in overflow
-		handles = append(handles, k.After(Time(1e5+rng.Float64()*1e5)*Second, func() {}))
-	}
-	k.qc.min() // shape the window so cancels hit both wheel and overflow
-	cancelled := 0
-	for i := 0; i < len(handles); i += 2 {
-		if handles[i].Cancel() {
-			cancelled++
-		}
-	}
-	if got := k.Live(); got != len(handles)-cancelled {
-		t.Fatalf("Live() = %d after %d cancels of %d, want %d", got, cancelled, len(handles), len(handles)-cancelled)
-	}
-	fired := 0
-	for k.Step() {
-		fired++
-	}
-	if fired != len(handles)-cancelled {
-		t.Fatalf("fired %d, want %d", fired, len(handles)-cancelled)
-	}
-}
-
 // TestCalendarZeroAllocSteadyState pins the acceptance claim: a warmed-up
 // calendar kernel schedules and fires without allocating — runs, bucket
 // array, overflow heap, and rebuild scratch are all reused.
@@ -220,7 +188,7 @@ func TestCalendarZeroAllocSteadyState(t *testing.T) {
 		}
 		k.Run()
 	}
-	// Warm-up: the arena, scratch, overflow heap, and free list all
+	// Warm-up: the arena, scratch, overflow heap, and same-time FIFO all
 	// ratchet to the workload's high-water mark over the first few runs;
 	// steady state is everything after that.
 	warm(200_000)

