@@ -6,13 +6,12 @@ import (
 	"northstar/internal/msg"
 	"northstar/internal/network"
 	"northstar/internal/node"
-	"northstar/internal/tech"
 )
 
 func mach(nodes int, arch node.Arch, preset network.Preset, year float64) (*machine.Machine, error) {
 	return machine.New(machine.Config{
 		Nodes:  nodes,
-		Node:   node.MustBuild(arch, tech.Default2002(), year),
+		Node:   node.MustBuild(arch, roadmap2002, year),
 		Fabric: preset,
 		Seed:   42,
 	})

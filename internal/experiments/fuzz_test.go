@@ -9,14 +9,21 @@ import (
 
 // FuzzTableFprint builds tables from fuzzed cell data and checks the
 // Validate/Fprint contract the crash-isolated runner depends on: a table
-// Validate accepts must print without panicking (the runner only prints
-// validated tables), any ragged mutation of it must be rejected, and the
-// CSV encoding must round-trip every cell byte-for-byte.
+// Validate accepts must print, one line per Write, exactly the bytes of
+// the reference renderer, String must return the same text, any ragged
+// mutation of it must be rejected, and the CSV encoding must round-trip
+// every cell byte-for-byte. An ncols with its high bit set also adds
+// the title as a note.
 func FuzzTableFprint(f *testing.F) {
 	f.Add("E1", "device curves", uint8(3), "year,GF,note,2002,4.80,a,2012,149,b")
 	f.Add("X5", "monitoring", uint8(2), "nodes,flat,128,unbounded (saturated)")
 	f.Add("T", "", uint8(1), "")
 	f.Add("", "no id", uint8(4), "a,b,c,d,1,2,3,4")
+	f.Add("T", "trailing spaces", uint8(2), "a ,b  ,c   ,d \t ,  ,   ")
+	f.Add("T", "empty last column", uint8(2), "x,,y,,z,")
+	f.Add("E7", "µs cells", uint8(2), "op,time,ünï,12µs,bb,5000µs,日本語,çødé")
+	f.Add("W", "wide cell", uint8(1), strings.Repeat("w", 100)+",v,x,y")
+	f.Add("N", "noted", uint8(129), "a,b,c,d,1,2,3,4")
 	f.Fuzz(func(t *testing.T, id, title string, ncols uint8, cells string) {
 		if len(cells) > 4096 {
 			cells = cells[:4096]
@@ -27,6 +34,9 @@ func FuzzTableFprint(f *testing.F) {
 		tokens := strings.Split(sanitize.Replace(cells), ",")
 		width := int(ncols%6) + 1
 		tab := &Table{ID: sanitize.Replace(id), Title: sanitize.Replace(title)}
+		if ncols&0x80 != 0 {
+			tab.Notes = []string{tab.Title}
+		}
 		for i := 0; i < width && i < len(tokens); i++ {
 			tab.Columns = append(tab.Columns, tokens[i])
 		}
@@ -40,13 +50,21 @@ func FuzzTableFprint(f *testing.F) {
 			}
 			return // correctly rejected: unprintable by contract
 		}
-		var out strings.Builder
+		want := referenceText(tab)
+		var out lineRecorder
 		if err := tab.Fprint(&out); err != nil {
 			t.Fatalf("Fprint failed on a validated table: %v", err)
 		}
-		if got := strings.Count(out.String(), "\n"); got != 3+len(tab.Rows)+len(tab.Notes)+1 {
-			t.Fatalf("rendered %d lines, want %d (header, columns, rule, %d rows, blank)",
-				got, 3+len(tab.Rows)+1, len(tab.Rows))
+		if got := strings.Join(out.writes, ""); got != want {
+			t.Fatalf("Fprint wrote\n%q\nwant\n%q", got, want)
+		}
+		for _, w := range out.writes {
+			if strings.IndexByte(w, '\n') != len(w)-1 {
+				t.Fatalf("Fprint wrote %q in one Write, not one line", w)
+			}
+		}
+		if got := tab.String(); got != want {
+			t.Fatalf("String returned\n%q\nwant\n%q", got, want)
 		}
 
 		// A one-column record whose only cell is empty encodes as a blank

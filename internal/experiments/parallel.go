@@ -49,10 +49,11 @@ func RunSuite(w io.Writer, opts Options) ([]*Table, error) {
 
 // RunSpecs executes specs on a bounded worker pool and prints each table
 // to w in spec order as soon as it and all its predecessors are done.
-// Every experiment is independent — each builds its own kernels,
-// machines, and roadmaps — so the tables are byte-identical at any
-// worker count; only host wall-clock changes. Every worker count, 1
-// included, runs the same pool, dispatching the specs longest-first.
+// Every experiment is independent — each builds its own kernels and
+// machines, and only reads the shared roadmap — so the tables are
+// byte-identical at any worker count; only host wall-clock changes.
+// Every worker count, 1 included, runs the same pool, dispatching the
+// specs longest-first.
 //
 // A failing spec does not drop the specs after it: all specs run to
 // completion, failed ones print nothing, and the returned slice holds

@@ -16,6 +16,7 @@ import (
 	"northstar/internal/mc"
 	"northstar/internal/obs"
 	"northstar/internal/sim"
+	"northstar/internal/tech"
 )
 
 // newTestKernel returns a kernel whose run fires exactly events+1 events
@@ -96,6 +97,30 @@ func TestRunSuiteDeterministic(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), ref.Bytes()) {
 			t.Fatalf("workers=%d output differs from the one-worker run", workers)
 		}
+	}
+}
+
+// Every model reads one shared roadmap. After the whole quick suite has
+// run on two workers, it must still encode exactly as a fresh one: no
+// experiment may write what every concurrent spec and served request
+// reads.
+func TestSharedRoadmapUnwritten(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite")
+	}
+	if _, err := RunSuite(io.Discard, Options{Quick: true, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := roadmap2002.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tech.Default2002().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the shared roadmap changed during the suite:\n got %s\nwant %s", got, want)
 	}
 }
 

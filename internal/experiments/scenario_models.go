@@ -140,13 +140,21 @@ func appByName(name string, scale int) (workload.App, error) {
 	return nil, fmt.Errorf("experiments: unknown application %q", name)
 }
 
+// roadmap2002 is the calibration roadmap every model and experiment in
+// this package reads, built once per process. It is read-only: specs
+// and served requests read it from many goroutines at once, which is
+// safe for a roadmap's map reads but not for a Set or ScaleCAGR. A
+// model that needs a different roadmap builds its own —
+// tech.Default2002 returns a fresh one on every call.
+var roadmap2002 = tech.Default2002()
+
 // buildMachine is the shared machine constructor for the messaging
 // models: n conventional-by-default nodes of the given year on the
 // preset, seeded from the spec.
 func buildMachine(env *scenarioEnv, n int, arch node.Arch, preset network.Preset, year float64) (*machine.Machine, error) {
 	return machine.New(machine.Config{
 		Nodes:  n,
-		Node:   node.MustBuild(arch, tech.Default2002(), year),
+		Node:   node.MustBuild(arch, roadmap2002, year),
 		Fabric: preset,
 		Seed:   env.spec.Seed,
 	})
@@ -164,10 +172,10 @@ var scenarioModels = map[string]*scenarioModel{
 		axes:     []axisDef{{name: "year", kind: kindFloat, lo: 1990, hi: 2100}},
 		rowWidth: fixedWidth(9),
 		row: func(env *scenarioEnv, _ any, pt axisPoint) ([]any, error) {
-			r := tech.Default2002()
+			r := roadmap2002
 			year := pt.floatValue("year")
 			return []any{
-				fmt.Sprintf("%.0f", year),
+				year, // in [1990, 2100], so it prints whole, as %.0f
 				r.At(tech.PeakFlopsPerSocket, year) / 1e9,
 				1e9 / r.At(tech.FlopsPerDollar, year),
 				r.At(tech.DRAMBytesPerDollar, year) / 1e6,
@@ -191,16 +199,15 @@ var scenarioModels = map[string]*scenarioModel{
 		},
 		rowWidth: fixedWidth(9),
 		row: func(env *scenarioEnv, _ any, pt axisPoint) ([]any, error) {
-			r := tech.Default2002()
 			year := pt.floatValue("year")
-			m, err := cluster.FitLargest(year, node.Arch(env.option("arch")), env.option("fabric"), r,
+			m, err := cluster.FitLargest(year, node.Arch(env.option("arch")), env.option("fabric"), roadmap2002,
 				cluster.Constraint{BudgetDollars: env.param("budget-dollars")})
 			if err != nil {
 				return nil, err
 			}
 			sustained, eff := m.LinpackEstimate()
 			return []any{
-				fmt.Sprintf("%.0f", year),
+				year,
 				m.Spec.Nodes,
 				m.PeakFlops / 1e12,
 				sustained / 1e12,
@@ -222,14 +229,13 @@ var scenarioModels = map[string]*scenarioModel{
 		},
 		rowWidth: fixedWidth(9),
 		row: func(env *scenarioEnv, _ any, pt axisPoint) ([]any, error) {
-			r := tech.Default2002()
 			year := pt.floatValue("year")
-			m, err := node.Build(node.Arch(pt.value("arch")), r, year)
+			m, err := node.Build(node.Arch(pt.value("arch")), roadmap2002, year)
 			if err != nil {
 				return nil, err
 			}
 			return []any{
-				fmt.Sprintf("%.0f", year),
+				year,
 				pt.value("arch"),
 				m.CoresPerSocket * m.Sockets,
 				m.PeakFlops / 1e9,
@@ -465,7 +471,7 @@ var scenarioModels = map[string]*scenarioModel{
 			}
 			ib, err := machine.New(machine.Config{
 				Nodes:       p,
-				Node:        node.MustBuild(node.Conventional, tech.Default2002(), 2002),
+				Node:        node.MustBuild(node.Conventional, roadmap2002, 2002),
 				Fabric:      packetPreset,
 				PacketLevel: true,
 				Topology:    machine.TopoFatTree,

@@ -48,7 +48,7 @@ func X1Hybrid(quick bool) (*Table, error) {
 			"expected shape: halo codes ~hold their own on hybrid (intra-node traffic is free NIC-wise); alltoall pays for NIC sharing",
 		},
 	}
-	full := node.MustBuild(node.SMPOnChip, tech.Default2002(), 2006)
+	full := node.MustBuild(node.SMPOnChip, roadmap2002, 2006)
 	quarter := full
 	quarter.PeakFlops /= 4
 	quarter.MemBandwidth /= 4
@@ -109,7 +109,7 @@ func X2Degraded(quick bool) (*Table, error) {
 	var base sim.Time
 	for _, failures := range []int{0, 1, 2, 4, 8} {
 		m, err := machine.New(machine.Config{
-			Nodes: p, Node: node.MustBuild(node.Conventional, tech.Default2002(), 2002),
+			Nodes: p, Node: node.MustBuild(node.Conventional, roadmap2002, 2002),
 			Fabric: network.InfiniBand4X(), PacketLevel: true,
 			Topology: machine.TopoFatTree, Seed: 9,
 		})
@@ -183,7 +183,7 @@ func X4CheckpointIO(quick bool) (*Table, error) {
 		},
 	}
 	const nodes = 4096
-	nm := node.MustBuild(node.Conventional, tech.Default2002(), 2006)
+	nm := node.MustBuild(node.Conventional, roadmap2002, 2006)
 	memBytes := float64(nodes) * nm.MemBytes
 	mtbf := 1000 * sim.Day / nodes
 
