@@ -312,16 +312,21 @@ func cmdFaults(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// Check every input, and run the search, before printing anything.
+	// Young and Daly need a positive checkpoint cost; Checkpoint.Validate
+	// allows a zero one.
 	sys := fault.System{
 		Nodes:    *nodes,
 		Lifetime: stats.Exponential{Rate: 1 / (*nodeMTBFDays * float64(sim.Day))},
 		Repair:   stats.Constant{V: *repairHours * float64(sim.Hour)},
 	}
+	if err := sys.Validate(); err != nil {
+		return err
+	}
+	if !(*deltaMin > 0) {
+		return fmt.Errorf("-delta %g: the checkpoint cost must be positive", *deltaMin)
+	}
 	mtbf := sys.MTBF()
-	fmt.Fprintf(stdout, "%d nodes at %.0f-day node MTBF:\n", *nodes, *nodeMTBFDays)
-	fmt.Fprintf(stdout, "  system MTBF          %v\n", mtbf)
-	fmt.Fprintf(stdout, "  all-up availability  %.4g\n", sys.AllUpAvailability())
-
 	c := fault.Checkpoint{
 		Work:     sim.Time(*workHours) * sim.Hour,
 		Overhead: sim.Time(*deltaMin) * sim.Minute,
@@ -329,12 +334,19 @@ func cmdFaults(args []string, stdout, stderr io.Writer) error {
 		MTBF:     mtbf,
 		Interval: sim.Hour,
 	}
-	young := fault.YoungInterval(c.Overhead, mtbf)
-	daly := fault.DalyInterval(c.Overhead, mtbf)
+	if err := c.Validate(); err != nil {
+		return err
+	}
 	opt, res, err := c.OptimalInterval(mc.Default(), 200, 1)
 	if err != nil {
 		return err
 	}
+
+	fmt.Fprintf(stdout, "%d nodes at %.0f-day node MTBF:\n", *nodes, *nodeMTBFDays)
+	fmt.Fprintf(stdout, "  system MTBF          %v\n", mtbf)
+	fmt.Fprintf(stdout, "  all-up availability  %.4g\n", sys.AllUpAvailability())
+	young := fault.YoungInterval(c.Overhead, mtbf)
+	daly := fault.DalyInterval(c.Overhead, mtbf)
 	fmt.Fprintf(stdout, "checkpoint planning for a %.0f h job (delta %.0f min):\n", *workHours, *deltaMin)
 	fmt.Fprintf(stdout, "  Young interval       %v\n", young)
 	fmt.Fprintf(stdout, "  Daly interval        %v\n", daly)
@@ -394,6 +406,9 @@ func cmdTopo(args []string, stdout, stderr io.Writer) error {
 	failures := fs.Int("failures", 0, "core links to fail before reporting")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	if *failures < 0 {
+		return fmt.Errorf("-failures %d: a failure count cannot be negative", *failures)
 	}
 
 	g, err := machine.Topology(*kind).Build(*nodes)

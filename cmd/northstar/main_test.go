@@ -71,6 +71,17 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"topo", "-no-such-flag"}, 2, "flag provided but not defined"},
 		{[]string{"project", "-scenario", "nope"}, 1, `northstar: unknown scenario "nope"`},
 		{[]string{"topo", "-kind", "nope"}, 1, `northstar: machine: unknown topology "nope"`},
+		{[]string{"topo", "-failures", "-1"}, 1, "northstar: -failures -1: a failure count cannot be negative"},
+		{[]string{"faults", "-delta", "0"}, 1, "northstar: -delta 0: the checkpoint cost must be positive"},
+		{[]string{"faults", "-delta", "-5"}, 1, "northstar: -delta -5: the checkpoint cost must be positive"},
+		{[]string{"faults", "-node-mtbf", "0"}, 1, "northstar: stats: exponential rate +Inf must be finite and positive"},
+		{[]string{"faults", "-node-mtbf", "-1"}, 1, "northstar: stats: exponential rate"},
+		{[]string{"faults", "-node-mtbf", "NaN"}, 1, "northstar: stats: exponential rate NaN must be finite and positive"},
+		{[]string{"faults", "-nodes", "-5"}, 1, "northstar: fault: system needs nodes > 0"},
+		{[]string{"faults", "-nodes", "0"}, 1, "northstar: fault: system needs nodes > 0"},
+		{[]string{"faults", "-repair", "-1"}, 1, "northstar: stats: constant -3600 must be finite and non-negative"},
+		{[]string{"faults", "-work", "0"}, 1, "northstar: fault: invalid checkpoint config"},
+		{[]string{"faults", "-nodes", "100000000"}, 1, "northstar: fault: no interval completes within the wall-clock cap"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)

@@ -142,9 +142,15 @@ type Checkpoint struct {
 	MTBF     sim.Time
 }
 
-// Validate checks parameters.
+// Validate checks parameters: every field finite, Work, Interval and
+// MTBF positive, Overhead and Restart non-negative. A NaN or infinite
+// field would keep a simulated run from ever reaching its wall-clock
+// cap.
 func (c Checkpoint) Validate() error {
-	if c.Work <= 0 || c.Interval <= 0 || c.Overhead < 0 || c.Restart < 0 || c.MTBF <= 0 {
+	// NaN fails both comparisons.
+	pos := func(t sim.Time) bool { return t > 0 && !math.IsInf(float64(t), 1) }
+	nonNeg := func(t sim.Time) bool { return t >= 0 && !math.IsInf(float64(t), 1) }
+	if !pos(c.Work) || !pos(c.Interval) || !pos(c.MTBF) || !nonNeg(c.Overhead) || !nonNeg(c.Restart) {
 		return fmt.Errorf("fault: invalid checkpoint config %+v", c)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"northstar/internal/sim"
 	"northstar/internal/stats"
@@ -233,6 +234,49 @@ func TestCheckpointValidation(t *testing.T) {
 	good := Checkpoint{Work: 1, Interval: 1, MTBF: 1}
 	if _, err := good.Simulate(nil, 0, 1); err == nil {
 		t.Error("zero runs accepted")
+	}
+}
+
+// TestNonFiniteParametersRejected: a NaN or infinite parameter fails
+// validation. Accepted, a NaN never compares past Simulate's wall-clock
+// cap, so the run never ends; each case therefore runs under a deadline
+// and a regression fails here instead of hanging the package.
+func TestNonFiniteParametersRejected(t *testing.T) {
+	type tc struct {
+		name string
+		run  func() error
+	}
+	var cases []tc
+	valid := Checkpoint{Work: 10 * sim.Hour, Interval: sim.Hour, Overhead: sim.Minute, Restart: sim.Minute, MTBF: 5 * sim.Hour}
+	for _, v := range []sim.Time{sim.Time(math.NaN()), sim.Time(math.Inf(1))} {
+		for i, field := range []string{"Work", "Interval", "Overhead", "Restart", "MTBF"} {
+			c := valid
+			fields := []*sim.Time{&c.Work, &c.Interval, &c.Overhead, &c.Restart, &c.MTBF}
+			*fields[i] = v
+			cases = append(cases, tc{fmt.Sprintf("Checkpoint %s %v", field, float64(v)), func() error {
+				_, err := c.Simulate(nil, 1, 1)
+				return err
+			}})
+		}
+	}
+	for _, s := range []System{
+		{Nodes: 4, Lifetime: stats.Exponential{Rate: math.NaN()}},
+		{Nodes: 4, Lifetime: stats.Exponential{Rate: math.Inf(1)}},
+		{Nodes: 4, Lifetime: stats.Exponential{Rate: 1}, Repair: stats.Constant{V: math.NaN()}},
+	} {
+		cases = append(cases, tc{fmt.Sprintf("System %+v", s), s.Validate})
+	}
+	for _, c := range cases {
+		done := make(chan error, 1)
+		go func() { done <- c.run() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s accepted", c.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: still running after 5 s", c.name)
+		}
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package msg is the user-level message-passing layer that runs on a
 // simulated machine: ranks, blocking and nonblocking point-to-point with
-// MPI-style eager/rendezvous protocols, and the collective operations
-// (barrier, broadcast, reduce, allreduce, allgather, alltoall) with
-// selectable algorithms. Programs are written SPMD-style — an ordinary
-// Go function executed by every rank as a sim.Proc — and all timing is
-// virtual: the Go runtime's scheduling and GC cannot perturb measured
-// latencies, which is exactly the substitution DESIGN.md §4 calls out
-// for reproducing user-level messaging results inside a garbage-
-// collected host.
+// MPI-style eager/rendezvous protocols, and the collectives the
+// experiments run: a dissemination barrier, a binomial broadcast, a
+// pairwise alltoall, and an allreduce with three algorithms to compare.
+// Programs are written SPMD-style — an ordinary Go function executed by
+// every rank as a sim.Proc — and all timing is virtual: the Go
+// runtime's scheduling and GC cannot perturb measured latencies, which
+// is exactly the substitution DESIGN.md §4 calls out for reproducing
+// user-level messaging results inside a garbage-collected host.
 //
 // Requests: ISend and IRecv return a fresh *Request that belongs to the
 // caller, who may keep it after it completes. Send, Recv and SendRecv
@@ -37,24 +37,14 @@ const (
 // ctrlBytes is the size of a protocol control message (RTS/CTS header).
 const ctrlBytes = 64
 
-// Algo names a collective algorithm.
+// Algo names an allreduce algorithm.
 type Algo string
 
-// Collective algorithm choices. Auto picks the conventional default for
-// the operation (see each collective's documentation).
+// Allreduce algorithms; see Rank.Allreduce.
 const (
-	Auto              Algo = "auto"
-	Binomial          Algo = "binomial"
 	RecursiveDoubling Algo = "recursive-doubling"
 	Ring              Algo = "ring"
-	Dissemination     Algo = "dissemination"
-	Pairwise          Algo = "pairwise"
-	Linear            Algo = "linear"
-	// SMPAware is a hierarchical algorithm for machines running several
-	// ranks per node: combine within each node over shared memory,
-	// exchange once per node over the wire, then fan back out. Falls
-	// back to the flat default at one rank per node.
-	SMPAware Algo = "smp-aware"
+	Binomial          Algo = "binomial"
 )
 
 // Options configures a communicator.
@@ -62,9 +52,9 @@ type Options struct {
 	// EagerLimit is the largest message sent eagerly (default 16 KiB);
 	// larger messages use the rendezvous protocol.
 	EagerLimit int64
-	// Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall select
-	// collective algorithms (default Auto).
-	Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall Algo
+	// Allreduce selects the allreduce algorithm (default
+	// RecursiveDoubling).
+	Allreduce Algo
 	// Trace, when set, receives one CSV line per message send
 	// (virtual time, src, dst, tag, bytes, protocol) — a deterministic
 	// communication timeline for offline analysis. The header row is
@@ -76,17 +66,9 @@ func (o Options) withDefaults() Options {
 	if o.EagerLimit == 0 {
 		o.EagerLimit = 16 << 10
 	}
-	def := func(a *Algo) {
-		if *a == "" {
-			*a = Auto
-		}
+	if o.Allreduce == "" {
+		o.Allreduce = RecursiveDoubling
 	}
-	def(&o.Barrier)
-	def(&o.Bcast)
-	def(&o.Reduce)
-	def(&o.Allreduce)
-	def(&o.Allgather)
-	def(&o.Alltoall)
 	return o
 }
 
@@ -128,9 +110,6 @@ func (c *Comm) trace(src, dst, tag int, bytes int64, protocol string) {
 
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return len(c.ranks) }
-
-// Machine returns the underlying machine.
-func (c *Comm) Machine() *machine.Machine { return c.mach }
 
 // Rank returns rank i (for inspecting stats after a run).
 func (c *Comm) Rank(i int) *Rank { return c.ranks[i] }

@@ -2,6 +2,8 @@ package msg
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -317,24 +319,22 @@ func collectiveMachines(t *testing.T) map[string]int {
 
 func TestBarrierAllAlgorithms(t *testing.T) {
 	for name, p := range collectiveMachines(t) {
-		for _, algo := range []Algo{Dissemination, Binomial} {
-			m := gigE(t, p)
-			var after []sim.Time
-			_, err := Run(m, Options{Barrier: algo}, func(r *Rank) {
-				// Stagger entries; the barrier must hold everyone until
-				// the last arrives.
-				r.Sleep(sim.Time(r.ID()) * sim.Millisecond)
-				r.Barrier()
-				after = append(after, r.Now())
-			})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, algo, err)
-			}
-			lastEntry := sim.Time(p-1) * sim.Millisecond
-			for _, tt := range after {
-				if tt < lastEntry {
-					t.Errorf("%s/%s: a rank left the barrier at %v, before last entry %v", name, algo, tt, lastEntry)
-				}
+		m := gigE(t, p)
+		var after []sim.Time
+		_, err := Run(m, Options{}, func(r *Rank) {
+			// Stagger entries; the barrier must hold everyone until the
+			// last arrives.
+			r.Sleep(sim.Time(r.ID()) * sim.Millisecond)
+			r.Barrier()
+			after = append(after, r.Now())
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lastEntry := sim.Time(p-1) * sim.Millisecond
+		for _, tt := range after {
+			if tt < lastEntry {
+				t.Errorf("%s: a rank left the barrier at %v, before last entry %v", name, tt, lastEntry)
 			}
 		}
 	}
@@ -342,49 +342,13 @@ func TestBarrierAllAlgorithms(t *testing.T) {
 
 func TestBcastAlgorithms(t *testing.T) {
 	for name, p := range collectiveMachines(t) {
-		for _, algo := range []Algo{Binomial, Linear} {
-			for _, root := range []int{0, p - 1} {
-				m := gigE(t, p)
-				_, err := Run(m, Options{Bcast: algo}, func(r *Rank) {
-					r.Bcast(root, 4096)
-				})
-				if err != nil {
-					t.Fatalf("%s/%s root=%d: %v", name, algo, root, err)
-				}
-			}
-		}
-	}
-}
-
-func TestBinomialBcastBeatsLinear(t *testing.T) {
-	const p = 16
-	times := map[Algo]sim.Time{}
-	for _, algo := range []Algo{Binomial, Linear} {
-		m := gigE(t, p)
-		end, err := Run(m, Options{Bcast: algo}, func(r *Rank) {
-			r.Bcast(0, 8192)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		times[algo] = end
-	}
-	if times[Binomial] >= times[Linear] {
-		t.Errorf("binomial bcast %v not faster than linear %v at P=%d", times[Binomial], times[Linear], p)
-	}
-}
-
-func TestReduceAlgorithms(t *testing.T) {
-	for name, p := range collectiveMachines(t) {
-		for _, algo := range []Algo{Binomial, Linear} {
-			for _, root := range []int{0, p / 2} {
-				m := gigE(t, p)
-				_, err := Run(m, Options{Reduce: algo}, func(r *Rank) {
-					r.Reduce(root, 4096)
-				})
-				if err != nil {
-					t.Fatalf("%s/%s root=%d: %v", name, algo, root, err)
-				}
+		for _, root := range []int{0, p - 1} {
+			m := gigE(t, p)
+			_, err := Run(m, Options{}, func(r *Rank) {
+				r.Bcast(root, 4096)
+			})
+			if err != nil {
+				t.Fatalf("%s root=%d: %v", name, root, err)
 			}
 		}
 	}
@@ -401,6 +365,46 @@ func TestAllreduceAlgorithms(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, algo, err)
 			}
 		}
+	}
+}
+
+// TestAllreduceDefaultIsRecursiveDoubling pins what an empty
+// Options.Allreduce runs: every rank leaves the allreduce, and the run
+// ends, at the same float bits as when RecursiveDoubling is named.
+func TestAllreduceDefaultIsRecursiveDoubling(t *testing.T) {
+	for _, p := range []int{1, 2, 7, 8, 16} {
+		var times [2][]uint64
+		for i, opts := range []Options{{}, {Allreduce: RecursiveDoubling}} {
+			left := make([]uint64, p)
+			end, err := Run(gigE(t, p), opts, func(r *Rank) {
+				r.Allreduce(8192)
+				left[r.ID()] = math.Float64bits(float64(r.Now()))
+			})
+			if err != nil {
+				t.Fatalf("P=%d %+v: %v", p, opts, err)
+			}
+			times[i] = append(left, math.Float64bits(float64(end)))
+		}
+		if !slices.Equal(times[0], times[1]) {
+			t.Fatalf("P=%d: default allreduce times %x, recursive doubling %x", p, times[0], times[1])
+		}
+	}
+}
+
+// TestAllreduceUnknownAlgorithm: an algorithm Allreduce does not know
+// fails the run with an error naming it, on every rank count that
+// exchanges anything. At P = 1 Allreduce returns before it reads the
+// algorithm.
+func TestAllreduceUnknownAlgorithm(t *testing.T) {
+	opts := Options{Allreduce: "bogus"}
+	for _, p := range []int{2, 7, 8} {
+		_, err := Run(gigE(t, p), opts, func(r *Rank) { r.Allreduce(64) })
+		if err == nil || !strings.Contains(err.Error(), `allreduce has no algorithm "bogus"`) {
+			t.Errorf("P=%d: err = %v, want the unknown algorithm named", p, err)
+		}
+	}
+	if _, err := Run(gigE(t, 1), opts, func(r *Rank) { r.Allreduce(64) }); err != nil {
+		t.Errorf("P=1: %v", err)
 	}
 }
 
@@ -443,20 +447,6 @@ func TestRDAllreduceBeatsRingForShortVectors(t *testing.T) {
 	if times[RecursiveDoubling] >= times[Ring] {
 		t.Errorf("RD allreduce %v not faster than ring %v for %d bytes",
 			times[RecursiveDoubling], times[Ring], bytes)
-	}
-}
-
-func TestAllgatherAlgorithms(t *testing.T) {
-	for name, p := range collectiveMachines(t) {
-		for _, algo := range []Algo{Ring, RecursiveDoubling} {
-			m := gigE(t, p)
-			_, err := Run(m, Options{Allgather: algo}, func(r *Rank) {
-				r.Allgather(1024)
-			})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, algo, err)
-			}
-		}
 	}
 }
 

@@ -91,9 +91,6 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the communicator size.
 func (r *Rank) Size() int { return len(r.comm.ranks) }
 
-// Comm returns the rank's communicator.
-func (r *Rank) Comm() *Comm { return r.comm }
-
 // Now returns the current virtual time.
 func (r *Rank) Now() sim.Time { return r.proc.Now() }
 
@@ -276,9 +273,6 @@ func (req *Request) complete(bytes int64) {
 		req.rank.proc.Resume()
 	}
 }
-
-// Done reports whether the request has completed.
-func (req *Request) Done() bool { return req.done }
 
 // Wait blocks the rank until the request completes and returns the byte
 // count (for receives, the received size).

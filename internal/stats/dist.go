@@ -118,8 +118,8 @@ func (p Pareto) Mean() float64 {
 func Validate(d Dist) error {
 	switch v := d.(type) {
 	case Constant:
-		if v.V < 0 {
-			return fmt.Errorf("stats: negative constant %g", v.V)
+		if !(v.V >= 0) || math.IsInf(v.V, 1) {
+			return fmt.Errorf("stats: constant %g must be finite and non-negative", v.V)
 		}
 	case Uniform:
 		if v.Hi <= v.Lo {
@@ -130,8 +130,8 @@ func Validate(d Dist) error {
 			return fmt.Errorf("stats: log-uniform requires 0 < lo < hi, got [%g, %g)", v.Lo, v.Hi)
 		}
 	case Exponential:
-		if v.Rate <= 0 {
-			return fmt.Errorf("stats: exponential rate %g <= 0", v.Rate)
+		if !(v.Rate > 0) || math.IsInf(v.Rate, 1) {
+			return fmt.Errorf("stats: exponential rate %g must be finite and positive", v.Rate)
 		}
 	case Weibull:
 		if v.Scale <= 0 || v.Shape <= 0 {

@@ -221,7 +221,8 @@ func TestValidate(t *testing.T) {
 			t.Errorf("Validate(%T) = %v, want nil", d, err)
 		}
 	}
-	bad := []Dist{Constant{-1}, Uniform{1, 0}, LogUniform{0, 2}, Exponential{0}, Weibull{0, 1}, LogNormal{0, -1}, Pareto{0, 2}}
+	bad := []Dist{Constant{-1}, Uniform{1, 0}, LogUniform{0, 2}, Exponential{0}, Weibull{0, 1}, LogNormal{0, -1}, Pareto{0, 2},
+		Constant{math.NaN()}, Constant{math.Inf(1)}, Exponential{math.NaN()}, Exponential{math.Inf(1)}}
 	for _, d := range bad {
 		if err := Validate(d); err == nil {
 			t.Errorf("Validate(%#v) = nil, want error", d)

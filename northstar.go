@@ -187,23 +187,18 @@ type Rank = msg.Rank
 // Comm is a communicator bound to a machine.
 type Comm = msg.Comm
 
-// MsgOptions configures the messaging layer (eager limit, collective
-// algorithms).
+// MsgOptions configures the messaging layer: the eager limit, the
+// allreduce algorithm and an optional message trace.
 type MsgOptions = msg.Options
 
-// Algo names a collective algorithm.
+// Algo names an allreduce algorithm (MsgOptions.Allreduce).
 type Algo = msg.Algo
 
-// Collective algorithms.
+// Allreduce algorithms; the zero MsgOptions runs recursive doubling.
 const (
-	AlgoAuto              = msg.Auto
-	AlgoBinomial          = msg.Binomial
 	AlgoRecursiveDoubling = msg.RecursiveDoubling
 	AlgoRing              = msg.Ring
-	AlgoDissemination     = msg.Dissemination
-	AlgoPairwise          = msg.Pairwise
-	AlgoLinear            = msg.Linear
-	AlgoSMPAware          = msg.SMPAware
+	AlgoBinomial          = msg.Binomial
 )
 
 // Wildcards for Rank.Recv.
@@ -473,7 +468,8 @@ var (
 // ExperimentTable is one experiment's output.
 type ExperimentTable = experiments.Table
 
-// Experiments returns the full E1-E12 suite.
+// Experiments returns the full suite: E1-E12 with E5b and E6b, and the
+// extensions X1-X7.
 func Experiments() []experiments.Spec { return experiments.All() }
 
 // RunExperiments executes the whole suite one experiment at a time,

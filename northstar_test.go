@@ -44,9 +44,8 @@ func TestFacadeSPMDWithCollectives(t *testing.T) {
 	end, err := northstar.RunSPMD(m, northstar.MsgOptions{Allreduce: northstar.AlgoRing}, func(r *northstar.Rank) {
 		r.Compute(1e8, 1e7)
 		r.Allreduce(4096)
-		r.Scatter(0, 1024)
-		r.Gather(0, 1024)
-		r.Scan(64)
+		r.Bcast(0, 1024)
+		r.Alltoall(1024)
 		r.Barrier()
 	})
 	if err != nil {
