@@ -15,8 +15,8 @@ func Crossbar(n int) *Graph {
 		g.AddEdge(ep, sw)
 	}
 	g.BisectionLinks = (n + 1) / 2
-	g.attachAnalytic(make([]int32, n+1), crossbarDist) // all vertices sit at the one switch
 	mustFinalize(g)
+	g.attachAnalytic(make([]int32, n+1)) // all vertices sit at the one switch
 	return g
 }
 
@@ -107,8 +107,8 @@ func Torus2D(w, h int) *Graph {
 	if long > 2 {
 		g.BisectionLinks = 2 * short
 	}
-	g.attachAnalytic(coord, torus2dDist(w, h))
 	mustFinalize(g)
+	g.attachAnalytic(coord, w, h)
 	return g
 }
 
@@ -159,15 +159,15 @@ func Torus3D(x, y, z int) *Graph {
 	if long > 2 {
 		g.BisectionLinks = 2 * cross
 	}
-	g.attachAnalytic(coord, torus3dDist(x, y, z))
 	mustFinalize(g)
+	g.attachAnalytic(coord, x, y, z)
 	return g
 }
 
 // Hypercube returns a dim-dimensional binary hypercube with 2^dim
 // router+endpoint pairs.
 func Hypercube(dim int) *Graph {
-	if dim < 0 || dim > 20 {
+	if dim < 0 || dim > maxRings {
 		panic("topology: hypercube dimension out of range")
 	}
 	n := 1 << uint(dim)
@@ -192,8 +192,12 @@ func Hypercube(dim int) *Graph {
 	if dim == 0 {
 		g.BisectionLinks = 1
 	}
-	g.attachAnalytic(coord, hypercubeDist)
 	mustFinalize(g)
+	rings := make([]int, dim)
+	for i := range rings {
+		rings[i] = 2
+	}
+	g.attachAnalytic(coord, rings...)
 	return g
 }
 

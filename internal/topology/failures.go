@@ -71,11 +71,12 @@ func (g *Graph) DisableVertex(v int) ([]int, error) {
 	}
 	var out []int
 	for _, he := range g.adj[v] {
-		if !g.routing.Load().down.has(he.edge) {
-			if err := g.DisableEdge(he.edge); err != nil {
+		e := int(he.edge)
+		if !g.routing.Load().down.has(e) {
+			if err := g.DisableEdge(e); err != nil {
 				return out, err
 			}
-			out = append(out, he.edge)
+			out = append(out, e)
 		}
 	}
 	return out, nil
@@ -115,9 +116,10 @@ func (g *Graph) DisabledEdges() int {
 }
 
 // Reachable reports whether dst can be reached from src through enabled
-// edges.
+// edges. It asks Dist, so a healthy regular topology answers from its
+// ring geometry without building a tree.
 func (g *Graph) Reachable(src, dst int) bool {
-	return src == dst || g.tree(g.routing.Load(), dst).rank[src] >= 0
+	return g.Dist(src, dst) >= 0
 }
 
 // AllEndpointsConnected reports whether every endpoint pair remains

@@ -49,7 +49,8 @@ func referenceNextHops(g *Graph, dst int, disabled map[int]bool) (next [][]int, 
 }
 
 // nextHops returns the edge ids g's cached tree for dst offers at v, in
-// candidate order: none at dst and where dst is unreachable.
+// candidate order, as treeRoute lists them: none at dst and where dst is
+// unreachable.
 func nextHops(g *Graph, v, dst int) []int {
 	st := g.routing.Load()
 	t := g.tree(st, dst)
@@ -58,10 +59,29 @@ func nextHops(g *Graph, v, dst int) []int {
 		return nil
 	}
 	var out []int
+	if d == 1 {
+		for _, e := range g.joining(v, dst, st.down, nil) {
+			out = append(out, int(e))
+		}
+		return out
+	}
 	for _, c := range t.next(g.adj[v], d, st.down, nil) {
-		out = append(out, g.adj[v][uint32(c)].edge)
+		out = append(out, int(g.adj[v][uint32(c)].edge))
 	}
 	return out
+}
+
+// referenceRoute walks from src to dst over next, referenceNextHops'
+// lists toward dst, hashing over each list as Route does.
+func referenceRoute(g *Graph, next [][]int, src, dst int) (edges, verts []int) {
+	verts = []int{src}
+	for u, hop := src, 0; u != dst; hop++ {
+		cands := next[u]
+		e := cands[pathHash(src, dst, hop)%uint64(len(cands))]
+		u = g.Edge(e).Other(u)
+		edges, verts = append(edges, e), append(verts, u)
+	}
+	return edges, verts
 }
 
 // checkTreesMatchReference compares, for every (vertex, destination)
@@ -94,16 +114,7 @@ func checkTreesMatchReference(t *testing.T, g *Graph) {
 			if v == dst || dist[v] < 0 {
 				continue
 			}
-			// Route hashes over the candidate lists; walk the
-			// reference's lists with the same hash.
-			var wantE []int
-			wantV := []int{v}
-			for u, hop := v, 0; u != dst; hop++ {
-				cands := next[u]
-				e := cands[pathHash(v, dst, hop)%uint64(len(cands))]
-				u = g.Edge(e).Other(u)
-				wantE, wantV = append(wantE, e), append(wantV, u)
-			}
+			wantE, wantV := referenceRoute(g, next, v, dst)
 			gotE, gotV := g.Route(v, dst)
 			if !slices.Equal(gotE, wantE) || !slices.Equal(gotV, wantV) {
 				t.Fatalf("%s: Route(%d, %d) = %v via %v, reference %v via %v", g.Name, v, dst, gotE, gotV, wantE, wantV)
@@ -470,21 +481,6 @@ func TestConcurrentTreeBuild(t *testing.T) {
 	wg.Wait()
 }
 
-// crossbarDist is defensive dead code on a healthy crossbar (every
-// vertex hangs off the single router, so routerDist is never consulted
-// for distinct routers) — pin its contract directly.
-func TestCrossbarDistUnit(t *testing.T) {
-	if d := crossbarDist(2, 2); d != 0 {
-		t.Fatalf("crossbarDist(2,2) = %d, want 0", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("crossbarDist(1,2) did not panic")
-		}
-	}()
-	crossbarDist(1, 2)
-}
-
 // EnableEdge must reject edges that are not disabled, and re-enabling
 // one of several failures must keep the others failed (the copy-on-
 // write snapshot can't lose entries).
@@ -534,30 +530,20 @@ func ExampleEdge_Other() {
 	// Output: 9 2
 }
 
-// TestDenseTableBailouts pins the cases where the analytic oracle must
-// keep the closed-form closure instead of tabulating: a router distance
-// that overflows uint8, a coordinate space too small to bother with, and
-// one too large to spend a megabyte on.
+// TestDenseTableBailouts pins the cases where the ring geometry must
+// keep summing ring distances instead of tabulating: a router distance
+// that overflows uint8 (half-way round a ring of 600), a coordinate space
+// too small to bother with, and one too large to spend a megabyte on.
 func TestDenseTableBailouts(t *testing.T) {
-	far := &analytic{
-		router:     []int32{0, 1},
-		leg:        []int8{1, 0},
-		nr:         2,
-		routerDist: func(a, b int32) int { return 300 },
-	}
+	far := newAnalytic([]int32{0, 300}, []int8{1, 0}, 600)
 	if far.denseTable() != nil {
 		t.Fatal("table built despite a distance over 255")
 	}
 	if got := far.dist(0, 1); got != 301 {
-		t.Fatalf("dist = %d via closure fallback, want 301", got)
+		t.Fatalf("dist = %d via the ring sum, want 301", got)
 	}
 
-	tiny := &analytic{
-		router:     []int32{0},
-		leg:        []int8{0},
-		nr:         1,
-		routerDist: func(a, b int32) int { return 1 },
-	}
+	tiny := newAnalytic([]int32{0}, []int8{0}, 1)
 	if tiny.denseTable() != nil {
 		t.Fatal("table built for a single-router space")
 	}
@@ -565,10 +551,7 @@ func TestDenseTableBailouts(t *testing.T) {
 		t.Fatalf("same-vertex dist = %d, want 0", got)
 	}
 
-	huge := &analytic{
-		nr:         denseTableMax + 1,
-		routerDist: func(a, b int32) int { return 1 },
-	}
+	huge := newAnalytic(nil, nil, denseTableMax+1)
 	if huge.denseTable() != nil {
 		t.Fatal("table built past denseTableMax")
 	}

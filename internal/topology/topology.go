@@ -9,9 +9,11 @@
 // other read paths are safe for concurrent use from any number of
 // goroutines, and DisableEdge/EnableEdge may run concurrently with
 // them (readers see a consistent before-or-after snapshot of the
-// failure set). Regular topologies (Crossbar, Torus2D, Torus3D,
-// Hypercube) answer Dist in O(1) from coordinate arithmetic while the
-// failure set is empty; everything else is served from lazily built,
+// failure set). The regular topologies (Crossbar, Torus2D, Torus3D,
+// Hypercube) record their ring geometry, and while no link is down they
+// answer Dist in O(1) from coordinate arithmetic and route with no
+// per-destination state at all. Fat trees, custom graphs and every
+// snapshot with a link down are served from lazily built,
 // once-initialized per-destination BFS trees.
 //
 // A tree keeps only what the search from its destination produced: each
@@ -24,6 +26,17 @@
 // the same routes. Each snapshot of the failure set, a per-edge table
 // that is nil while the fabric is healthy, carries one tree slot per
 // destination vertex, so finding a tree is a slice index with no lock.
+//
+// The ring router keeps that order without a tree. Such a BFS ranks the
+// vertices at one distance by their greedy paths from its root, the
+// path that at each vertex takes the first link, in edge-id order, one
+// hop closer to the target, compared step by step by each link's
+// position in its vertex's list: a vertex's rank is set by its
+// lowest-ranked parent, then by its link's position in that parent's
+// list. So v's next hops come in the order in which their greedy paths
+// leave v's own, the latest first, and on rings that point is v's last
+// step against the hop's direction, or, where v sits half-way round an
+// even ring and never stepped that way, its first step along it.
 package topology
 
 import (
@@ -59,9 +72,13 @@ func (e Edge) Other(v int) int {
 	panic(fmt.Sprintf("topology: vertex %d is not on edge %d-%d", v, e.A, e.B))
 }
 
+// halfEdge is one end's view of a link: the far end, the link's id and,
+// on a graph with ring geometry, the ring direction the link steps in
+// from this end (noDir for an endpoint's link).
 type halfEdge struct {
 	to   int
-	edge int
+	edge int32
+	dir  uint8
 }
 
 // Graph is an interconnect topology with deterministic shortest-path
@@ -80,8 +97,8 @@ type Graph struct {
 	endpoints []int
 	final     bool
 
-	// analytic, when non-nil, answers Dist in O(1) for the regular
-	// topologies; only valid while no edges are disabled.
+	// analytic, when non-nil, is a regular topology's ring geometry:
+	// Dist in O(1) and routes without trees, while no edge is disabled.
 	analytic *analytic
 
 	// routing holds the failure set and the per-destination BFS tree
@@ -150,16 +167,36 @@ func (t *tree) next(adj []halfEdge, d int, down edgeSet, buf []uint64) []uint64 
 	lo, hi := t.level[d-1], t.level[d]
 	for i, he := range adj {
 		r := t.rank[he.to]
-		if r < lo || r >= hi || down.has(he.edge) {
+		if r < lo || r >= hi || down.has(int(he.edge)) {
 			continue
 		}
-		key := uint64(r)<<32 | uint64(i)
-		j := len(buf)
-		buf = append(buf, key)
-		for ; j > 0 && buf[j-1] > key; j-- {
-			buf[j] = buf[j-1]
+		buf = insertKey(buf, uint64(r)<<32|uint64(i))
+	}
+	return buf
+}
+
+// insertKey inserts key into the ascending keys, keeping them ascending.
+func insertKey(keys []uint64, key uint64) []uint64 {
+	j := len(keys)
+	keys = append(keys, key)
+	for ; j > 0 && keys[j-1] > key; j-- {
+		keys[j] = keys[j-1]
+	}
+	keys[j] = key
+	return keys
+}
+
+// joining appends to buf the ids of the links not down between v and w,
+// in edge-id order. It scans whichever of the two link lists is shorter,
+// an endpoint's being one link long; both are in edge-id order.
+func (g *Graph) joining(v, w int, down edgeSet, buf []uint64) []uint64 {
+	if len(g.adj[w]) < len(g.adj[v]) {
+		v, w = w, v
+	}
+	for _, he := range g.adj[v] {
+		if he.to == w && !down.has(int(he.edge)) {
+			buf = append(buf, uint64(he.edge))
 		}
-		buf[j] = key
 	}
 	return buf
 }
@@ -204,8 +241,8 @@ func (g *Graph) Finalize() error {
 	}
 	g.adj = make([][]halfEdge, len(g.verts))
 	for i, e := range g.edges {
-		g.adj[e.A] = append(g.adj[e.A], halfEdge{to: e.B, edge: i})
-		g.adj[e.B] = append(g.adj[e.B], halfEdge{to: e.A, edge: i})
+		g.adj[e.A] = append(g.adj[e.A], halfEdge{to: e.B, edge: int32(i)})
+		g.adj[e.B] = append(g.adj[e.B], halfEdge{to: e.A, edge: int32(i)})
 	}
 	g.final = true
 	// The first snapshot with a tree slot per vertex, keeping any
@@ -290,7 +327,7 @@ func (g *Graph) buildTree(dst int, down edgeSet) tree {
 			end = len(order)
 		}
 		for _, he := range g.adj[order[i]] {
-			if rank[he.to] >= 0 || down.has(he.edge) {
+			if rank[he.to] >= 0 || down.has(int(he.edge)) {
 				continue
 			}
 			rank[he.to] = int32(len(order))
@@ -317,17 +354,28 @@ func (g *Graph) Route(src, dst int) (edges []int, verts []int) {
 // length zero first), so per-message routing on a hot send path can reuse
 // scratch buffers instead of allocating. It returns the filled slices.
 //
-// It reads src's distance from dst's tree once; at each hop it lists
-// the next hops as the package doc orders them and takes
-// cands[pathHash(src, dst, hop) % len(cands)]. The tree and the failure
-// table come from one snapshot, so a concurrent DisableEdge cannot pair
-// a new failure set with an old tree.
+// At each hop it lists the next hops in the order the package doc gives
+// and takes cands[pathHash(src, dst, hop) % len(cands)]. A regular
+// topology with no link down reads that order from its ring geometry
+// (ringRoute) and builds no tree. Any other graph, or snapshot, reads
+// src's distance from dst's tree once and lists each hop from it; the
+// last hop lists the links joining the vertex to dst. The tree and the
+// failure table come from one snapshot, so a concurrent DisableEdge
+// cannot pair a new failure set with an old tree.
 func (g *Graph) RouteAppend(src, dst int, edges, verts []int) ([]int, []int) {
 	edges, verts = edges[:0], verts[:0]
 	if src == dst {
 		return edges, append(verts, src)
 	}
 	st := g.routing.Load()
+	if g.analytic != nil && st.down == nil {
+		return g.ringRoute(src, dst, edges, verts)
+	}
+	return g.treeRoute(st, src, dst, edges, verts)
+}
+
+// treeRoute is RouteAppend over dst's tree in snapshot st, for src ≠ dst.
+func (g *Graph) treeRoute(st *routeState, src, dst int, edges, verts []int) ([]int, []int) {
 	t := g.tree(st, dst)
 	d := t.dist(src)
 	if d < 0 {
@@ -339,11 +387,17 @@ func (g *Graph) RouteAppend(src, dst int, edges, verts []int) ([]int, []int) {
 	var scratch [8]uint64
 	verts = append(verts, src)
 	for v, hop := src, 0; d > 0; hop, d = hop+1, d-1 {
-		adj := g.adj[v]
-		cands := t.next(adj, d, st.down, scratch[:0])
-		he := adj[uint32(cands[pathHash(src, dst, hop)%uint64(len(cands))])]
+		var he halfEdge
+		if d == 1 {
+			cands := g.joining(v, dst, st.down, scratch[:0])
+			he = halfEdge{to: dst, edge: int32(cands[pathHash(src, dst, hop)%uint64(len(cands))])}
+		} else {
+			adj := g.adj[v]
+			cands := t.next(adj, d, st.down, scratch[:0])
+			he = adj[uint32(cands[pathHash(src, dst, hop)%uint64(len(cands))])]
+		}
 		v = he.to
-		edges = append(edges, he.edge)
+		edges = append(edges, int(he.edge))
 		verts = append(verts, v)
 	}
 	return edges, verts
@@ -351,8 +405,9 @@ func (g *Graph) RouteAppend(src, dst int, edges, verts []int) ([]int, []int) {
 
 // Dist returns the hop count of the shortest path between two vertices,
 // or -1 if unreachable. On the regular topologies (crossbar, torus,
-// hypercube) with no disabled edges it is O(1) coordinate arithmetic;
-// otherwise it finds src's distance among the levels of dst's tree.
+// hypercube) with no disabled edges it is O(1) ring arithmetic, or one
+// load from the dense router-distance table; otherwise it finds src's
+// distance among the levels of dst's tree.
 func (g *Graph) Dist(src, dst int) int {
 	if src == dst {
 		return 0
