@@ -369,14 +369,24 @@ func cmdExplore(args []string, stdout, stderr io.Writer) error {
 		Constraint: cluster.Constraint{BudgetDollars: *budget},
 		LastYear:   *lastYear,
 	}
-	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "crossing of %s sustained under %s:\n", tech.Engineering(*target, "flop/s"), tech.Dollars(*budget))
-	fmt.Fprintln(w, "scenario\tyear\tnodes\tarch\tfabric")
+	// Every crossing and the waterfall are found before anything prints,
+	// so a rejected target or year leaves stdout empty.
+	var crossings []core.Crossing
 	for _, s := range core.Scenarios() {
 		c, err := e.FindCrossing(s, *target)
 		if err != nil {
 			return err
 		}
+		crossings = append(crossings, c)
+	}
+	steps, err := e.Waterfall(*year, core.Scenarios())
+	if err != nil {
+		return err
+	}
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "crossing of %s sustained under %s:\n", tech.Engineering(*target, "flop/s"), tech.Dollars(*budget))
+	fmt.Fprintln(w, "scenario\tyear\tnodes\tarch\tfabric")
+	for _, c := range crossings {
 		yr := fmt.Sprintf("%.1f", c.Year)
 		if !c.Reached {
 			yr = fmt.Sprintf("> %.0f", c.Year)
@@ -387,10 +397,6 @@ func cmdExplore(args []string, stdout, stderr io.Writer) error {
 	w.Flush()
 
 	fmt.Fprintf(stdout, "\ninnovation waterfall at %.0f:\n", *year)
-	steps, err := e.Waterfall(*year, core.Scenarios())
-	if err != nil {
-		return err
-	}
 	base := steps[0].Value
 	for _, s := range steps {
 		fmt.Fprintf(stdout, "  %-16s %10s  (%.2fx)\n", s.Scenario,

@@ -59,6 +59,18 @@ func TestGoldenOutputs(t *testing.T) {
 // and 1 with a "northstar:" diagnostic when a subcommand fails. None of
 // them writes to stdout.
 func TestExitStatus(t *testing.T) {
+	// Traces whose non-finite times once panicked the scheduler.
+	dir := t.TempDir()
+	nanSubmit := filepath.Join(dir, "nan-submit.swf")
+	infRun := filepath.Join(dir, "inf-run.swf")
+	for path, trace := range map[string]string{
+		nanSubmit: "1 NaN -1 60 4 -1 -1 4 120 -1 1 -1 -1 -1 -1 -1 -1 -1\n",
+		infRun:    "1 0 -1 60 4 -1 -1 4 120 -1 1 -1 -1 -1 -1 -1 -1 -1\n2 10 -1 Inf 4 -1 -1 4 120 -1 1 -1 -1 -1 -1 -1 -1 -1\n",
+	} {
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, c := range []struct {
 		args   []string
 		code   int
@@ -82,6 +94,11 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"faults", "-repair", "-1"}, 1, "northstar: stats: constant -3600 must be finite and non-negative"},
 		{[]string{"faults", "-work", "0"}, 1, "northstar: fault: invalid checkpoint config"},
 		{[]string{"faults", "-nodes", "100000000"}, 1, "northstar: fault: no interval completes within the wall-clock cap"},
+		{[]string{"schedule", "-load", "NaN"}, 1, "northstar: sched: offered load NaN out of (0, 2]"},
+		{[]string{"schedule", "-swf", nanSubmit}, 1, "northstar: sched: swf line 1 field 2: \"NaN\" is not finite"},
+		{[]string{"schedule", "-swf", infRun}, 1, "northstar: sched: swf line 2 field 4: \"Inf\" is not finite"},
+		{[]string{"explore", "-target", "NaN"}, 1, "northstar: core: target NaN flop/s must be finite and positive"},
+		{[]string{"explore", "-year", "NaN"}, 1, "northstar: core: no configuration feasible at NaN"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)

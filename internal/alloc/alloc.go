@@ -10,6 +10,7 @@ package alloc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -215,16 +216,10 @@ func (c *ContiguousTorus) Free(nodes []int) {
 	}
 }
 
-// Dilation returns the mean pairwise hop distance among the given
+// dilation returns the mean pairwise hop distance among the given
 // endpoint indices of graph g — the locality cost a job pays for its
-// placement. Endpoint indices refer to g.Endpoints() order.
-func Dilation(g *topology.Graph, endpoints []int) float64 {
-	d, _ := dilation(g, endpoints, nil)
-	return d
-}
-
-// dilation is Dilation, listing the endpoints' vertex ids in scratch,
-// which it returns for the next call.
+// placement. Endpoint indices refer to g.Endpoints() order. It lists the
+// endpoints' vertex ids in scratch, which it returns for the next call.
 func dilation(g *topology.Graph, endpoints, scratch []int) (float64, []int) {
 	eps := g.Endpoints()
 	verts := scratch[:0]
@@ -265,6 +260,10 @@ func SimulateFCFS(a Allocator, g *topology.Graph, jobs []*sched.Job) (Result, er
 	}
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].Submit < jobs[j].Submit })
 	for _, j := range jobs {
+		if !finite(j.Submit) || !finite(j.Runtime) || !finite(j.Estimate) {
+			return Result{}, fmt.Errorf("alloc: job %d has a non-finite time (submit %g, runtime %g, estimate %g)",
+				j.ID, float64(j.Submit), float64(j.Runtime), float64(j.Estimate))
+		}
 		if j.Nodes <= 0 || j.Nodes > a.Nodes() || j.Runtime <= 0 {
 			return Result{}, fmt.Errorf("alloc: job %d unusable (%d nodes, %v runtime)", j.ID, j.Nodes, j.Runtime)
 		}
@@ -337,6 +336,8 @@ func SimulateFCFS(a Allocator, g *topology.Graph, jobs []*sched.Job) (Result, er
 	}
 	return res, nil
 }
+
+func finite(t sim.Time) bool { return !math.IsNaN(float64(t)) && !math.IsInf(float64(t), 0) }
 
 // RandomScatter allocates uniformly random free nodes — the worst-case
 // locality of a scatter allocator under churn, and the standard

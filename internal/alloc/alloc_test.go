@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -153,8 +154,8 @@ func TestDilationScatterVsContiguous(t *testing.T) {
 	// A deliberately scattered 8: a stride-2 lattice (corners would wrap
 	// into adjacency on a torus).
 	scattered := []int{0, 2, 8, 10, 32, 34, 40, 42}
-	dc := Dilation(g, compact)
-	ds := Dilation(g, scattered)
+	dc, _ := dilation(g, compact, nil)
+	ds, _ := dilation(g, scattered, nil)
 	if dc >= ds {
 		t.Fatalf("compact dilation %.2f >= scattered %.2f", dc, ds)
 	}
@@ -162,7 +163,7 @@ func TestDilationScatterVsContiguous(t *testing.T) {
 
 func TestDilationDegenerate(t *testing.T) {
 	g := topology.Torus3D(2, 2, 2)
-	if d := Dilation(g, []int{3}); d != 0 {
+	if d, _ := dilation(g, []int{3}, nil); d != 0 {
 		t.Fatalf("single-node dilation = %g", d)
 	}
 }
@@ -214,6 +215,25 @@ func TestSimulateFCFSBothAllocators(t *testing.T) {
 // Property: allocators conserve nodes — after any alloc/free sequence
 // completes, the free count returns to the machine size, and concurrent
 // holdings never overlap.
+func TestSimulateFCFSRejectsBadJobs(t *testing.T) {
+	nan, inf := sim.Time(math.NaN()), sim.Time(math.Inf(1))
+	g := topology.Torus3D(2, 2, 2)
+	for i, jobs := range [][]*sched.Job{
+		{mkJob(0, 0, 10, 9)}, // wider than the machine
+		{mkJob(0, 0, 0, 1)},  // zero runtime
+		// Non-finite times once reached the kernel, which panicked on a
+		// NaN event time.
+		{mkJob(0, nan, 10, 1)},
+		{mkJob(0, 0, nan, 1)},
+		{mkJob(0, 0, inf, 1)},
+		{{ID: 0, Runtime: 10, Estimate: inf, Nodes: 1}},
+	} {
+		if _, err := SimulateFCFS(NewScatter(8), g, jobs); err == nil {
+			t.Errorf("case %d accepted", i)
+		}
+	}
+}
+
 func TestAllocatorConservationProperty(t *testing.T) {
 	prop := func(seed int64, contiguous bool) bool {
 		var a Allocator

@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -139,13 +138,6 @@ func (m Metrics) String() string {
 		tech.Engineering(m.MemBytes, "B"),
 		tech.Engineering(m.PowerWatts, "W"),
 		tech.Dollars(m.CostDollars), m.Racks, m.MTBF)
-}
-
-// MarshalJSON uses the default struct encoding (declared explicitly so
-// the wire format is a documented API).
-func (m Metrics) MarshalJSON() ([]byte, error) {
-	type alias Metrics
-	return json.Marshal(alias(m))
 }
 
 // Constraint bounds a configuration search.

@@ -116,8 +116,8 @@ func FabricScenario() Scenario {
 }
 
 // AllInnovations picks, at each year, whichever architecture and fabric
-// score highest under the explorer's objective and constraint — the
-// "straight up" trajectory.
+// score highest under the explorer's constraint — the "straight up"
+// trajectory.
 func AllInnovations() Scenario {
 	return Scenario{
 		Name:      "all-innovations",
@@ -138,34 +138,17 @@ func Scenarios() []Scenario {
 	return []Scenario{MooreOnly(), BladeScenario(), CMPScenario(), SoCScenario(), PIMScenario(), FabricScenario(), AllInnovations()}
 }
 
-// Objective selects what the explorer maximizes and reports.
-type Objective int
-
-// Objectives.
-const (
-	// Linpack (the default) scores machines by estimated sustained HPL
-	// flops — the Top500 metric, which makes the interconnect matter.
-	Linpack Objective = iota
-	// Peak scores machines by peak flops; under a pure budget this
-	// always favors the cheapest fabric.
-	Peak
-)
-
 // Explorer projects scenarios under a constraint across years.
 type Explorer struct {
 	// Constraint bounds each year's machine (typically a budget).
 	Constraint cluster.Constraint
-	// Objective selects the score (default Linpack).
-	Objective Objective
 	// FirstYear and LastYear bound projections (defaults 2002, 2012).
 	FirstYear, LastYear float64
 }
 
-// Score returns the objective value of a machine.
+// Score returns a machine's estimated sustained HPL flops — the Top500
+// metric, which makes the interconnect matter. The explorer maximizes it.
 func (e Explorer) Score(m cluster.Metrics) float64 {
-	if e.Objective == Peak {
-		return m.PeakFlops
-	}
 	sustained, _ := m.LinpackEstimate()
 	return sustained
 }
@@ -235,8 +218,8 @@ func (e Explorer) Project(s Scenario) ([]Point, error) {
 	return out, nil
 }
 
-// Crossing reports when a scenario first reaches an objective target
-// (sustained flops under the default Linpack objective).
+// Crossing reports when a scenario first reaches a target score
+// (sustained Linpack flops).
 type Crossing struct {
 	Scenario string
 	Target   float64
@@ -248,12 +231,13 @@ type Crossing struct {
 }
 
 // FindCrossing bisects on the year at which the scenario's best machine
-// reaches targetFlops under the objective (scores grow monotonically
-// with year at fixed constraint). Resolution is about a week.
+// reaches targetFlops of sustained Linpack (scores grow monotonically
+// with year at fixed constraint). Resolution is about a week. The target
+// must be finite and positive.
 func (e Explorer) FindCrossing(s Scenario, targetFlops float64) (Crossing, error) {
 	e = e.withDefaults()
-	if targetFlops <= 0 {
-		return Crossing{}, fmt.Errorf("core: target must be positive")
+	if !(targetFlops > 0) || math.IsInf(targetFlops, 1) {
+		return Crossing{}, fmt.Errorf("core: target %g flop/s must be finite and positive", targetFlops)
 	}
 	at := func(year float64) (cluster.Metrics, error) { return e.Best(s, year) }
 	last, err := at(e.LastYear)
@@ -303,7 +287,7 @@ func (e Explorer) FindCrossing(s Scenario, targetFlops float64) (Crossing, error
 // WaterfallStep is one rung of the innovation decomposition.
 type WaterfallStep struct {
 	Scenario string
-	// Value is the objective score at the evaluation year.
+	// Value is the score at the evaluation year.
 	Value float64
 	// Metrics is the machine achieving it.
 	Metrics cluster.Metrics

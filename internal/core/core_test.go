@@ -128,8 +128,12 @@ func TestFindCrossingNotReached(t *testing.T) {
 }
 
 func TestFindCrossingValidation(t *testing.T) {
-	if _, err := budget(1e6).FindCrossing(MooreOnly(), 0); err == nil {
-		t.Fatal("zero target accepted")
+	// Every comparison with NaN is false, so a NaN target once read as
+	// reached in FirstYear.
+	for _, target := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := budget(1e6).FindCrossing(MooreOnly(), target); err == nil {
+			t.Errorf("target %g accepted", target)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // FrontierPoint is one feasible configuration from the buyer's menu.
 type FrontierPoint struct {
 	Metrics cluster.Metrics
-	// Score is the explorer objective's value for the machine.
+	// Score is the explorer's score (Explorer.Score) for the machine.
 	Score float64
 	// Pareto reports that no other menu entry is at least as cheap, at
 	// least as frugal in power, and strictly higher-scoring.

@@ -101,9 +101,8 @@ func TestRunSuiteDeterministic(t *testing.T) {
 }
 
 // Every model reads one shared roadmap. After the whole quick suite has
-// run on two workers, it must still encode exactly as a fresh one: no
-// experiment may write what every concurrent spec and served request
-// reads.
+// run on two workers, it must still equal a fresh one: no experiment may
+// write what every concurrent spec and served request reads.
 func TestSharedRoadmapUnwritten(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
@@ -111,16 +110,8 @@ func TestSharedRoadmapUnwritten(t *testing.T) {
 	if _, err := RunSuite(io.Discard, Options{Quick: true, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := roadmap2002.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := tech.Default2002().MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("the shared roadmap changed during the suite:\n got %s\nwant %s", got, want)
+	if want := tech.Default2002(); !reflect.DeepEqual(roadmap2002, want) {
+		t.Fatalf("the shared roadmap changed during the suite:\n got %+v\nwant %+v", roadmap2002, want)
 	}
 }
 

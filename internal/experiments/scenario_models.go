@@ -143,9 +143,9 @@ func appByName(name string, scale int) (workload.App, error) {
 // roadmap2002 is the calibration roadmap every model and experiment in
 // this package reads, built once per process. It is read-only: specs
 // and served requests read it from many goroutines at once, which is
-// safe for a roadmap's map reads but not for a Set or ScaleCAGR. A
-// model that needs a different roadmap builds its own —
-// tech.Default2002 returns a fresh one on every call.
+// safe for a roadmap's map reads but not for a Set. A model that needs
+// a different roadmap builds its own — tech.Default2002 returns a fresh
+// one on every call.
 var roadmap2002 = tech.Default2002()
 
 // buildMachine is the shared machine constructor for the messaging

@@ -30,8 +30,6 @@ type Monitor struct {
 	// Fanout is the reporting-tree arity; 0 means flat (all nodes
 	// report directly to one master).
 	Fanout int
-	// HeartbeatBytes is the size of one report (default 256 B).
-	HeartbeatBytes int
 	// CollectorRate is how many reports per second one collector
 	// process can ingest (default 5000 — a 2002-era daemon).
 	CollectorRate float64
@@ -46,9 +44,6 @@ func (m Monitor) withDefaults() Monitor {
 	}
 	if m.Misses == 0 {
 		m.Misses = 2
-	}
-	if m.HeartbeatBytes == 0 {
-		m.HeartbeatBytes = 256
 	}
 	if m.CollectorRate == 0 {
 		m.CollectorRate = 5000
@@ -105,16 +100,6 @@ func (m Monitor) CollectorLoad() float64 {
 func (m Monitor) Saturated() bool {
 	m = m.withDefaults()
 	return m.CollectorLoad() > m.CollectorRate
-}
-
-// MasterBandwidth returns bytes/second of monitoring traffic arriving
-// at the master (summaries are assumed the same size as heartbeats).
-func (m Monitor) MasterBandwidth() float64 {
-	m = m.withDefaults()
-	if m.Fanout == 0 {
-		return float64(m.Nodes) * float64(m.HeartbeatBytes) / float64(m.Period)
-	}
-	return float64(m.Fanout) * float64(m.HeartbeatBytes) / float64(m.Period)
 }
 
 // DetectionLatency returns the analytic worst-case time from a node

@@ -79,17 +79,6 @@ func TestTreeScalesWhereFlatFails(t *testing.T) {
 	}
 }
 
-func TestMasterBandwidthBounded(t *testing.T) {
-	flat := Monitor{Nodes: 50000, Period: 10 * sim.Second}
-	tree := Monitor{Nodes: 50000, Period: 10 * sim.Second, Fanout: 32}
-	if tree.MasterBandwidth() >= flat.MasterBandwidth() {
-		t.Fatal("tree did not reduce master bandwidth")
-	}
-	if flat.MasterBandwidth() < 1e6 {
-		t.Errorf("50k nodes x 256 B / 10 s = %g B/s, expected >= 1.28 MB/s", flat.MasterBandwidth())
-	}
-}
-
 func TestSimulatedDetectionWithinAnalyticBound(t *testing.T) {
 	m := Monitor{Nodes: 64, Period: sim.Second, Misses: 2, Fanout: 8}
 	analytic := m.DetectionLatency()

@@ -16,37 +16,36 @@ func TestAnalyticValuesPinned(t *testing.T) {
 		m       Monitor
 		levels  int
 		load    float64 // reports/s at the busiest collector
-		bw      float64 // bytes/s at the master
 		latency sim.Time
 	}{
 		{
 			name:   "flat-100-defaults",
 			m:      Monitor{Nodes: 100},
-			levels: 1, load: 10, bw: 2560,
+			levels: 1, load: 10,
 			latency: 30 * sim.Second, // (Misses+1) * default 10s period
 		},
 		{
 			name:   "tree-4096-fanout16",
 			m:      Monitor{Nodes: 4096, Period: sim.Second, Fanout: 16},
-			levels: 3, load: 16, bw: 4096,
+			levels: 3, load: 16,
 			latency: 3*sim.Second + 2*50*sim.Millisecond,
 		},
 		{
 			name:   "tree-boundary-exact-power",
 			m:      Monitor{Nodes: 256, Period: sim.Second, Fanout: 16},
-			levels: 2, load: 16, bw: 4096,
+			levels: 2, load: 16,
 			latency: 3*sim.Second + 50*sim.Millisecond,
 		},
 		{
 			name:   "single-node",
 			m:      Monitor{Nodes: 1, Period: sim.Second, Fanout: 4},
-			levels: 1, load: 4, bw: 1024,
+			levels: 1, load: 4,
 			latency: 3 * sim.Second,
 		},
 		{
 			name:   "flat-saturated",
 			m:      Monitor{Nodes: 100000, Period: sim.Second},
-			levels: 1, load: 100000, bw: 25600000,
+			levels: 1, load: 100000,
 			latency: sim.Forever,
 		},
 	}
@@ -56,9 +55,6 @@ func TestAnalyticValuesPinned(t *testing.T) {
 		}
 		if got := c.m.CollectorLoad(); got != c.load {
 			t.Errorf("%s: CollectorLoad = %g, want %g", c.name, got, c.load)
-		}
-		if got := c.m.MasterBandwidth(); got != c.bw {
-			t.Errorf("%s: MasterBandwidth = %g, want %g", c.name, got, c.bw)
 		}
 		if got := c.m.DetectionLatency(); got != c.latency {
 			t.Errorf("%s: DetectionLatency = %v, want %v", c.name, got, c.latency)

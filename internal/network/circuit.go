@@ -69,9 +69,6 @@ func (c *Circuit) Kernel() *sim.Kernel { return c.k }
 // NumEndpoints implements Fabric.
 func (c *Circuit) NumEndpoints() int { return c.n }
 
-// Preset returns the fabric's parameters.
-func (c *Circuit) Preset() Preset { return c.p }
-
 // Reset implements Fabric: all circuits torn down, lightpaths idle,
 // Reconfigs zeroed.
 func (c *Circuit) Reset() {

@@ -14,7 +14,7 @@ import (
 // steady-state extrapolation in PacketNet.Send stays pinned to it.
 func naivePacketSend(p Preset, g *topology.Graph, linkFree []sim.Time, now sim.Time, src, dst int, bytes int64) (lastInject, lastDeliver sim.Time, hops int64) {
 	eps := g.Endpoints()
-	edges, verts := g.Route(eps[src], eps[dst])
+	edges, verts := g.RouteAppend(eps[src], eps[dst], nil, nil)
 	dlinks := make([]int, len(edges))
 	for i, e := range edges {
 		dir := 0

@@ -141,9 +141,6 @@ func (f *WormholeNet) Kernel() *sim.Kernel { return f.k }
 // NumEndpoints implements Fabric.
 func (f *WormholeNet) NumEndpoints() int { return len(f.eps) }
 
-// Graph returns the underlying topology.
-func (f *WormholeNet) Graph() *topology.Graph { return f.g }
-
 // Reset implements Fabric: every link idle with a full credit pool and
 // empty queues, Stalls zeroed. Call only after a drained run; a packet
 // still in flight would resume against the refilled credits.

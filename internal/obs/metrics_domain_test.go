@@ -65,12 +65,12 @@ func TestSnapshotJSONCarriesDomains(t *testing.T) {
 func TestSnapshotHistogramQuantiles(t *testing.T) {
 	reg := NewRegistry()
 	s := reg.Scope("E1")
-	h := stats.NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
+	h := stats.NewLogHistogram(1, 101, 100)
+	for i := 1; i <= 100; i++ {
+		h.Add(float64(i))
 	}
 	s.PutHistogram("lat", h)
-	s.PutHistogram("empty", stats.NewHistogram(0, 1, 4))
+	s.PutHistogram("empty", stats.NewLogHistogram(1, 2, 4))
 
 	hs := reg.Snapshot().Scopes[0].Histograms
 	lat := hs["lat"]

@@ -42,14 +42,14 @@ func (c GangConfig) withDefaults() GangConfig {
 type gangJob struct {
 	job       *Job
 	remaining sim.Time
-	slot      int
 }
 
 // SimulateGang runs jobs (sorted by submit) through a gang scheduler on
 // nodes nodes. Jobs are mutated in place.
 func SimulateGang(nodes int, jobs []*Job, cfg GangConfig) (Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Quantum <= 0 || cfg.Slots <= 0 || cfg.SwitchOverhead < 0 || cfg.SwitchOverhead >= cfg.Quantum {
+	if !finite(cfg.Quantum) || !finite(cfg.SwitchOverhead) ||
+		cfg.Quantum <= 0 || cfg.Slots <= 0 || cfg.SwitchOverhead < 0 || cfg.SwitchOverhead >= cfg.Quantum {
 		return Result{}, fmt.Errorf("sched: invalid gang config %+v", cfg)
 	}
 	sortBySubmit(jobs)
@@ -69,7 +69,6 @@ func SimulateGang(nodes int, jobs []*Job, cfg GangConfig) (Result, error) {
 	place := func(g *gangJob) bool {
 		for s := 0; s < cfg.Slots; s++ {
 			if slotUsed[s]+g.job.Nodes <= nodes {
-				g.slot = s
 				slotUsed[s] += g.job.Nodes
 				slotJobs[s] = append(slotJobs[s], g)
 				nActive++

@@ -294,39 +294,3 @@ func (p *profile) earliest(n int, d sim.Time) sim.Time {
 	}
 	panic("sched: profile has no feasible slot") // unreachable: tail is full capacity minus running
 }
-
-// SJF is shortest-job-backfill: like EASY it never delays the head's
-// reservation, but it considers backfill candidates shortest-estimate
-// first, trading fairness for responsiveness — the classic alternative
-// ordering studied alongside EASY.
-type SJF struct{}
-
-// Name implements Policy.
-func (SJF) Name() string { return "sjf-backfill" }
-
-// Pick implements Policy.
-func (SJF) Pick(now sim.Time, free int, queue, running []*Job) []*Job {
-	if len(queue) == 0 {
-		return nil
-	}
-	// Reorder the backfill candidates (everything behind the blocked
-	// head) by estimate, then reuse EASY's reservation logic.
-	var picks []*Job
-	i := 0
-	for ; i < len(queue); i++ {
-		if queue[i].Nodes > free {
-			break
-		}
-		picks = append(picks, queue[i])
-		free -= queue[i].Nodes
-	}
-	if i >= len(queue) {
-		return picks
-	}
-	rest := append([]*Job{queue[i]}, append([]*Job{}, queue[i+1:]...)...)
-	sort.SliceStable(rest[1:], func(a, b int) bool { return rest[1+a].Estimate < rest[1+b].Estimate })
-	sub := EASY{}.Pick(now, free, rest, append(append([]*Job{}, running...), picks...))
-	// EASY's sub-pick may include jobs already chosen; it cannot, since
-	// `rest` excludes them — append directly.
-	return append(picks, sub...)
-}

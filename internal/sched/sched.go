@@ -9,7 +9,7 @@ package sched
 
 import (
 	"fmt"
-	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -78,18 +78,27 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	return c
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration, with the runtime defaults applied.
 func (c TraceConfig) Validate() error {
+	c = c.withDefaults()
 	if c.Jobs <= 0 {
 		return fmt.Errorf("sched: trace needs jobs > 0")
 	}
 	if c.MaxNodes <= 0 {
 		return fmt.Errorf("sched: trace needs max nodes > 0")
 	}
-	if c.Load <= 0 || c.Load > 2 {
+	if !(c.Load > 0) || c.Load > 2 {
 		return fmt.Errorf("sched: offered load %g out of (0, 2]", c.Load)
 	}
+	if err := stats.Validate(c.runtimes()); err != nil {
+		return fmt.Errorf("sched: trace runtimes: %w", err)
+	}
 	return nil
+}
+
+// runtimes is the distribution GenerateTrace draws runtimes from.
+func (c TraceConfig) runtimes() stats.LogUniform {
+	return stats.LogUniform{Lo: float64(c.MinRuntime), Hi: float64(c.MaxRuntime)}
 }
 
 // GenerateTrace produces a synthetic job trace per cfg. Widths are
@@ -103,7 +112,7 @@ func GenerateTrace(cfg TraceConfig) ([]*Job, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	runDist := stats.LogUniform{Lo: float64(cfg.MinRuntime), Hi: float64(cfg.MaxRuntime)}
+	runDist := cfg.runtimes()
 
 	maxExp := 0
 	for 1<<uint(maxExp+1) <= cfg.MaxNodes {
@@ -188,6 +197,10 @@ func measure(policy string, nodes int, jobs []*Job) Result {
 func validateJobs(nodes int, jobs []*Job) error {
 	prev := sim.Time(0)
 	for _, j := range jobs {
+		if !finite(j.Submit) || !finite(j.Runtime) || !finite(j.Estimate) {
+			return fmt.Errorf("sched: job %d has a non-finite time (submit %g, runtime %g, estimate %g)",
+				j.ID, float64(j.Submit), float64(j.Runtime), float64(j.Estimate))
+		}
 		if j.Nodes <= 0 || j.Nodes > nodes {
 			return fmt.Errorf("sched: job %d needs %d nodes on a %d-node cluster", j.ID, j.Nodes, nodes)
 		}
@@ -205,26 +218,9 @@ func validateJobs(nodes int, jobs []*Job) error {
 	return nil
 }
 
+func finite(t sim.Time) bool { return !math.IsNaN(float64(t)) && !math.IsInf(float64(t), 0) }
+
 // sortBySubmit orders jobs by submission time (stable on ID).
 func sortBySubmit(jobs []*Job) {
 	sort.SliceStable(jobs, func(i, k int) bool { return jobs[i].Submit < jobs[k].Submit })
-}
-
-// WriteTimeline writes the completed schedule as CSV (one row per job:
-// id, submit, start, end, nodes), sorted by start time — the raw data
-// for a Gantt chart of the run.
-func WriteTimeline(w io.Writer, jobs []*Job) error {
-	sorted := make([]*Job, len(jobs))
-	copy(sorted, jobs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	if _, err := fmt.Fprintln(w, "id,submit_s,start_s,end_s,nodes"); err != nil {
-		return err
-	}
-	for _, j := range sorted {
-		if _, err := fmt.Fprintf(w, "%d,%.3f,%.3f,%.3f,%d\n",
-			j.ID, float64(j.Submit), float64(j.Start), float64(j.End), j.Nodes); err != nil {
-			return err
-		}
-	}
-	return nil
 }

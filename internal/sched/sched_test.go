@@ -1,8 +1,7 @@
 package sched
 
 import (
-	"bytes"
-	"sort"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -65,11 +64,22 @@ func TestGenerateTraceOfferedLoad(t *testing.T) {
 }
 
 func TestGenerateTraceValidation(t *testing.T) {
+	// Validate applies the runtime defaults itself, as GenerateTrace does.
+	if err := (TraceConfig{Jobs: 10, MaxNodes: 8, Load: 0.5}).Validate(); err != nil {
+		t.Fatalf("defaulted config rejected: %v", err)
+	}
+	nan := sim.Time(math.NaN())
 	bad := []TraceConfig{
 		{Jobs: 0, MaxNodes: 8, Load: 0.5},
 		{Jobs: 10, MaxNodes: 0, Load: 0.5},
 		{Jobs: 10, MaxNodes: 8, Load: 0},
 		{Jobs: 10, MaxNodes: 8, Load: 3},
+		{Jobs: 10, MaxNodes: 8, Load: math.NaN()},
+		{Jobs: 10, MaxNodes: 8, Load: math.Inf(1)},
+		{Jobs: 10, MaxNodes: 8, Load: 0.5, MinRuntime: 100, MaxRuntime: 10},
+		{Jobs: 10, MaxNodes: 8, Load: 0.5, MaxRuntime: 10}, // below the 30 s default minimum
+		{Jobs: 10, MaxNodes: 8, Load: 0.5, MinRuntime: nan},
+		{Jobs: 10, MaxNodes: 8, Load: 0.5, MaxRuntime: sim.Time(math.Inf(1))},
 	}
 	for i, cfg := range bad {
 		if _, err := GenerateTrace(cfg); err == nil {
@@ -340,21 +350,43 @@ func TestGangDilatesShortJobsLessThanQueueing(t *testing.T) {
 }
 
 func TestGangConfigValidation(t *testing.T) {
-	jobs := []*Job{mkJob(0, 0, 10, 1)}
-	if _, err := SimulateGang(4, jobs, GangConfig{Quantum: 60, SwitchOverhead: 61}); err == nil {
-		t.Fatal("overhead >= quantum accepted")
+	nan := sim.Time(math.NaN())
+	for _, cfg := range []GangConfig{
+		{Quantum: 60, SwitchOverhead: 61},
+		// A NaN quantum or overhead once passed validation and the
+		// simulation never returned.
+		{Quantum: nan},
+		{SwitchOverhead: nan},
+		{Quantum: sim.Time(math.Inf(1)), SwitchOverhead: 1},
+	} {
+		if _, err := SimulateGang(4, []*Job{mkJob(0, 0, 10, 1)}, cfg); err == nil {
+			t.Errorf("gang config %+v accepted", cfg)
+		}
 	}
 }
 
 func TestSimulateRejectsBadJobs(t *testing.T) {
+	nan, inf := sim.Time(math.NaN()), sim.Time(math.Inf(1))
 	cases := [][]*Job{
 		{mkJob(0, 0, 10, 9)},                          // wider than cluster
 		{mkJob(0, 0, 0, 1)},                           // zero runtime
 		{{ID: 0, Runtime: 10, Estimate: 5, Nodes: 1}}, // estimate < runtime
+		// Non-finite times once reached the kernel, which panicked on a
+		// NaN event time, or conservative backfill's profile, which
+		// panicked on an infinite end.
+		{mkJob(0, nan, 10, 1)},
+		{mkJob(0, 0, nan, 1)},
+		{mkJob(0, 0, 10, 1), mkJob(1, 5, inf, 1)},
+		{{ID: 0, Runtime: 10, Estimate: inf, Nodes: 1}},
 	}
 	for i, jobs := range cases {
-		if _, err := Simulate(8, jobs, FCFS{}); err == nil {
-			t.Errorf("case %d accepted", i)
+		for _, p := range []Policy{FCFS{}, EASY{}, Conservative{}} {
+			if _, err := Simulate(8, cloneJobs(jobs), p); err == nil {
+				t.Errorf("case %d accepted by %s", i, p.Name())
+			}
+		}
+		if _, err := SimulateGang(8, cloneJobs(jobs), GangConfig{}); err == nil {
+			t.Errorf("case %d accepted by gang", i)
 		}
 	}
 }
@@ -392,100 +424,5 @@ func BenchmarkEASY(b *testing.B) {
 		if _, err := Simulate(128, cloneJobs(trace), EASY{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestWriteTimeline(t *testing.T) {
-	jobs := []*Job{
-		mkJob(0, 0, 100, 2),
-		mkJob(1, 10, 50, 1),
-	}
-	if _, err := Simulate(4, jobs, FCFS{}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, jobs); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("timeline lines = %d, want header + 2", len(lines))
-	}
-	if lines[0] != "id,submit_s,start_s,end_s,nodes" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "0,0.000,0.000,100.000,2") {
-		t.Fatalf("first row = %q", lines[1])
-	}
-}
-
-func TestSJFBackfillsShortJobsFirst(t *testing.T) {
-	// A 5-node machine: job A holds 4 nodes for 200 s, job B frees one
-	// node at t=3, the 5-node head blocks the queue, and two 1-node
-	// candidates both fit before the shadow (t=200). When the node frees,
-	// EASY would take the earlier-arrived long candidate; SJF must take
-	// the short one.
-	jobs := []*Job{
-		mkJob(0, 0, 200, 4),
-		mkJob(1, 0, 3, 1),
-		mkJob(2, 1, 200, 5),  // head, blocked until t=200
-		mkJob(3, 2, 90, 1),   // long candidate, arrives first
-		mkJob(4, 2.5, 10, 1), // short candidate
-	}
-	if _, err := Simulate(5, jobs, SJF{}); err != nil {
-		t.Fatal(err)
-	}
-	if jobs[4].Start != 3 {
-		t.Errorf("short candidate started at %v, want 3", jobs[4].Start)
-	}
-	if jobs[3].Start <= jobs[4].Start {
-		t.Errorf("long candidate (start %v) beat the short one (%v) under SJF", jobs[3].Start, jobs[4].Start)
-	}
-	// The head's reservation still holds.
-	if jobs[2].Start != 200 {
-		t.Errorf("head started at %v, want 200", jobs[2].Start)
-	}
-}
-
-func TestSJFInvariants(t *testing.T) {
-	trace, err := GenerateTrace(TraceConfig{Jobs: 400, MaxNodes: 64, Load: 0.85, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := cloneJobs(trace)
-	if _, err := Simulate(64, jobs, SJF{}); err != nil {
-		t.Fatal(err)
-	}
-	if !checkSchedule(64, jobs) {
-		t.Fatal("SJF violated capacity/causality invariants")
-	}
-}
-
-func TestSJFImprovesShortJobWaits(t *testing.T) {
-	trace, err := GenerateTrace(TraceConfig{Jobs: 800, MaxNodes: 64, Load: 0.9, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	easyJobs := cloneJobs(trace)
-	if _, err := Simulate(64, easyJobs, EASY{}); err != nil {
-		t.Fatal(err)
-	}
-	sjfJobs := cloneJobs(trace)
-	if _, err := Simulate(64, sjfJobs, SJF{}); err != nil {
-		t.Fatal(err)
-	}
-	// Mean wait of the shortest-quartile jobs improves under SJF.
-	shortWait := func(jobs []*Job) sim.Time {
-		sorted := append([]*Job{}, jobs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Runtime < sorted[j].Runtime })
-		var sum sim.Time
-		n := len(sorted) / 4
-		for _, j := range sorted[:n] {
-			sum += j.Wait()
-		}
-		return sum / sim.Time(n)
-	}
-	if shortWait(sjfJobs) >= shortWait(easyJobs) {
-		t.Errorf("SJF short-job wait %v >= EASY %v", shortWait(sjfJobs), shortWait(easyJobs))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -13,8 +14,7 @@ import (
 // The Standard Workload Format (SWF) of the Parallel Workloads Archive
 // (Feitelson et al.) is the lingua franca for production batch traces:
 // one job per line, 18 whitespace-separated fields, ';' comment lines.
-// ReadSWF/WriteSWF let this scheduler run real archive traces and
-// export synthetic ones for other simulators.
+// ReadSWF lets this scheduler run real archive traces.
 //
 // Field usage (1-based SWF numbering): 1 job id, 2 submit time, 4 run
 // time, 5 allocated processors, 8 requested processors, 9 requested
@@ -45,6 +45,9 @@ func ReadSWF(r io.Reader, maxNodes int) ([]*Job, error) {
 			v, err := strconv.ParseFloat(fields[i-1], 64)
 			if err != nil {
 				return 0, fmt.Errorf("sched: swf line %d field %d: %w", lineNo, i, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0, fmt.Errorf("sched: swf line %d field %d: %q is not finite", lineNo, i, fields[i-1])
 			}
 			return v, nil
 		}
@@ -99,23 +102,4 @@ func ReadSWF(r io.Reader, maxNodes int) ([]*Job, error) {
 	}
 	sortBySubmit(jobs)
 	return jobs, nil
-}
-
-// WriteSWF writes jobs in SWF. Only the fields this package models are
-// populated; the rest carry the SWF "unknown" marker -1.
-func WriteSWF(w io.Writer, jobs []*Job) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "; SWF trace written by northstar/internal/sched")
-	fmt.Fprintln(bw, "; fields: id submit wait run procs cpu mem reqprocs reqtime reqmem status uid gid app queue part prev think")
-	for _, j := range jobs {
-		wait := -1.0
-		if j.End > 0 {
-			wait = float64(j.Wait())
-		}
-		if _, err := fmt.Fprintf(bw, "%d %.0f %.0f %.0f %d -1 -1 %d %.0f -1 1 -1 -1 -1 -1 -1 -1 -1\n",
-			j.ID, float64(j.Submit), wait, float64(j.Runtime), j.Nodes, j.Nodes, float64(j.Estimate)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

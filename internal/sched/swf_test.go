@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -61,32 +60,16 @@ func TestReadSWFErrors(t *testing.T) {
 	if _, err := ReadSWF(strings.NewReader("x 0 0 10 1 -1 -1 1 10\n"), 0); err == nil {
 		t.Error("non-numeric field accepted")
 	}
-}
-
-func TestSWFRoundTrip(t *testing.T) {
-	orig, err := GenerateTrace(TraceConfig{Jobs: 200, MaxNodes: 64, Load: 0.7, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSWF(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSWF(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(orig) {
-		t.Fatalf("round trip: %d jobs, want %d", len(back), len(orig))
-	}
-	for i := range orig {
-		a, b := orig[i], back[i]
-		if a.ID != b.ID || a.Nodes != b.Nodes {
-			t.Fatalf("job %d mismatch: %+v vs %+v", i, a, b)
-		}
-		// Times round to whole seconds in SWF.
-		if d := float64(a.Runtime - b.Runtime); d > 1 || d < -1 {
-			t.Fatalf("job %d runtime drifted: %v vs %v", i, a.Runtime, b.Runtime)
+	// strconv parses NaN and Inf; a trace holding one once panicked the
+	// scheduler.
+	for _, c := range []struct{ line, want string }{
+		{"1 NaN 0 10 1 -1 -1 1 10\n", "line 1 field 2"},
+		{"; header\n1 0 0 +Inf 1 -1 -1 1 10\n", "line 2 field 4"},
+		{"1 0 0 10 1 -1 -1 1 -inf\n", "line 1 field 9"},
+	} {
+		_, err := ReadSWF(strings.NewReader(c.line), 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ReadSWF(%q) = %v, want an error naming %s", c.line, err, c.want)
 		}
 	}
 }

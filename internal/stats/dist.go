@@ -26,15 +26,6 @@ func (c Constant) Sample(*rand.Rand) float64 { return c.V }
 // Mean implements Dist.
 func (c Constant) Mean() float64 { return c.V }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Dist.
-func (u Uniform) Sample(rng *rand.Rand) float64 { return u.Lo + rng.Float64()*(u.Hi-u.Lo) }
-
-// Mean implements Dist.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
 // LogUniform is uniform in log space on [Lo, Hi): each decade is equally
 // likely. It is the classic model for parallel-job runtimes, which span
 // seconds to days.
@@ -79,39 +70,6 @@ func (w Weibull) Sample(rng *rand.Rand) float64 {
 // Mean implements Dist: λ·Γ(1 + 1/k).
 func (w Weibull) Mean() float64 { return w.Scale * math.Gamma(1+1/w.Shape) }
 
-// LogNormal is the distribution of exp(N(Mu, Sigma²)).
-type LogNormal struct{ Mu, Sigma float64 }
-
-// Sample implements Dist.
-func (l LogNormal) Sample(rng *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
-}
-
-// Mean implements Dist.
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Pareto is the Pareto distribution with minimum Xm and tail index Alpha.
-// Alpha <= 1 has infinite mean; heavy tails model the largest jobs that
-// dominate supercomputer workloads.
-type Pareto struct{ Xm, Alpha float64 }
-
-// Sample implements Dist (inverse-CDF method).
-func (p Pareto) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return p.Xm / math.Pow(u, 1/p.Alpha)
-}
-
-// Mean implements Dist.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
 // Validate sanity-checks a distribution's parameters, returning a
 // descriptive error for invalid configurations. It recognizes the types
 // defined in this package.
@@ -121,29 +79,17 @@ func Validate(d Dist) error {
 		if !(v.V >= 0) || math.IsInf(v.V, 1) {
 			return fmt.Errorf("stats: constant %g must be finite and non-negative", v.V)
 		}
-	case Uniform:
-		if v.Hi <= v.Lo {
-			return fmt.Errorf("stats: uniform hi %g <= lo %g", v.Hi, v.Lo)
-		}
 	case LogUniform:
-		if v.Lo <= 0 || v.Hi <= v.Lo {
-			return fmt.Errorf("stats: log-uniform requires 0 < lo < hi, got [%g, %g)", v.Lo, v.Hi)
+		if !(v.Lo > 0) || !(v.Hi > v.Lo) || math.IsInf(v.Hi, 1) {
+			return fmt.Errorf("stats: log-uniform requires 0 < lo < hi < +Inf, got [%g, %g)", v.Lo, v.Hi)
 		}
 	case Exponential:
 		if !(v.Rate > 0) || math.IsInf(v.Rate, 1) {
 			return fmt.Errorf("stats: exponential rate %g must be finite and positive", v.Rate)
 		}
 	case Weibull:
-		if v.Scale <= 0 || v.Shape <= 0 {
-			return fmt.Errorf("stats: weibull scale %g, shape %g must be positive", v.Scale, v.Shape)
-		}
-	case LogNormal:
-		if v.Sigma < 0 {
-			return fmt.Errorf("stats: log-normal sigma %g < 0", v.Sigma)
-		}
-	case Pareto:
-		if v.Xm <= 0 || v.Alpha <= 0 {
-			return fmt.Errorf("stats: pareto xm %g, alpha %g must be positive", v.Xm, v.Alpha)
+		if !(v.Scale > 0) || math.IsInf(v.Scale, 1) || !(v.Shape > 0) || math.IsInf(v.Shape, 1) {
+			return fmt.Errorf("stats: weibull scale %g, shape %g must be finite and positive", v.Scale, v.Shape)
 		}
 	}
 	return nil

@@ -8,17 +8,17 @@ import (
 )
 
 // FuzzHistogram feeds arbitrary finite ranges and arbitrary bit-pattern
-// observations (including NaN and infinities) through both histogram
-// flavours and checks the accounting invariants the simulation's metrics
+// observations (including NaN and infinities) through log histograms and
+// checks the accounting invariants the simulation's metrics
 // depend on: no observation is ever lost (buckets + underflow + overflow
 // always sum to Count), AddN(x, k) is exactly k Add(x) calls, bucket
 // bounds tile the range contiguously, and rendering never panics.
 func FuzzHistogram(f *testing.F) {
-	f.Add(0.0, 100.0, uint8(10), false, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(1e-6, 10.0, uint8(32), true, []byte{0xff, 0xf0, 0, 0, 0, 0, 0, 1})
-	f.Add(-50.0, 50.0, uint8(1), false, []byte{})
-	f.Add(2.0, 2.5, uint8(63), true, []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, lo, hi float64, nb uint8, logMode bool, data []byte) {
+	f.Add(0.0, 100.0, uint8(10), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(1e-6, 10.0, uint8(32), []byte{0xff, 0xf0, 0, 0, 0, 0, 0, 1})
+	f.Add(-50.0, 50.0, uint8(1), []byte{})
+	f.Add(2.0, 2.5, uint8(63), []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, lo, hi float64, nb uint8, data []byte) {
 		if len(data) > 1024 {
 			data = data[:1024]
 		}
@@ -28,11 +28,9 @@ func FuzzHistogram(f *testing.F) {
 		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
 			t.Skip("non-finite range")
 		}
-		if logMode {
-			lo = math.Abs(lo)
-			if lo < 1e-300 {
-				lo = 1e-6
-			}
+		lo = math.Abs(lo)
+		if lo < 1e-300 {
+			lo = 1e-6
 		}
 		if hi <= lo {
 			hi = lo + math.Abs(hi) + 1
@@ -41,13 +39,7 @@ func FuzzHistogram(f *testing.F) {
 			t.Skip("range overflow")
 		}
 
-		mk := func() *Histogram {
-			if logMode {
-				return NewLogHistogram(lo, hi, n)
-			}
-			return NewHistogram(lo, hi, n)
-		}
-		h, twin := mk(), mk()
+		h, twin := NewLogHistogram(lo, hi, n), NewLogHistogram(lo, hi, n)
 
 		added := 0
 		for i := 0; i+8 <= len(data); i += 8 {

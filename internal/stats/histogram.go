@@ -6,28 +6,17 @@ import (
 	"strings"
 )
 
-// Histogram counts observations into fixed buckets. Buckets may be linear
-// (equal width) or logarithmic (equal ratio); values outside the range
-// land in underflow/overflow counters so no observation is lost.
+// Histogram counts observations into fixed logarithmic buckets (equal
+// ratio); values outside the range land in underflow/overflow counters
+// so no observation is lost.
 type Histogram struct {
 	lo, hi   float64
-	log      bool
 	counts   []int
 	under    int
 	over     int
 	total    int
 	logLo    float64
 	logWidth float64
-	linWidth float64
-}
-
-// NewHistogram returns a linear histogram with n equal-width buckets over
-// [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram range")
-	}
-	return &Histogram{lo: lo, hi: hi, counts: make([]int, n), linWidth: (hi - lo) / float64(n)}
 }
 
 // NewLogHistogram returns a histogram with n buckets of equal ratio over
@@ -36,7 +25,7 @@ func NewLogHistogram(lo, hi float64, n int) *Histogram {
 	if n <= 0 || lo <= 0 || hi <= lo {
 		panic("stats: invalid log histogram range")
 	}
-	h := &Histogram{lo: lo, hi: hi, log: true, counts: make([]int, n)}
+	h := &Histogram{lo: lo, hi: hi, counts: make([]int, n)}
 	h.logLo = math.Log(lo)
 	h.logWidth = (math.Log(hi) - h.logLo) / float64(n)
 	return h
@@ -62,12 +51,7 @@ func (h *Histogram) AddN(x float64, n int) {
 	case x >= h.hi:
 		h.over += n
 	default:
-		var i int
-		if h.log {
-			i = int((math.Log(x) - h.logLo) / h.logWidth)
-		} else {
-			i = int((x - h.lo) / h.linWidth)
-		}
+		i := int((math.Log(x) - h.logLo) / h.logWidth)
 		if i < 0 {
 			i = 0
 		}
@@ -95,19 +79,16 @@ func (h *Histogram) Overflow() int { return h.over }
 
 // BucketBounds returns the [lo, hi) bounds of bucket i.
 func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	if h.log {
-		lo = math.Exp(h.logLo + float64(i)*h.logWidth)
-		hi = math.Exp(h.logLo + float64(i+1)*h.logWidth)
-		return lo, hi
-	}
-	return h.lo + float64(i)*h.linWidth, h.lo + float64(i+1)*h.linWidth
+	lo = math.Exp(h.logLo + float64(i)*h.logWidth)
+	hi = math.Exp(h.logLo + float64(i+1)*h.logWidth)
+	return lo, hi
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) of the recorded
-// observations from the bucket counts: mass is assumed uniform within a
-// bucket (uniform in log-space for log buckets), underflow mass sits at
-// the lower bound and overflow at the upper. Empty histograms return
-// NaN; q outside [0, 1] panics.
+// observations from the bucket counts: mass is assumed uniform in log
+// space within a bucket, underflow mass sits at the lower bound and
+// overflow at the upper. Empty histograms return NaN; q outside [0, 1]
+// panics.
 func (h *Histogram) Quantile(q float64) float64 {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		panic(fmt.Sprintf("stats: quantile out of range: %g", q))
@@ -131,10 +112,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 				frac = 0
 			}
 			lo, hi := h.BucketBounds(i)
-			if h.log {
-				return lo * math.Pow(hi/lo, frac)
-			}
-			return lo + frac*(hi-lo)
+			return lo * math.Pow(hi/lo, frac)
 		}
 		cum = next
 	}

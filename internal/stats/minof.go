@@ -12,8 +12,6 @@ import (
 //
 //	Weibull(k, λ)      → Weibull(k, λ·n^(−1/k))
 //	Exponential(rate)  → Exponential(n·rate)
-//	Pareto(xm, α)      → Pareto(xm, n·α)
-//	Uniform[lo, hi)    → inverse-CDF beta(1, n) stretch of [lo, hi)
 //	Constant(v)        → Constant(v)
 //
 // Every closed form consumes exactly one uniform variate per Sample
@@ -44,33 +42,10 @@ func MinOf(d Dist, n int) Dist {
 		return Weibull{Scale: v.Scale * math.Pow(float64(n), -1/v.Shape), Shape: v.Shape}
 	case Exponential:
 		return Exponential{Rate: v.Rate * float64(n)}
-	case Pareto:
-		// P(min > t) = (xm/t)^(n·α): same minimum, n× the tail index.
-		return Pareto{Xm: v.Xm, Alpha: v.Alpha * float64(n)}
-	case Uniform:
-		return minUniform{u: v, n: n}
 	case Constant:
 		return v
 	}
 	return minFallback{d: d, n: n}
-}
-
-// minUniform is the minimum of n iid Uniform[Lo, Hi) draws, sampled by
-// inverse CDF: F(x) = 1 − (1 − (x−Lo)/(Hi−Lo))ⁿ.
-type minUniform struct {
-	u Uniform
-	n int
-}
-
-// Sample implements Dist with one uniform variate.
-func (m minUniform) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	return m.u.Lo + (m.u.Hi-m.u.Lo)*(1-math.Pow(1-u, 1/float64(m.n)))
-}
-
-// Mean implements Dist: Lo + (Hi−Lo)/(n+1).
-func (m minUniform) Mean() float64 {
-	return m.u.Lo + (m.u.Hi-m.u.Lo)/float64(m.n+1)
 }
 
 // minFallback is the documented O(n) fallback: Sample draws n values

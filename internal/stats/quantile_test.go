@@ -5,29 +5,11 @@ import (
 	"testing"
 )
 
-func TestQuantileLinear(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 1; i <= 100; i++ {
-		h.Add(float64(i) - 0.5) // one observation per bucket
-	}
-	cases := []struct{ q, want float64 }{
-		{0.0, 0.0},
-		{0.5, 50.0},
-		{0.95, 95.0},
-		{1.0, 100.0},
-	}
-	for _, c := range cases {
-		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1.0 {
-			t.Errorf("Quantile(%g) = %g, want ~%g", c.q, got, c.want)
-		}
-	}
-}
-
 func TestQuantileInterpolatesWithinBucket(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.AddN(5.5, 100) // all mass in bucket [5, 6)
-	if got := h.Quantile(0.5); got < 5 || got > 6 {
-		t.Errorf("Quantile(0.5) = %g, want inside [5, 6)", got)
+	h := NewLogHistogram(1, 1024, 10)
+	h.AddN(5.5, 100) // all mass in bucket [4, 8)
+	if got := h.Quantile(0.5); got < 4 || got > 8 {
+		t.Errorf("Quantile(0.5) = %g, want inside [4, 8)", got)
 	}
 	// Quantiles sweep the bucket: q=0.1 sits below q=0.9.
 	if lo, hi := h.Quantile(0.1), h.Quantile(0.9); lo >= hi {
@@ -56,7 +38,7 @@ func TestQuantileLog(t *testing.T) {
 }
 
 func TestQuantileUnderOverflow(t *testing.T) {
-	h := NewHistogram(10, 20, 10)
+	h := NewLogHistogram(10, 20, 10)
 	h.AddN(5, 10)  // underflow
 	h.AddN(50, 10) // overflow
 	if got := h.Quantile(0.25); got != 10 {
@@ -68,7 +50,7 @@ func TestQuantileUnderOverflow(t *testing.T) {
 }
 
 func TestQuantileEmptyAndPanics(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
+	h := NewLogHistogram(1, 2, 4)
 	if got := h.Quantile(0.5); !math.IsNaN(got) {
 		t.Errorf("empty histogram Quantile = %g, want NaN", got)
 	}

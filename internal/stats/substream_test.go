@@ -91,7 +91,6 @@ func TestStreamSamplesDistributions(t *testing.T) {
 	dists := []Dist{
 		Exponential{Rate: 0.2},
 		Weibull{Shape: 0.7, Scale: 100},
-		Pareto{Alpha: 2.5, Xm: 1},
 	}
 	st := NewStream()
 	for _, d := range dists {

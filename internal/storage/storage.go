@@ -36,14 +36,6 @@ func (d Disk) Validate() error {
 	return nil
 }
 
-// WriteTime returns the time for one large sequential write.
-func (d Disk) WriteTime(bytes float64) sim.Time {
-	if bytes < 0 {
-		panic("storage: negative write")
-	}
-	return d.Seek + sim.Time(bytes/d.Bandwidth)
-}
-
 // Array is a stripe set (RAID-0 style) of identical disks: bandwidth
 // scales with the stripe width, seeks overlap.
 type Array struct {
@@ -61,14 +53,6 @@ func (a Array) Validate() error {
 
 // Bandwidth returns the array's aggregate sequential rate.
 func (a Array) Bandwidth() float64 { return float64(a.Disks) * a.Disk.Bandwidth }
-
-// WriteTime returns the time for one large striped write.
-func (a Array) WriteTime(bytes float64) sim.Time {
-	if bytes < 0 {
-		panic("storage: negative write")
-	}
-	return a.Disk.Seek + sim.Time(bytes/a.Bandwidth())
-}
 
 // Mode selects where checkpoints land.
 type Mode int

@@ -8,24 +8,10 @@ import (
 	"northstar/internal/sim"
 )
 
-func TestDiskWriteTime(t *testing.T) {
-	d := IDE2002()
-	got := d.WriteTime(400e6) // 400 MB at 40 MB/s = 10 s + seek
-	want := d.Seek + 10*sim.Second
-	if math.Abs(float64(got-want)) > 1e-9 {
-		t.Fatalf("WriteTime = %v, want %v", got, want)
-	}
-}
-
 func TestArrayScalesBandwidth(t *testing.T) {
 	a := Array{Disks: 4, Disk: IDE2002()}
 	if a.Bandwidth() != 160e6 {
 		t.Fatalf("array bandwidth = %g", a.Bandwidth())
-	}
-	single := Array{Disks: 1, Disk: IDE2002()}.WriteTime(1e9)
-	striped := a.WriteTime(1e9)
-	if striped >= single {
-		t.Fatalf("striped write %v not faster than single %v", striped, single)
 	}
 }
 

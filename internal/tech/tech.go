@@ -13,10 +13,8 @@
 package tech
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Key names a technology quantity tracked by a Roadmap. All values are in
@@ -58,16 +56,16 @@ const (
 // changes — the frequency/power walls of the mid-decade: after BreakYear
 // the curve continues at CAGR2 instead.
 type Curve struct {
-	Key      Key     `json:"key"`
-	Unit     string  `json:"unit"`
-	BaseYear float64 `json:"base_year"`
-	Base     float64 `json:"base"`
-	CAGR     float64 `json:"cagr"`
+	Key      Key
+	Unit     string
+	BaseYear float64
+	Base     float64
+	CAGR     float64
 	// BreakYear, when nonzero, switches growth to CAGR2 from that year
 	// on. BreakYear must not precede BaseYear.
-	BreakYear float64 `json:"break_year,omitempty"`
-	CAGR2     float64 `json:"cagr2,omitempty"`
-	Comment   string  `json:"comment,omitempty"`
+	BreakYear float64
+	CAGR2     float64
+	Comment   string
 }
 
 // At evaluates the curve at the given (possibly fractional) year.
@@ -77,44 +75,6 @@ func (c Curve) At(year float64) float64 {
 		return atBreak * math.Pow(1+c.CAGR2, year-c.BreakYear)
 	}
 	return c.Base * math.Pow(1+c.CAGR, year-c.BaseYear)
-}
-
-// DoublingYears returns the number of years for the quantity to double,
-// +Inf if it does not grow.
-func (c Curve) DoublingYears() float64 {
-	if c.CAGR <= 0 {
-		return math.Inf(1)
-	}
-	return math.Ln2 / math.Log(1+c.CAGR)
-}
-
-// YearReaching returns the year at which the curve reaches target, or an
-// error if it never will (wrong growth direction).
-func (c Curve) YearReaching(target float64) (float64, error) {
-	if target <= 0 || c.Base <= 0 {
-		return 0, fmt.Errorf("tech: YearReaching requires positive values")
-	}
-	solve := func(base, baseYear, cagr float64) (float64, error) {
-		growth := math.Log(1 + cagr)
-		if growth == 0 {
-			if target == base {
-				return baseYear, nil
-			}
-			return 0, fmt.Errorf("tech: flat curve %s never reaches %g", c.Key, target)
-		}
-		return baseYear + math.Log(target/base)/growth, nil
-	}
-	if c.BreakYear <= 0 {
-		return solve(c.Base, c.BaseYear, c.CAGR)
-	}
-	// Piecewise: try the first segment; if the answer lands past the
-	// break, solve the second segment from the break anchor.
-	y, err := solve(c.Base, c.BaseYear, c.CAGR)
-	if err == nil && y <= c.BreakYear {
-		return y, nil
-	}
-	atBreak := c.Base * math.Pow(1+c.CAGR, c.BreakYear-c.BaseYear)
-	return solve(atBreak, c.BreakYear, c.CAGR2)
 }
 
 // Validate checks curve parameters.
@@ -176,70 +136,6 @@ func (r *Roadmap) At(k Key, year float64) float64 {
 		panic(fmt.Sprintf("tech: roadmap %q has no curve %q", r.Name, k))
 	}
 	return c.At(year)
-}
-
-// Keys returns the curve keys in sorted order.
-func (r *Roadmap) Keys() []Key {
-	ks := make([]Key, 0, len(r.curves))
-	for k := range r.curves {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-// Clone returns an independent copy, used by scenario ablations that bend
-// individual curves.
-func (r *Roadmap) Clone() *Roadmap {
-	out := NewRoadmap(r.Name)
-	for k, c := range r.curves {
-		out.curves[k] = c
-	}
-	return out
-}
-
-// ScaleCAGR multiplies the growth rate of curve k by factor (e.g. 0 to
-// freeze a technology, 1.5 to accelerate it). Unknown keys panic.
-func (r *Roadmap) ScaleCAGR(k Key, factor float64) {
-	c, ok := r.curves[k]
-	if !ok {
-		panic(fmt.Sprintf("tech: roadmap %q has no curve %q", r.Name, k))
-	}
-	c.CAGR *= factor
-	r.Set(c)
-}
-
-// MarshalJSON encodes the roadmap as {name, curves:[...]}.
-func (r *Roadmap) MarshalJSON() ([]byte, error) {
-	type wire struct {
-		Name   string  `json:"name"`
-		Curves []Curve `json:"curves"`
-	}
-	w := wire{Name: r.Name}
-	for _, k := range r.Keys() {
-		w.Curves = append(w.Curves, r.curves[k])
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes the MarshalJSON encoding.
-func (r *Roadmap) UnmarshalJSON(data []byte) error {
-	var w struct {
-		Name   string  `json:"name"`
-		Curves []Curve `json:"curves"`
-	}
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	r.Name = w.Name
-	r.curves = make(map[Key]Curve, len(w.Curves))
-	for _, c := range w.Curves {
-		if err := c.Validate(); err != nil {
-			return err
-		}
-		r.curves[c.Key] = c
-	}
-	return nil
 }
 
 // Default2002 returns the calibration roadmap anchored at 2002. Anchors

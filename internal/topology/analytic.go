@@ -29,8 +29,8 @@ type analytic struct {
 
 	// Dense router-distance table, built lazily on first use when the
 	// router count is small enough (≤ denseTableMax, so ≤ 1 MiB).
-	// routerDist costs a divmod per ring; all-pairs loops like
-	// alloc.Dilation call dist millions of times, so one uint8 load from
+	// routerDist costs a divmod per ring; all-pairs loops like alloc's
+	// dilation call dist millions of times, so one uint8 load from
 	// a row the loop keeps hot beats recomputing the coordinates every
 	// time. nr is the coordinate-space size, the product of the sizes.
 	nr        int32

@@ -9,9 +9,9 @@ func Crossbar(n int) *Graph {
 		panic("topology: crossbar needs at least 1 endpoint")
 	}
 	g := NewGraph(fmt.Sprintf("crossbar-%d", n))
-	sw := g.AddVertex(Vertex{Label: "sw"})
+	sw := g.AddVertex(Vertex{})
 	for i := 0; i < n; i++ {
-		ep := g.AddVertex(Vertex{Endpoint: true, Label: fmt.Sprintf("n%d", i)})
+		ep := g.AddVertex(Vertex{Endpoint: true})
 		g.AddEdge(ep, sw)
 	}
 	g.BisectionLinks = (n + 1) / 2
@@ -33,13 +33,13 @@ func FatTree(k, n int) *Graph {
 	g := NewGraph(fmt.Sprintf("fattree-%d-ary-%d-tree", k, n))
 	// Endpoints first: ids 0..k^n-1.
 	for p := 0; p < numEP; p++ {
-		g.AddVertex(Vertex{Endpoint: true, Label: fmt.Sprintf("n%d", p)})
+		g.AddVertex(Vertex{Endpoint: true})
 	}
 	// Switch (l, w) at id numEP + l*perLevel + w.
 	swID := func(l, w int) int { return numEP + l*perLevel + w }
 	for l := 0; l < n; l++ {
 		for w := 0; w < perLevel; w++ {
-			g.AddVertex(Vertex{Label: fmt.Sprintf("sw%d.%d", l, w)})
+			g.AddVertex(Vertex{})
 		}
 	}
 	// Endpoint p attaches to leaf switch whose index is p's top n-1 digits.
@@ -77,8 +77,8 @@ func Torus2D(w, h int) *Graph {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
-			routers[i] = g.AddVertex(Vertex{Label: fmt.Sprintf("r%d.%d", x, y)})
-			ep := g.AddVertex(Vertex{Endpoint: true, Label: fmt.Sprintf("n%d.%d", x, y)})
+			routers[i] = g.AddVertex(Vertex{})
+			ep := g.AddVertex(Vertex{Endpoint: true})
 			g.AddEdge(ep, routers[i])
 			coord[routers[i]], coord[ep] = int32(i), int32(i)
 		}
@@ -124,8 +124,8 @@ func Torus3D(x, y, z int) *Graph {
 	for k := 0; k < z; k++ {
 		for j := 0; j < y; j++ {
 			for i := 0; i < x; i++ {
-				routers[idx(i, j, k)] = g.AddVertex(Vertex{Label: fmt.Sprintf("r%d.%d.%d", i, j, k)})
-				ep := g.AddVertex(Vertex{Endpoint: true, Label: fmt.Sprintf("n%d.%d.%d", i, j, k)})
+				routers[idx(i, j, k)] = g.AddVertex(Vertex{})
+				ep := g.AddVertex(Vertex{Endpoint: true})
 				g.AddEdge(ep, routers[idx(i, j, k)])
 				coord[routers[idx(i, j, k)]], coord[ep] = int32(idx(i, j, k)), int32(idx(i, j, k))
 			}
@@ -175,8 +175,8 @@ func Hypercube(dim int) *Graph {
 	routers := make([]int, n)
 	coord := make([]int32, 2*n)
 	for i := 0; i < n; i++ {
-		routers[i] = g.AddVertex(Vertex{Label: fmt.Sprintf("r%d", i)})
-		ep := g.AddVertex(Vertex{Endpoint: true, Label: fmt.Sprintf("n%d", i)})
+		routers[i] = g.AddVertex(Vertex{})
+		ep := g.AddVertex(Vertex{Endpoint: true})
 		g.AddEdge(ep, routers[i])
 		coord[routers[i]], coord[ep] = int32(i), int32(i)
 	}

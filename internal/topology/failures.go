@@ -13,7 +13,7 @@ import (
 //
 // Mutators publish a fresh immutable (failure table, tree cache)
 // snapshot instead of editing in place, so they are safe to run
-// concurrently with Dist/Route/Reachable: a reader that raced with
+// concurrently with Dist and RouteAppend: a reader that raced with
 // DisableEdge walks either the old failure set's trees or the new
 // one's, never a mix.
 
@@ -62,26 +62,6 @@ func (g *Graph) publish(down edgeSet) {
 	g.routing.Store(&routeState{down: down, trees: make([]treeEntry, len(g.verts))})
 }
 
-// DisableVertex disables every edge at vertex v (a failed switch or
-// NIC), returning the edges it disabled so the caller can re-enable
-// them.
-func (g *Graph) DisableVertex(v int) ([]int, error) {
-	if v < 0 || v >= len(g.verts) {
-		return nil, fmt.Errorf("topology: vertex %d out of range", v)
-	}
-	var out []int
-	for _, he := range g.adj[v] {
-		e := int(he.edge)
-		if !g.routing.Load().down.has(e) {
-			if err := g.DisableEdge(e); err != nil {
-				return out, err
-			}
-			out = append(out, e)
-		}
-	}
-	return out, nil
-}
-
 // FailCoreLinks disables up to n switch-to-switch links, trying them in
 // edge order and skipping any that is already down or whose loss would
 // disconnect an endpoint. It reports how many links it disabled — fewer
@@ -113,13 +93,6 @@ func (g *Graph) DisabledEdges() int {
 		}
 	}
 	return n
-}
-
-// Reachable reports whether dst can be reached from src through enabled
-// edges. It asks Dist, so a healthy regular topology answers from its
-// ring geometry without building a tree.
-func (g *Graph) Reachable(src, dst int) bool {
-	return g.Dist(src, dst) >= 0
 }
 
 // AllEndpointsConnected reports whether every endpoint pair remains

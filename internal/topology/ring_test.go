@@ -95,8 +95,8 @@ func TestRingRoutesBuildNoTrees(t *testing.T) {
 		allPairsValid(t, g)
 		for _, src := range g.Endpoints() {
 			for _, dst := range g.Endpoints() {
-				if !g.Reachable(src, dst) {
-					t.Fatalf("%s: Reachable(%d, %d) = false", g.Name, src, dst)
+				if g.Dist(src, dst) < 0 {
+					t.Fatalf("%s: Dist(%d, %d) < 0", g.Name, src, dst)
 				}
 			}
 		}
@@ -130,7 +130,7 @@ func TestRingRoutesFailover(t *testing.T) {
 		allPairsValid(t, g)
 		for _, src := range g.Endpoints() {
 			for _, dst := range g.Endpoints() {
-				if edges, _ := g.Route(src, dst); slices.Contains(edges, failed) {
+				if edges, _ := g.RouteAppend(src, dst, nil, nil); slices.Contains(edges, failed) {
 					t.Fatalf("%s: route %d->%d crosses failed link %d", g.Name, src, dst, failed)
 				}
 			}
@@ -151,8 +151,8 @@ func TestRingRoutesFailover(t *testing.T) {
 }
 
 // FuzzRegularRoutes routes one vertex pair of a regular builder's graph,
-// healthy or with one link down, and compares Route with a walk over
-// referenceNextHops. data[0] picks the builder, the next three bytes its
+// healthy or with one link down, and compares RouteAppend with a walk
+// over referenceNextHops. data[0] picks the builder, the next three bytes its
 // sizes, the next two the pair, and a sixth byte, if present, the link
 // to fail.
 func FuzzRegularRoutes(f *testing.F) {
@@ -197,9 +197,9 @@ func FuzzRegularRoutes(f *testing.F) {
 			return
 		}
 		wantE, wantV := referenceRoute(g, next, src, dst)
-		gotE, gotV := g.Route(src, dst)
+		gotE, gotV := g.RouteAppend(src, dst, nil, nil)
 		if !slices.Equal(gotE, wantE) || !slices.Equal(gotV, wantV) {
-			t.Fatalf("%s (down %v): Route(%d, %d) = %v via %v, reference %v via %v",
+			t.Fatalf("%s (down %v): RouteAppend(%d, %d) = %v via %v, reference %v via %v",
 				g.Name, disabled, src, dst, gotE, gotV, wantE, wantV)
 		}
 	})

@@ -5,7 +5,7 @@
 // (src, dst) pair always takes the same path, with equal-cost multipath
 // choices resolved by a stable hash.
 //
-// A finalized Graph is a shared oracle: Dist, Route, Reachable, and the
+// A finalized Graph is a shared oracle: Dist, RouteAppend, and the
 // other read paths are safe for concurrent use from any number of
 // goroutines, and DisableEdge/EnableEdge may run concurrently with
 // them (readers see a consistent before-or-after snapshot of the
@@ -50,7 +50,6 @@ import (
 // compute node's NIC) or a switch.
 type Vertex struct {
 	Endpoint bool
-	Label    string
 }
 
 // Edge is an undirected link between two vertices. Edges carry no weight
@@ -339,20 +338,18 @@ func (g *Graph) buildTree(dst int, down edgeSet) tree {
 	return tree{rank: rank, level: slices.Clone(level)}
 }
 
-// Route returns the shortest path from endpoint src to endpoint dst as a
-// sequence of edge ids, plus the vertex sequence (len(edges)+1 vertices,
-// starting at src and ending at dst). Equal-cost choices are resolved by
-// a hash of (src, dst, hop), spreading distinct flows across the
-// equal-cost links — the deterministic analogue of ECMP / d-mod-k
-// routing in a folded Clos. Route panics if src or dst is not a vertex
-// or no path exists.
-func (g *Graph) Route(src, dst int) (edges []int, verts []int) {
-	return g.RouteAppend(src, dst, nil, nil)
-}
-
-// RouteAppend is Route appending into caller-provided slices (reset to
-// length zero first), so per-message routing on a hot send path can reuse
-// scratch buffers instead of allocating. It returns the filled slices.
+// RouteAppend returns the shortest path from endpoint src to endpoint
+// dst as a sequence of edge ids, plus the vertex sequence (len(edges)+1
+// vertices, starting at src and ending at dst). Equal-cost choices are
+// resolved by a hash of (src, dst, hop), spreading distinct flows across
+// the equal-cost links — the deterministic analogue of ECMP / d-mod-k
+// routing in a folded Clos. It panics if src or dst is not a vertex or
+// no path exists.
+//
+// It appends into the caller-provided slices (reset to length zero
+// first), so per-message routing on a hot send path can reuse scratch
+// buffers instead of allocating; nil slices allocate. It returns the
+// filled slices.
 //
 // At each hop it lists the next hops in the order the package doc gives
 // and takes cands[pathHash(src, dst, hop) % len(cands)]. A regular

@@ -10,7 +10,7 @@ import (
 // edges with no repeated vertices.
 func checkRoute(t *testing.T, g *Graph, src, dst int) {
 	t.Helper()
-	edges, verts := g.Route(src, dst)
+	edges, verts := g.RouteAppend(src, dst, nil, nil)
 	if verts[0] != src || verts[len(verts)-1] != dst {
 		t.Fatalf("route %d->%d has endpoints %d..%d", src, dst, verts[0], verts[len(verts)-1])
 	}
@@ -113,7 +113,7 @@ func TestFatTreeSwitchDegrees(t *testing.T) {
 		// Leaf and middle switches have 2k ports; top switches k.
 		deg := g.Degree(v)
 		if deg != k && deg != 2*k {
-			t.Fatalf("switch %s degree %d, want %d or %d", vert.Label, deg, k, 2*k)
+			t.Fatalf("switch %d degree %d, want %d or %d", v, deg, k, 2*k)
 		}
 	}
 }
@@ -182,8 +182,8 @@ func TestHypercube(t *testing.T) {
 
 func TestRouteDeterministic(t *testing.T) {
 	g := FatTree(4, 2)
-	e1, v1 := g.Route(0, 15)
-	e2, v2 := g.Route(0, 15)
+	e1, v1 := g.RouteAppend(0, 15, nil, nil)
+	e2, v2 := g.RouteAppend(0, 15, nil, nil)
 	if len(e1) != len(e2) {
 		t.Fatal("route lengths differ between calls")
 	}
@@ -202,7 +202,7 @@ func TestRouteSpreadsAcrossUplinks(t *testing.T) {
 	numEP := 16
 	for src := 0; src < 4; src++ {
 		for dst := 4; dst < 16; dst++ {
-			_, verts := g.Route(src, dst)
+			_, verts := g.RouteAppend(src, dst, nil, nil)
 			for _, v := range verts {
 				if v >= numEP+4 { // top-level switch ids
 					tops[v] = true
@@ -218,7 +218,7 @@ func TestRouteSpreadsAcrossUplinks(t *testing.T) {
 func TestRouteSelfIsEmpty(t *testing.T) {
 	g := Crossbar(4)
 	src := g.Endpoints()[0]
-	edges, verts := g.Route(src, src)
+	edges, verts := g.RouteAppend(src, src, nil, nil)
 	if len(edges) != 0 || len(verts) != 1 || verts[0] != src {
 		t.Fatalf("self route = %v, %v", edges, verts)
 	}
@@ -346,6 +346,6 @@ func BenchmarkFatTreeRoute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Route(eps[i%len(eps)], eps[(i*7+13)%len(eps)])
+		g.RouteAppend(eps[i%len(eps)], eps[(i*7+13)%len(eps)], nil, nil)
 	}
 }

@@ -242,67 +242,3 @@ func TestSweepSerializedByWavefront(t *testing.T) {
 		t.Errorf("elapsed %v vs per-rank compute %v: wavefront should serialize", rep.Elapsed, perRankWork)
 	}
 }
-
-func TestMGCompletes(t *testing.T) {
-	for _, p := range []int{1, 4, 16} {
-		m := mach(t, p, node.Conventional, network.Myrinet2000())
-		rep := run(t, m, MG{Grid: 256, Cycles: 3})
-		if rep.Elapsed <= 0 {
-			t.Fatalf("p=%d: elapsed %v", p, rep.Elapsed)
-		}
-	}
-}
-
-func TestMGMoreLatencySensitiveThanStencil(t *testing.T) {
-	// MG's coarse levels are latency-bound, so switching Fast Ethernet ->
-	// QsNet should help MG proportionally more than a same-size stencil.
-	ratioFor := func(app App) float64 {
-		slow := run(t, mach(t, 16, node.Conventional, network.FastEthernet()), app).Elapsed
-		fast := run(t, mach(t, 16, node.Conventional, network.QsNet()), app).Elapsed
-		return float64(slow) / float64(fast)
-	}
-	// Match total relaxation work approximately: MG does levels x passes.
-	mgRatio := ratioFor(MG{Grid: 1024, Cycles: 5})
-	stencilRatio := ratioFor(Stencil2D{GridX: 1024, GridY: 1024, Iters: 20})
-	if mgRatio <= stencilRatio {
-		t.Errorf("MG fabric-speedup %.2f <= stencil %.2f; coarse levels should be latency-bound",
-			mgRatio, stencilRatio)
-	}
-}
-
-func TestISCompletes(t *testing.T) {
-	for _, p := range []int{2, 8, 16} {
-		m := mach(t, p, node.Conventional, network.GigabitEthernet())
-		rep := run(t, m, IS{Keys: 1 << 22})
-		if rep.Elapsed <= 0 {
-			t.Fatalf("p=%d: elapsed %v", p, rep.Elapsed)
-		}
-	}
-}
-
-func TestISCommunicationDominated(t *testing.T) {
-	m := mach(t, 16, node.Conventional, network.GigabitEthernet())
-	c := msg.NewComm(m, msg.Options{})
-	app := IS{Keys: 1 << 24}
-	if _, err := c.Start(app.Run); err != nil {
-		t.Fatal(err)
-	}
-	var comm, compute float64
-	for i := 0; i < c.Size(); i++ {
-		comm += float64(c.Rank(i).Stats.CommTime)
-		compute += float64(c.Rank(i).Stats.ComputeTime)
-	}
-	if comm <= compute {
-		t.Errorf("IS comm %.3g <= compute %.3g; the alltoall should dominate on gigabit", comm, compute)
-	}
-}
-
-func TestISBisectionSensitive(t *testing.T) {
-	// IS on InfiniBand vs Fast Ethernet: bandwidth ratio ~70x should
-	// shine through the alltoall.
-	slow := run(t, mach(t, 16, node.Conventional, network.FastEthernet()), IS{Keys: 1 << 24}).Elapsed
-	fast := run(t, mach(t, 16, node.Conventional, network.InfiniBand4X()), IS{Keys: 1 << 24}).Elapsed
-	if float64(slow)/float64(fast) < 5 {
-		t.Errorf("IS fast-ethernet/infiniband = %.1f, want >= 5", float64(slow)/float64(fast))
-	}
-}

@@ -242,10 +242,6 @@ type (
 	MasterWorker = workload.MasterWorker
 	// Sweep2D is a pipelined wavefront computation (Sn transport style).
 	Sweep2D = workload.Sweep2D
-	// MG is a multigrid V-cycle (NAS MG pattern).
-	MG = workload.MG
-	// IS is an integer sort (NAS IS pattern): histogram + alltoall.
-	IS = workload.IS
 )
 
 // ExecuteApp runs an application skeleton on a machine.
@@ -278,8 +274,6 @@ type (
 	EASY = sched.EASY
 	// Conservative backfilling reserves for every queued job.
 	Conservative = sched.Conservative
-	// SJF is shortest-job-first backfilling.
-	SJF = sched.SJF
 )
 
 // GenerateTrace produces a synthetic job trace.
@@ -288,12 +282,6 @@ func GenerateTrace(cfg TraceConfig) ([]*Job, error) { return sched.GenerateTrace
 // ReadSWF parses a Standard Workload Format trace (Parallel Workloads
 // Archive); maxNodes > 0 drops jobs wider than the target cluster.
 func ReadSWF(r io.Reader, maxNodes int) ([]*Job, error) { return sched.ReadSWF(r, maxNodes) }
-
-// WriteSWF writes jobs in Standard Workload Format.
-func WriteSWF(w io.Writer, jobs []*Job) error { return sched.WriteSWF(w, jobs) }
-
-// WriteTimeline writes a completed schedule as Gantt-ready CSV.
-func WriteTimeline(w io.Writer, jobs []*Job) error { return sched.WriteTimeline(w, jobs) }
 
 // Schedule runs jobs through a space-sharing policy.
 func Schedule(nodes int, jobs []*Job, p SchedPolicy) (SchedResult, error) {
@@ -431,15 +419,6 @@ type Scenario = core.Scenario
 
 // Explorer projects scenarios under a constraint across years.
 type Explorer = core.Explorer
-
-// Objective selects what the explorer maximizes.
-type Objective = core.Objective
-
-// Objectives.
-const (
-	ObjectiveLinpack = core.Linpack
-	ObjectivePeak    = core.Peak
-)
 
 // Crossing reports when a scenario reaches a target.
 type Crossing = core.Crossing

@@ -1,7 +1,6 @@
 package northstar_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -110,23 +109,31 @@ func TestFacadeSchedulingAndSWF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := northstar.WriteSWF(&buf, trace); err != nil {
-		t.Fatal(err)
-	}
-	back, err := northstar.ReadSWF(&buf, 64)
+	res, err := northstar.Schedule(64, trace, northstar.EASY{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := northstar.Schedule(64, back, northstar.EASY{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Utilization <= 0 || res.Jobs != len(back) {
+	if res.Utilization <= 0 || res.Jobs != len(trace) {
 		t.Fatalf("result: %+v", res)
 	}
-	if _, err := northstar.ScheduleGang(64, back, northstar.GangConfig{}); err != nil {
+	if _, err := northstar.ScheduleGang(64, trace, northstar.GangConfig{}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Two archive jobs (SWF fields: id, submit, wait, run, procs, ...,
+	// requested procs, requested time), listed out of submit order.
+	const swf = `2 60 -1 600 8 -1 -1 8 900 -1 1 -1 -1 -1 -1 -1 -1 -1
+1 0 -1 3600 16 -1 -1 16 7200 -1 1 -1 -1 -1 -1 -1 -1 -1
+`
+	jobs, err := northstar.ReadSWF(strings.NewReader(swf), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 || jobs[0].ID != 1 || jobs[0].Nodes != 16 || jobs[0].Estimate != 7200 {
+		t.Fatalf("ReadSWF = %d jobs, first %+v", len(jobs), jobs[0])
+	}
+	if res, err := northstar.Schedule(64, jobs, northstar.FCFS{}); err != nil || res.Jobs != 2 {
+		t.Fatalf("scheduling the SWF trace: %+v, %v", res, err)
 	}
 }
 
