@@ -99,6 +99,18 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"schedule", "-swf", infRun}, 1, "northstar: sched: swf line 2 field 4: \"Inf\" is not finite"},
 		{[]string{"explore", "-target", "NaN"}, 1, "northstar: core: target NaN flop/s must be finite and positive"},
 		{[]string{"explore", "-year", "NaN"}, 1, "northstar: core: no configuration feasible at NaN"},
+		// Non-finite years once hung (cmpCores doubled forever), printed a
+		// NaN machine before a rank panicked, or reported +Inf flop/s.
+		{[]string{"simulate", "-arch", "smp-on-chip", "-year", "Inf", "-nodes", "4"}, 1, "northstar: node: year +Inf outside [1990, 2100]"},
+		{[]string{"simulate", "-year", "NaN", "-nodes", "4"}, 1, "northstar: node: year NaN outside [1990, 2100]"},
+		{[]string{"simulate", "-year", "1e9", "-nodes", "4"}, 1, "northstar: node: year 1e+09 outside [1990, 2100]"},
+		// NaN flags once read as an empty answer or as no cap.
+		{[]string{"project", "-from", "NaN"}, 1, "northstar: core: projection: node: year NaN outside [1990, 2100]"},
+		{[]string{"project", "-to", "NaN"}, 1, "northstar: core: projection: node: year NaN outside [1990, 2100]"},
+		{[]string{"project", "-power", "NaN"}, 1, "northstar: cluster: power cap NaN must be finite and non-negative"},
+		{[]string{"frontier", "-year", "NaN"}, 1, "northstar: node: year NaN outside [1990, 2100]"},
+		{[]string{"frontier", "-budget", "NaN"}, 1, "northstar: cluster: budget NaN must be finite and non-negative"},
+		{[]string{"frontier", "-power", "NaN"}, 1, "northstar: cluster: power cap NaN must be finite and non-negative"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)

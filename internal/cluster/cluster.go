@@ -33,8 +33,8 @@ func (s Spec) Validate() error {
 	if s.Nodes <= 0 {
 		return fmt.Errorf("cluster: spec %q needs nodes > 0", s.Name)
 	}
-	if s.Year < 1990 || s.Year > 2100 {
-		return fmt.Errorf("cluster: spec %q year %g out of range", s.Name, s.Year)
+	if err := node.CheckYear(s.Year); err != nil {
+		return fmt.Errorf("cluster: spec %q: %w", s.Name, err)
 	}
 	if _, err := network.PresetByName(s.Fabric); err != nil {
 		return err
@@ -150,6 +150,20 @@ type Constraint struct {
 	FloorSpaceM2 float64
 }
 
+// Validate checks that every cap is finite and non-negative; 0 is no
+// cap.
+func (c Constraint) Validate() error {
+	for _, limit := range []struct {
+		name  string
+		value float64
+	}{{"budget", c.BudgetDollars}, {"power cap", c.PowerWatts}, {"floor-space cap", c.FloorSpaceM2}} {
+		if !(limit.value >= 0) || math.IsInf(limit.value, 1) {
+			return fmt.Errorf("cluster: %s %g must be finite and non-negative", limit.name, limit.value)
+		}
+	}
+	return nil
+}
+
 // Satisfies reports whether metrics m fits the constraint.
 func (c Constraint) Satisfies(m Metrics) bool {
 	if c.BudgetDollars > 0 && m.CostDollars > c.BudgetDollars {
@@ -167,8 +181,12 @@ func (c Constraint) Satisfies(m Metrics) bool {
 // FitLargest returns the largest node count (and its metrics) of the
 // given architecture/fabric/year that satisfies the constraint, by
 // binary search; per-node metrics scale monotonically with count. It
-// returns an error if even one node violates the constraint.
+// returns an error if the constraint is invalid or even one node
+// violates it.
 func FitLargest(year float64, arch node.Arch, fabric string, r *tech.Roadmap, c Constraint) (Metrics, error) {
+	if err := c.Validate(); err != nil {
+		return Metrics{}, err
+	}
 	build := func(n int) (Metrics, error) {
 		return Build(Spec{
 			Name: fmt.Sprintf("fit-%s-%.0f", arch, year), Year: year,

@@ -50,6 +50,7 @@ func TestBuildValidation(t *testing.T) {
 	bad := []Spec{
 		{Name: "x", Year: 2002, Arch: node.Conventional, Nodes: 0, Fabric: "gigabit-ethernet"},
 		{Name: "x", Year: 1500, Arch: node.Conventional, Nodes: 1, Fabric: "gigabit-ethernet"},
+		{Name: "x", Year: math.NaN(), Arch: node.Conventional, Nodes: 1, Fabric: "gigabit-ethernet"},
 		{Name: "x", Year: 2002, Arch: node.Conventional, Nodes: 1, Fabric: "carrier-pigeon"},
 		{Name: "x", Year: 2002, Arch: "alien", Nodes: 1, Fabric: "gigabit-ethernet"},
 	}
@@ -181,6 +182,18 @@ func TestFitLargestPowerBound(t *testing.T) {
 	}
 	if m.PowerWatts > c.PowerWatts {
 		t.Fatalf("power %g exceeds cap", m.PowerWatts)
+	}
+}
+
+// TestFitLargestRejectsBadCaps: a NaN cap once read as no cap, and a
+// negative one as an impossible one.
+func TestFitLargestRejectsBadCaps(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), -1} {
+		for _, c := range []Constraint{{BudgetDollars: v}, {BudgetDollars: 1e6, PowerWatts: v}, {BudgetDollars: 1e6, FloorSpaceM2: v}} {
+			if _, err := FitLargest(2002, node.Conventional, "gigabit-ethernet", roadmap(), c); err == nil || !strings.Contains(err.Error(), "finite and non-negative") {
+				t.Errorf("%+v: err = %v, want a validation error", c, err)
+			}
+		}
 	}
 }
 

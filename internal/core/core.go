@@ -170,9 +170,13 @@ type Point struct {
 }
 
 // Best returns the highest-scoring machine buildable at the given year
-// under the scenario and constraint.
+// under the scenario and constraint. An invalid constraint is an error,
+// not an infeasible one.
 func (e Explorer) Best(s Scenario, year float64) (cluster.Metrics, error) {
 	if err := s.Validate(); err != nil {
+		return cluster.Metrics{}, err
+	}
+	if err := e.Constraint.Validate(); err != nil {
 		return cluster.Metrics{}, err
 	}
 	arches := []node.Arch{s.ArchFor(year)}
@@ -204,9 +208,17 @@ func (e Explorer) Best(s Scenario, year float64) (cluster.Metrics, error) {
 }
 
 // Project returns the scenario's yearly trajectory from FirstYear to
-// LastYear inclusive.
+// LastYear inclusive. Both years must pass node.CheckYear, in order.
 func (e Explorer) Project(s Scenario) ([]Point, error) {
 	e = e.withDefaults()
+	for _, year := range []float64{e.FirstYear, e.LastYear} {
+		if err := node.CheckYear(year); err != nil {
+			return nil, fmt.Errorf("core: projection: %w", err)
+		}
+	}
+	if e.FirstYear > e.LastYear {
+		return nil, fmt.Errorf("core: projection from %g to %g runs backwards", e.FirstYear, e.LastYear)
+	}
 	var out []Point
 	for year := e.FirstYear; year <= e.LastYear+1e-9; year++ {
 		m, err := e.Best(s, year)

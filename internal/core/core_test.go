@@ -137,6 +137,21 @@ func TestFindCrossingValidation(t *testing.T) {
 	}
 }
 
+// TestProjectValidation: a NaN year once gave an empty projection, a NaN
+// power cap none at all.
+func TestProjectValidation(t *testing.T) {
+	for _, e := range []Explorer{
+		{Constraint: cluster.Constraint{BudgetDollars: 1e6}, FirstYear: math.NaN()},
+		{Constraint: cluster.Constraint{BudgetDollars: 1e6}, LastYear: math.NaN()},
+		{Constraint: cluster.Constraint{BudgetDollars: 1e6}, FirstYear: 2010, LastYear: 2005},
+		{Constraint: cluster.Constraint{BudgetDollars: 1e6, PowerWatts: math.NaN()}},
+	} {
+		if pts, err := e.Project(MooreOnly()); err == nil {
+			t.Errorf("%+v: %d points, no error", e, len(pts))
+		}
+	}
+}
+
 func TestWaterfallOrdering(t *testing.T) {
 	e := budget(20e6)
 	steps, err := e.Waterfall(2010, Scenarios())

@@ -24,7 +24,14 @@ type FrontierPoint struct {
 // power, and score simultaneously) marked. It is the buyer's menu the
 // trajectory explorer optimizes over — useful for seeing *why* the
 // explorer picks what it picks, and what the runner-up trade-offs were.
+// An invalid year or constraint is an error, not an empty menu.
 func (e Explorer) Frontier(r *tech.Roadmap, year float64) ([]FrontierPoint, error) {
+	if err := node.CheckYear(year); err != nil {
+		return nil, err
+	}
+	if err := e.Constraint.Validate(); err != nil {
+		return nil, err
+	}
 	var all []FrontierPoint
 	for _, a := range node.Arches() {
 		for _, f := range cluster.Fabrics() {

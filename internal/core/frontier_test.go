@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"northstar/internal/cluster"
@@ -69,6 +70,24 @@ func TestFrontierRespectsConstraint(t *testing.T) {
 	for _, p := range pts {
 		if p.Metrics.CostDollars > 2e6 || p.Metrics.PowerWatts > 300e3 {
 			t.Fatalf("frontier point violates constraint: %+v", p.Metrics)
+		}
+	}
+}
+
+// TestFrontierRejectsInvalidInput: a NaN year or cap is an error, where
+// it once read as an empty menu or as no cap.
+func TestFrontierRejectsInvalidInput(t *testing.T) {
+	for _, c := range []struct {
+		e    Explorer
+		year float64
+	}{
+		{budget(20e6), math.NaN()},
+		{budget(20e6), 2200},
+		{budget(math.NaN()), 2008},
+		{Explorer{Constraint: cluster.Constraint{BudgetDollars: 20e6, PowerWatts: math.NaN()}}, 2008},
+	} {
+		if pts, err := c.e.Frontier(tech.Default2002(), c.year); err == nil {
+			t.Errorf("%+v at %g: %d points, no error", c.e.Constraint, c.year, len(pts))
 		}
 	}
 }

@@ -169,13 +169,13 @@ var scenarioModels = map[string]*scenarioModel{
 	// tech-curves projects the roadmap's per-socket curves across a year
 	// sweep (E1).
 	"tech-curves": {
-		axes:     []axisDef{{name: "year", kind: kindFloat, lo: 1990, hi: 2100}},
+		axes:     []axisDef{{name: "year", kind: kindFloat, lo: node.MinYear, hi: node.MaxYear}},
 		rowWidth: fixedWidth(9),
 		row: func(env *scenarioEnv, _ any, pt axisPoint) ([]any, error) {
 			r := roadmap2002
 			year := pt.floatValue("year")
 			return []any{
-				year, // in [1990, 2100], so it prints whole, as %.0f
+				year, // in [node.MinYear, node.MaxYear], so it prints whole, as %.0f
 				r.At(tech.PeakFlopsPerSocket, year) / 1e9,
 				1e9 / r.At(tech.FlopsPerDollar, year),
 				r.At(tech.DRAMBytesPerDollar, year) / 1e6,
@@ -191,7 +191,7 @@ var scenarioModels = map[string]*scenarioModel{
 	// fixed-budget fits the largest machine a budget buys per year on a
 	// fixed architecture and fabric (E2).
 	"fixed-budget": {
-		axes:   []axisDef{{name: "year", kind: kindFloat, lo: 1990, hi: 2100}},
+		axes:   []axisDef{{name: "year", kind: kindFloat, lo: node.MinYear, hi: node.MaxYear}},
 		params: []paramDef{{name: "budget-dollars", lo: 1, hi: 1e12}},
 		options: []optionDef{
 			{name: "arch", kind: kindArch},
@@ -224,7 +224,7 @@ var scenarioModels = map[string]*scenarioModel{
 	// efficiency metrics (E3). Year is the outer (slower) axis.
 	"node-arch": {
 		axes: []axisDef{
-			{name: "year", kind: kindFloat, lo: 1990, hi: 2100},
+			{name: "year", kind: kindFloat, lo: node.MinYear, hi: node.MaxYear},
 			{name: "arch", kind: kindArch},
 		},
 		rowWidth: fixedWidth(9),

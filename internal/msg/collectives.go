@@ -1,6 +1,10 @@
 package msg
 
-import "fmt"
+import (
+	"fmt"
+
+	"northstar/internal/sim"
+)
 
 // Collective tags live in a reserved space above user tags. Each
 // collective call on a rank uses a fresh epoch so consecutive collectives
@@ -15,10 +19,11 @@ func (r *Rank) collTag(round int) int {
 	return collTagBase + r.collEpoch*(1<<16) + round
 }
 
-// reduceCost charges the local combining cost of a reduction over bytes:
-// one flop per 8-byte element, streaming two operands and one result.
-func (r *Rank) reduceCost(bytes int64) {
-	r.Compute(float64(bytes)/8, 3*float64(bytes))
+// combine charges the local combining cost of a reduction over bytes —
+// one flop per 8-byte element, streaming two operands and one result —
+// and returns its duration, which the caller must spend.
+func (r *Rank) combine(bytes int64) sim.Time {
+	return r.charge(float64(bytes)/8, 3*float64(bytes))
 }
 
 // Barrier blocks until every rank has entered it: a dissemination
@@ -75,7 +80,7 @@ func (r *Rank) reduceTree(bytes int64) {
 		if src := r.id | mask; src < p {
 			r.Recv(src, r.collTag(0))
 			if bytes > 0 {
-				r.reduceCost(bytes)
+				r.proc.Wait(r.combine(bytes))
 			}
 		}
 	}
@@ -108,8 +113,7 @@ func (r *Rank) Allreduce(bytes int64) {
 		right := (r.id + 1) % p
 		left := (r.id - 1 + p) % p
 		for step := 0; step < p-1; step++ {
-			r.SendRecv(right, r.collTag(step), chunk, left, r.collTag(step))
-			r.reduceCost(chunk)
+			r.exchange(right, r.collTag(step), chunk, left, r.collTag(step), r.combine(chunk))
 		}
 		// Allgather phase.
 		for step := 0; step < p-1; step++ {
@@ -140,7 +144,7 @@ func (r *Rank) allreduceRD(bytes int64) {
 		r.Send(r.id+1, r.collTag(60), bytes)
 	case r.id < 2*rem:
 		r.Recv(r.id-1, r.collTag(60))
-		r.reduceCost(bytes)
+		r.proc.Wait(r.combine(bytes))
 		newRank = r.id / 2
 	default:
 		newRank = r.id - rem
@@ -154,8 +158,7 @@ func (r *Rank) allreduceRD(bytes int64) {
 		}
 		for mask := 1; mask < pof2; mask <<= 1 {
 			partner := realOf(newRank ^ mask)
-			r.SendRecv(partner, r.collTag(61), bytes, partner, r.collTag(61))
-			r.reduceCost(bytes)
+			r.exchange(partner, r.collTag(61), bytes, partner, r.collTag(61), r.combine(bytes))
 		}
 	}
 	// Fan results back to the folded ranks.

@@ -12,10 +12,17 @@
 // Requests: ISend and IRecv return a fresh *Request that belongs to the
 // caller, who may keep it after it completes. Send, Recv and SendRecv
 // wait before they return, so they use two requests the rank owns and
-// reuses instead. The records that carry a message through the fabric
-// (an eager send, a rendezvous handshake) come from free lists on the
-// Comm with their fabric callbacks bound once, so a blocking send or
-// receive allocates nothing in steady state.
+// reuses instead, one for the send and one for the receive. Every wait
+// suspends the rank once: the request's completion charges the wait to
+// CommTime, as it ends, and wakes the rank. SendRecv waits on its send;
+// if the receive is still pending when the send completes, the wait
+// passes to it, and the rank wakes when the receive completes. A
+// reduction round of Allreduce is such an exchange whose wake comes its
+// combine's compute time later, so the round costs one suspension too.
+// The records that carry a message through the fabric (an eager send, a
+// rendezvous handshake) come from free lists on the Comm with their
+// fabric callbacks bound once, so a blocking send or receive allocates
+// nothing in steady state.
 package msg
 
 import (

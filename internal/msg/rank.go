@@ -24,6 +24,15 @@ type Rank struct {
 	// Each of those waits before it returns, so the two are reused.
 	sendReq, recvReq Request
 
+	// While the rank is suspended, the request it waits on is marked
+	// waiting. waitSince is when that request's part of the wait began,
+	// waitThen is the request the wait passes to once it completes (nil
+	// if none), and waitAfter is how long after its last request
+	// completes the rank wakes.
+	waitSince sim.Time
+	waitThen  *Request
+	waitAfter sim.Time
+
 	// copies holds the local copies (self-sends) in flight, oldest
 	// first from copyHead. A rank's copies run one after another, so
 	// they complete, and are delivered, in send order; copyDone is when
@@ -96,11 +105,16 @@ func (r *Rank) Now() sim.Time { return r.proc.Now() }
 
 // Compute advances the rank's clock by the roofline time of a local work
 // phase: flops floating-point operations touching memBytes of memory.
-func (r *Rank) Compute(flops, memBytes float64) {
+func (r *Rank) Compute(flops, memBytes float64) { r.proc.Wait(r.charge(flops, memBytes)) }
+
+// charge adds a local work phase to the rank's Stats and returns its
+// roofline time, which the caller must spend: Compute waits it out, and
+// a reduction round passes it to exchange.
+func (r *Rank) charge(flops, memBytes float64) sim.Time {
 	d := r.comm.mach.RankModel().ComputeTime(flops, memBytes)
 	r.Stats.Flops += flops
 	r.Stats.ComputeTime += d
-	r.proc.Wait(d)
+	return d
 }
 
 // Sleep advances the rank's clock by a fixed duration (non-modeled local
@@ -212,13 +226,25 @@ func (r *Rank) post(req *Request, src, tag int) *Request {
 	return req
 }
 
-// SendRecv posts the receive, performs the send, then waits for the
-// receive — the deadlock-free exchange primitive ring and pairwise
-// collectives are built from. It returns the received byte count.
+// SendRecv posts the receive, starts the send, then waits for both —
+// the deadlock-free exchange primitive ring and pairwise collectives
+// are built from. It suspends the rank once, however the two complete,
+// and returns the received byte count.
 func (r *Rank) SendRecv(dst, sendTag int, bytes int64, src, recvTag int) int64 {
-	req := r.post(&r.recvReq, src, recvTag)
-	r.Send(dst, sendTag, bytes)
-	return req.Wait()
+	return r.exchange(dst, sendTag, bytes, src, recvTag, 0)
+}
+
+// exchange is SendRecv followed by a local combine of length combine,
+// which the caller has already charged: the rank wakes combine after
+// its last request completes, so a reduction round is one suspension.
+func (r *Rank) exchange(dst, sendTag int, bytes int64, src, recvTag int, combine sim.Time) int64 {
+	recv := r.post(&r.recvReq, src, recvTag)
+	r.sendReq = Request{rank: r}
+	r.isend(&r.sendReq, dst, sendTag, bytes)
+	// The send is still pending: a fabric completes it from an event
+	// handler, and a local copy from the copy's own event.
+	r.suspend(&r.sendReq, recv, combine)
+	return recv.bytes
 }
 
 // matches reports whether envelope env satisfies receive request req.
@@ -261,29 +287,47 @@ func (r *Rank) consume(req *Request, env envelope) {
 	}
 }
 
-// complete marks the request done and wakes its waiter.
+// complete marks the request done. If its rank waits on it, complete
+// adds the wait so far to the rank's CommTime, then passes the wait to
+// the rank's next request if that is still pending, or else wakes the
+// rank waitAfter later.
 func (req *Request) complete(bytes int64) {
 	if req.done {
 		panic("msg: request completed twice")
 	}
 	req.done = true
 	req.bytes = bytes
-	if req.waiting {
-		req.waiting = false
-		req.rank.proc.Resume()
+	if !req.waiting {
+		return
 	}
+	req.waiting = false
+	r := req.rank
+	now := r.Now()
+	r.Stats.CommTime += now - r.waitSince
+	if next := r.waitThen; next != nil && !next.done {
+		next.waiting = true
+		r.waitSince, r.waitThen = now, nil
+		return
+	}
+	r.proc.ResumeAfter(r.waitAfter)
 }
 
 // Wait blocks the rank until the request completes and returns the byte
 // count (for receives, the received size).
 func (req *Request) Wait() int64 {
 	if !req.done {
-		start := req.rank.Now()
-		req.waiting = true
-		req.rank.proc.Suspend()
-		req.rank.Stats.CommTime += req.rank.Now() - start
+		req.rank.suspend(req, nil, 0)
 	}
 	return req.bytes
+}
+
+// suspend parks the rank until req completes, then until then completes
+// if then is non-nil, then for after more. Request.complete ends each
+// part of the wait, so the rank is woken once.
+func (r *Rank) suspend(req, then *Request, after sim.Time) {
+	req.waiting = true
+	r.waitSince, r.waitThen, r.waitAfter = r.Now(), then, after
+	r.proc.Suspend()
 }
 
 // WaitAll waits for every request in order.

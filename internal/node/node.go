@@ -131,11 +131,33 @@ type Model struct {
 	NICOverheadScale float64 `json:"nic_overhead_scale"`
 }
 
+// MinYear and MaxYear bound the technology years a model is built for.
+// The roadmap extrapolates its 2002 curves exponentially, and the CMP
+// scenario doubles its cores every two years, so far outside this range
+// a model's quantities overflow or vanish.
+const (
+	MinYear = 1990
+	MaxYear = 2100
+)
+
+// CheckYear returns an error unless year lies in [MinYear, MaxYear]. NaN
+// fails.
+func CheckYear(year float64) error {
+	if !(year >= MinYear && year <= MaxYear) {
+		return fmt.Errorf("node: year %g outside [%d, %d]", year, MinYear, MaxYear)
+	}
+	return nil
+}
+
 // Build materializes architecture a at the given year from roadmap r.
+// The year must pass CheckYear.
 func Build(a Arch, r *tech.Roadmap, year float64) (Model, error) {
 	p, ok := params[a]
 	if !ok {
 		return Model{}, fmt.Errorf("node: unknown architecture %q", a)
+	}
+	if err := CheckYear(year); err != nil {
+		return Model{}, err
 	}
 	socketFlops := r.At(tech.PeakFlopsPerSocket, year) * p.clockScale
 	cores := 1

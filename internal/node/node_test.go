@@ -32,6 +32,22 @@ func TestBuildUnknownArch(t *testing.T) {
 	}
 }
 
+// TestBuildYearRange: Build takes the years in [MinYear, MaxYear] and
+// nothing else. An infinite year once hung cmpCores, NaN built a NaN
+// machine and 1e9 one of +Inf flop/s.
+func TestBuildYearRange(t *testing.T) {
+	for _, year := range []float64{MinYear, MaxYear} {
+		if _, err := Build(SMPOnChip, roadmap(), year); err != nil {
+			t.Errorf("year %g: %v", year, err)
+		}
+	}
+	for _, year := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e9, MinYear - 1, MaxYear + 1} {
+		if _, err := Build(SMPOnChip, roadmap(), year); err == nil {
+			t.Errorf("year %g accepted", year)
+		}
+	}
+}
+
 func TestConventional2002Calibration(t *testing.T) {
 	// The 2002 anchor: a dual-socket Xeon node near 10 GF peak, ~2.4 GB
 	// memory, a few hundred watts, a few thousand dollars.

@@ -7,8 +7,10 @@
 //
 // The kernel only schedules and fires. At and After queue a handler;
 // Step, Run and RunUntil fire handlers in order; a Proc is a coroutine
-// that blocks in Wait or Suspend and is woken by its timer or by Resume.
-// A scheduled event always fires: there is no cancellation.
+// that blocks in Wait or Suspend and is woken by its timer or by
+// ResumeAfter, which wakes it a given delay after the call (Resume is
+// ResumeAfter(0)). A scheduled event always fires: there is no
+// cancellation.
 //
 // Determinism: events that fire at the same virtual time are executed in
 // the order they were scheduled (a monotonic sequence number breaks ties),
@@ -23,7 +25,7 @@
 // the handler onto a hand-rolled 4-ary min-heap, and events scheduled at
 // the current virtual time — the dominant case for process handoff —
 // bypass the heap entirely via a FIFO of handlers. A Proc binds its wake
-// handler once when Go spawns it, so a proc handoff (Wait, Resume)
+// handler once when Go spawns it, so a proc handoff (Wait, ResumeAfter)
 // schedules a long-lived func value and allocates nothing. A
 // calendar-queue backend (bucketed sliding time window, see
 // queue_calendar.go) is available through NewOnQueue for benchmarking

@@ -27,12 +27,12 @@ import (
 // a detached goroutine.
 //
 // Proc methods must be called only from the Proc's own coroutine, with
-// the exception of Resume, which is called from event handlers or other
-// Procs.
+// the exception of Resume and ResumeAfter, which are called from event
+// handlers or other Procs.
 //
 // A handoff allocates nothing: Go binds the proc's one wake handler
-// once, and Go's start event, Wait's timer and Resume all schedule that
-// bound handler instead of a fresh closure per event.
+// once, and Go's start event, Wait's timer and ResumeAfter all schedule
+// that bound handler instead of a fresh closure per event.
 type Proc struct {
 	k         *Kernel
 	next      func() (struct{}, bool) // kernel side: hand the token to the proc
@@ -77,13 +77,20 @@ func (p *Proc) Suspend() {
 	p.suspended = false
 }
 
-// Resume wakes a process blocked in Suspend. The wake is scheduled as an
-// event at the current virtual time, preserving deterministic ordering.
-// Resuming a process that is not parked in Suspend (finished, not yet
-// started, or in Wait) or that already has a wake in flight panics: it
-// indicates a protocol bug in the caller, and silently dropping, queueing
-// or misdirecting wakes would corrupt virtual-time bookkeeping.
-func (p *Proc) Resume() {
+// Resume wakes a process blocked in Suspend at the current virtual
+// time: it is ResumeAfter(0).
+func (p *Proc) Resume() { p.ResumeAfter(0) }
+
+// ResumeAfter wakes a process blocked in Suspend d seconds from now. The
+// wake is scheduled as an event, preserving deterministic ordering, so
+// a caller that knows the proc's next step is a local delay of d (a
+// reduction's combine after its last message arrives) spends one wake
+// instead of a Resume and then a Wait. Resuming a process that is not
+// parked in Suspend (finished, not yet started, or in Wait) or that
+// already has a wake in flight panics, as does a negative or NaN d: each
+// indicates a protocol bug in the caller, and silently dropping,
+// queueing or misdirecting wakes would corrupt virtual-time bookkeeping.
+func (p *Proc) ResumeAfter(d Time) {
 	if p.done {
 		panic("sim: Resume of finished proc")
 	}
@@ -93,8 +100,11 @@ func (p *Proc) Resume() {
 	if !p.suspended {
 		panic("sim: Resume of proc not parked in Suspend")
 	}
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: negative resume delay %v", d))
+	}
 	p.waking = true
-	p.k.After(0, p.wake)
+	p.k.After(d, p.wake)
 }
 
 // deliver hands the control token to the proc; it returns when the proc

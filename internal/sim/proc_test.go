@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -77,45 +78,78 @@ func TestProcSuspendResumeWakeTime(t *testing.T) {
 	}
 }
 
-func TestProcDoubleResumePanics(t *testing.T) {
+// TestProcResumeAfterWakeTime: ResumeAfter(d) wakes a suspended proc
+// exactly d after the call, and other procs and events run meanwhile.
+func TestProcResumeAfterWakeTime(t *testing.T) {
 	k := New(1)
-	var target *Proc
-	target = k.Go(func(p *Proc) { p.Suspend() })
+	var at, other Time
+	var waiter *Proc
+	waiter = k.Go(func(p *Proc) {
+		p.Suspend()
+		at = p.Now()
+	})
 	k.Go(func(p *Proc) {
-		p.Wait(1)
-		target.Resume()
-		defer func() {
-			if recover() == nil {
-				t.Error("second Resume did not panic")
-			}
-		}()
-		target.Resume()
+		p.Wait(2)
+		waiter.ResumeAfter(0.75)
+		p.Wait(0.5)
+		other = p.Now()
 	})
 	k.Run()
+	if at != 2.75 || other != 2.5 {
+		t.Fatalf("woke at %v with the other proc at %v, want 2.75 and 2.5", at, other)
+	}
 }
 
-// TestProcResumeDuringWaitPanics: Resume wakes only a proc parked in
-// Suspend. Resuming a proc that is in Wait panics and leaves the wait
-// running to its full length, where it once cut the wait short.
-func TestProcResumeDuringWaitPanics(t *testing.T) {
-	k := New(1)
-	var woke Time
-	sleeper := k.Go(func(p *Proc) {
-		p.Wait(10)
-		woke = p.Now()
-	})
-	var panicked bool
-	k.Go(func(p *Proc) {
-		p.Wait(1)
-		defer func() { panicked = recover() != nil }()
-		sleeper.Resume()
-	})
-	k.Run()
-	if !panicked {
-		t.Fatal("Resume of a proc in Wait did not panic")
+// TestProcDoubleResumePanics: a second Resume or ResumeAfter while the
+// first wake is in flight panics, however long that wake's delay.
+func TestProcDoubleResumePanics(t *testing.T) {
+	for _, d := range []Time{0, 3} {
+		k := New(1)
+		var target *Proc
+		target = k.Go(func(p *Proc) { p.Suspend() })
+		k.Go(func(p *Proc) {
+			p.Wait(1)
+			target.ResumeAfter(d)
+			for _, again := range []func(){target.Resume, func() { target.ResumeAfter(1) }} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("second resume after ResumeAfter(%v) did not panic", d)
+						}
+					}()
+					again()
+				}()
+			}
+		})
+		k.Run()
 	}
-	if woke != 10 {
-		t.Fatalf("Wait returned at %v, want 10", woke)
+}
+
+// TestProcResumeDuringWaitPanics: Resume and ResumeAfter wake only a
+// proc parked in Suspend. Resuming a proc that is in Wait panics and
+// leaves the wait running to its full length, where it once cut the
+// wait short.
+func TestProcResumeDuringWaitPanics(t *testing.T) {
+	for _, resume := range []func(*Proc){(*Proc).Resume, func(p *Proc) { p.ResumeAfter(2) }} {
+		k := New(1)
+		var woke Time
+		sleeper := k.Go(func(p *Proc) {
+			p.Wait(10)
+			woke = p.Now()
+		})
+		var panicked bool
+		k.Go(func(p *Proc) {
+			p.Wait(1)
+			defer func() { panicked = recover() != nil }()
+			resume(sleeper)
+		})
+		k.Run()
+		if !panicked {
+			t.Fatal("resume of a proc in Wait did not panic")
+		}
+		if woke != 10 {
+			t.Fatalf("Wait returned at %v, want 10", woke)
+		}
 	}
 }
 
@@ -148,11 +182,13 @@ func TestProcSuspendAfterWaitNotWokenByStaleTimer(t *testing.T) {
 }
 
 // TestMisusePanics pins the remaining protocol-bug panics: a nil event
-// function, a negative Wait, a Resume of a finished proc and a Resume of
-// a proc that has not started.
+// function, a negative Wait, a Resume or ResumeAfter of a finished proc
+// or of a proc that has not started, and a negative or NaN ResumeAfter
+// delay. The bad delays leave the proc parked with no wake in flight.
 func TestMisusePanics(t *testing.T) {
 	k := New(1)
 	done := k.Go(func(p *Proc) {})
+	parked := k.Go(func(p *Proc) { p.Suspend() })
 	k.Run()
 	for _, c := range []struct {
 		name string
@@ -160,7 +196,11 @@ func TestMisusePanics(t *testing.T) {
 	}{
 		{"nil event", func() { k.At(k.Now(), nil) }},
 		{"resume finished", func() { done.Resume() }},
+		{"resume after finished", func() { done.ResumeAfter(1) }},
 		{"resume unstarted", func() { k.Go(func(p *Proc) {}).Resume() }},
+		{"resume after unstarted", func() { k.Go(func(p *Proc) {}).ResumeAfter(1) }},
+		{"negative resume delay", func() { parked.ResumeAfter(-1) }},
+		{"NaN resume delay", func() { parked.ResumeAfter(Time(math.NaN())) }},
 		{"negative wait", func() { k.Go(func(p *Proc) { p.Wait(-1) }); k.Run() }},
 	} {
 		func() {
@@ -171,6 +211,11 @@ func TestMisusePanics(t *testing.T) {
 			}()
 			c.fn()
 		}()
+	}
+	parked.ResumeAfter(1)
+	k.Run()
+	if !parked.done {
+		t.Error("a proc left parked by bad ResumeAfter delays did not resume")
 	}
 }
 
